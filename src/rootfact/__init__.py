@@ -19,6 +19,7 @@ from .errors import (
 from .factorization import (
     ForwardResult,
     StratumResult,
+    WordPlan,
     delta_identity_check,
     forward_coords_jets,
     forward_map,
@@ -29,6 +30,7 @@ from .factorization import (
     jacobian_det_formula,
     stratum_data,
     transpose_dual,
+    word_plan,
 )
 from .haar import (
     RadicalScalar,

@@ -29,6 +29,7 @@ from .factorization import (
     transpose_dual,
 )
 from .linalg import ldu, principal_minor
+from .scalar import digit_limit_error
 from .serialization import (
     diag_from_json,
     diag_to_json,
@@ -90,6 +91,8 @@ def _read_input(args) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"input is not valid JSON: {err}") from None
+    except ValueError:  # a bare integer past the int/str digit limit
+        raise digit_limit_error() from None
     if not isinstance(obj, dict):
         raise InvalidInputError("input must be a JSON object")
     return obj

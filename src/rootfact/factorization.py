@@ -16,32 +16,40 @@ element sigma(g_0^{-1}) and a downward elimination; points where that
 elimination degenerates form the exceptional set and raise
 ExceptionalSetError.  Pushing jets through the forward map gives the
 exact Jacobian determinant, which also has two closed product forms.
+
+Every map here and in the compact picture reads one cached WordPlan
+per (family, rank, word): the checked word and its taus, the pairing
+table tau_k(h_tau_j), the closed-form exponents delta(h_tau_j) and the
+coroot diagonals, with the shared pair and torus checks and the suffix
+products prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, StratumError
-from .jets import Jet
-from .linalg import det_exact, ldu, mat_inverse, mat_mul, scale_rows
+from .jets import Jet, jacobian_det
+from .linalg import ldu, mat_inverse, mat_mul, scale_rows
 from .matrices import (
     assemble_lower,
     assemble_upper,
-    coroot_diag,
     dim,
     exp_e,
     exp_f,
     extract_lower,
     extract_upper,
     identity,
+    root_triple,
     sigma,
     weyl_representative,
 )
-from .rootsystem import delta, is_positive_root, pairing, simple_roots
-from .scalar import ONE, ZERO, Scalar, sc
+from .rootsystem import delta, is_positive_root, norm2, simple_roots
+from .scalar import ONE, Scalar, sc
 from .weyl import (
     WeylElement,
+    check_word,
     identity_element,
     longest_element,
     ordering_from_word,
@@ -49,33 +57,90 @@ from .weyl import (
 )
 
 
-def check_torus(family: str, rank: int, h) -> list:
-    """Validate diagonal torus entries for the family's realization."""
-    n = dim(family, rank)
-    if h is None:
-        return [ONE] * n
-    entries = [sc(v) for v in h]
-    if len(entries) != n:
-        raise InvalidInputError(f"torus diagonal needs {n} entries, got {len(entries)}")
-    for v in entries:
-        if v.is_zero():
+@dataclass(frozen=True)
+class WordPlan:
+    """What every coordinate map reads off one reduced word.
+
+    ``taus`` is the ordering of the word, ``table[k][j]`` the pairing
+    tau_k(h_tau_j) for k < j (zero elsewhere), ``deltas`` the exponents
+    delta(h_tau_j) and ``diags`` the diagonals of the coroots h_tau_j.
+    """
+
+    family: str
+    rank: int
+    word: tuple
+    taus: tuple
+    table: tuple
+    deltas: tuple
+    diags: tuple
+
+    def check_pairs(self, pairs) -> list[tuple]:
+        if len(pairs) != len(self.taus):
+            raise InvalidInputError(f"expected {len(self.taus)} coordinate pairs, got {len(pairs)}")
+        return [(p[0], p[1]) for p in pairs]
+
+    def scalar_pairs(self, pairs) -> list[tuple]:
+        return [(sc(a), sc(b)) for a, b in self.check_pairs(pairs)]
+
+    def jet_pairs(self, pairs) -> list[tuple]:
+        """One jet variable per coordinate, all z^- first, then all z^+."""
+        pairs = self.check_pairs(pairs)
+        n = len(pairs)
+        jets = Jet.variables([sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs])
+        return [(jets[k], jets[n + k]) for k in range(n)]
+
+    def check_torus(self, h) -> list:
+        """Validate diagonal torus entries for the family's realization."""
+        n = dim(self.family, self.rank)
+        if h is None:
+            return [ONE] * n
+        entries = [sc(v) for v in h]
+        if len(entries) != n:
+            raise InvalidInputError(f"torus diagonal needs {n} entries, got {len(entries)}")
+        if any(v.is_zero() for v in entries):
             raise InvalidInputError("torus entries must be nonzero")
-    if family != "A":
-        for a in range(n):
-            b = n - 1 - a
-            if a < b and entries[a] * entries[b] != ONE:
-                raise InvalidInputError(
-                    "torus entries must satisfy h[a] * h[N+1-a] == 1"
-                )
-        if family == "B" and entries[rank] != ONE:
-            raise InvalidInputError("the middle torus entry must be 1 in family B")
-    return entries
+        if self.family != "A":
+            if any(entries[a] * entries[n - 1 - a] != ONE for a in range(n // 2)):
+                raise InvalidInputError("torus entries must satisfy h[a] * h[N+1-a] == 1")
+            if self.family == "B" and entries[self.rank] != ONE:
+                raise InvalidInputError("the middle torus entry must be 1 in family B")
+        return entries
+
+    def suffix_mul(self, k: int, x, vals, sign: int = 1):
+        """x * prod_{j > k} vals[j] ** (sign * tau_k(h_tau_j)), factor by factor."""
+        row = self.table[k]
+        for j in range(k + 1, len(row)):
+            x = x * vals[j] ** (sign * row[j])
+        return x
+
+    def torus_power(self, vals, one) -> list:
+        """The torus diagonal prod_j vals[j] ** h_tau_j."""
+        out = [one] * dim(self.family, self.rank)
+        for v, diag in zip(vals, self.diags):
+            for a, p in enumerate(diag):
+                if p:
+                    out[a] = out[a] * v ** p
+        return out
 
 
-def check_pairs(pairs, n: int) -> list[tuple]:
-    if len(pairs) != n:
-        raise InvalidInputError(f"expected {n} coordinate pairs, got {len(pairs)}")
-    return [(p[0], p[1]) for p in pairs]
+def word_plan(family: str, rank: int, word) -> WordPlan:
+    """The plan of a reduced word; raises InvalidWordError otherwise."""
+    return _word_plan(family, rank, check_word(family, rank, word))
+
+
+# an A8 plan is about 16 KB and callers draw fresh words, so keep few
+@lru_cache(maxsize=16)
+def _word_plan(family: str, rank: int, word: tuple) -> WordPlan:
+    taus = ordering_from_word(family, rank, word)
+    # integer coroots 2 tau / (tau, tau), kept sparse
+    coroots = [[(i, 2 * c // norm2(t)) for i, c in enumerate(t) if c] for t in taus]
+    table = tuple(
+        tuple(sum(tk[i] * c for i, c in cj) if j > k else 0 for j, cj in enumerate(coroots))
+        for k, tk in enumerate(taus)
+    )
+    deltas = tuple(delta(family, rank, t) for t in taus)
+    diags = tuple(root_triple(family, rank, t).h for t in taus)
+    return WordPlan(family, rank, word, taus, table, deltas, diags)
 
 
 @dataclass
@@ -103,36 +168,35 @@ def _product_matrix(family: str, rank: int, taus, pairs, h=None):
 
 def forward_map(family: str, rank: int, word, pairs, h=None) -> ForwardResult:
     """Evaluate the factorization product and its (l, u, h) coordinates."""
-    taus = ordering_from_word(family, rank, word)
-    pairs = check_pairs(pairs, len(taus))
-    pairs = [(sc(a), sc(b)) for a, b in pairs]
-    hd = check_torus(family, rank, h)
+    return _forward(word_plan(family, rank, word), pairs, h)
+
+
+def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
+    family, rank, taus = plan.family, plan.rank, plan.taus
+    pairs = plan.scalar_pairs(pairs)
+    hd = plan.check_torus(h)
     g = _product_matrix(family, rank, taus, pairs, hd)
     lower, d, upper = ldu(g)
     if d != hd:
         raise InvalidInputError("internal: middle factor differs from the torus input")
-    lcoords = extract_lower(family, rank, taus, lower)
-    ucoords = extract_upper(family, rank, taus, upper)
     return ForwardResult(
         family=family,
         rank=rank,
-        word=tuple(word),
+        word=plan.word,
         taus=taus,
         matrix=g,
-        l=lcoords,
-        u=ucoords,
+        l=extract_lower(family, rank, taus, lower),
+        u=extract_upper(family, rank, taus, upper),
         h=hd,
         s=[ONE + zm * zp for zm, zp in pairs],
     )
 
 
-def forward_coords_jets(family: str, rank: int, taus, pairs):
+def forward_coords_jets(plan: WordPlan, pairs):
     """(l, u) of the pure pair product; entries may be jets."""
-    g = _product_matrix(family, rank, taus, pairs)
-    lower, d, upper = ldu(g)
-    lcoords = extract_lower(family, rank, taus, lower)
-    ucoords = extract_upper(family, rank, taus, upper)
-    return lcoords, ucoords
+    lower, d, upper = ldu(_product_matrix(plan.family, plan.rank, plan.taus, pairs))
+    return (extract_lower(plan.family, plan.rank, plan.taus, lower),
+            extract_upper(plan.family, plan.rank, plan.taus, upper))
 
 
 def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
@@ -141,13 +205,14 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
     """
-    taus = ordering_from_word(family, rank, word)
+    plan = word_plan(family, rank, word)
+    taus = plan.taus
     n = len(taus)
     lcoords = [sc(v) for v in lcoords]
     ucoords = [sc(v) for v in ucoords]
     if len(lcoords) != n or len(ucoords) != n:
         raise InvalidInputError(f"expected {n} lower and upper coordinates")
-    hd = check_torus(family, rank, h)
+    hd = plan.check_torus(h)
 
     g = assemble_lower(family, rank, taus, lcoords)
     g = [[v * hd[j] for j, v in enumerate(row)] for row in g]
@@ -165,24 +230,14 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         ) from err
     lprime = extract_lower(family, rank, taus, lhat)
 
-    pair_mat = {}  # pairing table tau_k against coroot of tau_j
-    for j in range(n):
-        for k in range(j):
-            pair_mat[(k, j)] = pairing(taus[k], taus[j])
-
     zeta: list[tuple] = [None] * n
-    eta: list[tuple] = [None] * n
     svals: list = [None] * n
     tail = identity(dim(family, rank))
     tail_dual = identity(dim(family, rank))
     for k in range(n - 1, -1, -1):
-        lk_tail = _coord_of_lower(family, rank, taus, tail, k)
-        lk_tail_dual = _coord_of_lower(family, rank, taus, tail_dual, k)
-        zm = lcoords[k] - lk_tail
-        em = lprime[k] - lk_tail_dual
-        acc = ONE
-        for j in range(k + 1, n):
-            acc = acc * svals[j] ** pair_mat[(k, j)]
+        zm = lcoords[k] - _coord_of_lower(family, rank, taus, tail, k)
+        em = lprime[k] - _coord_of_lower(family, rank, taus, tail_dual, k)
+        acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
             raise ExceptionalSetError(
@@ -192,14 +247,13 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         zp = -(em * acc) / den
         ep = -(zm * sk * acc)
         zeta[k] = (zm, zp)
-        eta[k] = (em, ep)
         svals[k] = sk
         tau = taus[k]
         # tails hold factor_n *** factor_(k+1); factor_k joins on the right
-        tail = mat_mul(tail, _pair_factor(family, rank, tau, zm, zp))
-        tail_dual = mat_mul(tail_dual, _pair_factor(family, rank, tau, em, ep))
+        tail = mat_mul(tail, _product_matrix(family, rank, [tau], [(zm, zp)]))
+        tail_dual = mat_mul(tail_dual, _product_matrix(family, rank, [tau], [(em, ep)]))
 
-    check = forward_map(family, rank, word, zeta, h=hd)
+    check = _forward(plan, zeta, hd)
     if check.l != lcoords or check.u != ucoords:
         raise ExceptionalSetError(
             "coordinates are outside the image of the factorization map",
@@ -207,11 +261,6 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             value="image",
         )
     return zeta
-
-
-def _pair_factor(family: str, rank: int, tau, zm, zp):
-    g = exp_f(family, rank, tau, zm)
-    return exp_e(family, rank, tau, zp, g)
 
 
 def _coord_of_lower(family: str, rank: int, taus, g, k: int):
@@ -224,10 +273,9 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
 
     Returns (eta_pairs, h_dual_diagonal).
     """
-    taus = ordering_from_word(family, rank, word)
-    n = len(taus)
-    pairs = [(sc(a), sc(b)) for a, b in check_pairs(pairs, n)]
-    hd = check_torus(family, rank, h)
+    plan = word_plan(family, rank, word)
+    pairs = plan.scalar_pairs(pairs)
+    hd = plan.check_torus(h)
     svals = [ONE + zm * zp for zm, zp in pairs]
     for k, v in enumerate(svals):
         if v.is_zero():
@@ -237,20 +285,11 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
                 value="denominator",
             )
     eta = []
-    for k in range(n):
-        acc = ONE
-        for j in range(k + 1, n):
-            acc = acc * svals[j] ** pairing(taus[k], taus[j])
-        em = -pairs[k][1] / (svals[k] * acc)
-        ep = -pairs[k][0] * svals[k] * acc
-        eta.append((em, ep))
-    hdual = [ONE] * dim(family, rank)
-    for k in range(n):
-        for a, p in enumerate(coroot_diag(family, rank, taus[k])):
-            if p:
-                hdual[a] = hdual[a] * svals[k] ** p
-    hdual = [hv / hh for hv, hh in zip(hdual, hd)]
-    return eta, hdual
+    for k, (zm, zp) in enumerate(pairs):
+        acc = plan.suffix_mul(k, ONE, svals)
+        eta.append((-zp / (svals[k] * acc), -zm * svals[k] * acc))
+    hdual = plan.torus_power(svals, ONE)
+    return eta, [hv / hh for hv, hh in zip(hdual, hd)]
 
 
 # -- Jacobians ---------------------------------------------------------
@@ -258,58 +297,42 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
 
 def jacobian_det_formula(family: str, rank: int, word, pairs) -> Scalar:
     """prod_j s_j^(delta(h_tau_j) - 1)."""
-    taus = ordering_from_word(family, rank, word)
-    pairs = [(sc(a), sc(b)) for a, b in check_pairs(pairs, len(taus))]
+    plan = word_plan(family, rank, word)
     out = ONE
-    for tau, (zm, zp) in zip(taus, pairs):
-        out = out * (ONE + zm * zp) ** (delta(family, rank, tau) - 1)
+    for d, (zm, zp) in zip(plan.deltas, plan.scalar_pairs(pairs)):
+        out = out * (ONE + zm * zp) ** (d - 1)
     return out
 
 
 def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
     """prod_{k<j} s_j^(tau_k(h_tau_j)), termwise."""
-    taus = ordering_from_word(family, rank, word)
-    pairs = [(sc(a), sc(b)) for a, b in check_pairs(pairs, len(taus))]
-    svals = [ONE + zm * zp for zm, zp in pairs]
+    plan = word_plan(family, rank, word)
+    svals = [ONE + zm * zp for zm, zp in plan.scalar_pairs(pairs)]
     out = ONE
-    for j in range(len(taus)):
+    for j, s in enumerate(svals):
         for k in range(j):
-            p = pairing(taus[k], taus[j])
-            if p < 0 and svals[j].is_zero():
+            p = plan.table[k][j]
+            if p < 0 and s.is_zero():
                 raise InvalidInputError(
                     "double product undefined: zero base with negative exponent"
                 )
-            out = out * svals[j] ** p
+            out = out * s ** p
     return out
 
 
 def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
     """det of d(l, u)/d(z^-, z^+) computed with exact jets."""
-    taus = ordering_from_word(family, rank, word)
-    pairs = check_pairs(pairs, len(taus))
-    n = len(taus)
-    flat = [sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs]
-    jets = Jet.variables(flat)
-    jet_pairs = [(jets[k], jets[n + k]) for k in range(n)]
-    lcoords, ucoords = forward_coords_jets(family, rank, taus, jet_pairs)
-    rows = []
-    for out in list(lcoords) + list(ucoords):
-        if isinstance(out, Jet):
-            rows.append(list(out.grad))
-        else:
-            rows.append([ZERO] * (2 * n))
-    return det_exact(rows)
+    plan = word_plan(family, rank, word)
+    lcoords, ucoords = forward_coords_jets(plan, plan.jet_pairs(pairs))
+    return jacobian_det(lcoords + ucoords, 2 * len(plan.taus))
 
 
 def delta_identity_check(family: str, rank: int, word) -> bool:
     """delta(h_tau_j) - 1 == sum_{k<j} tau_k(h_tau_j) for every j."""
-    taus = ordering_from_word(family, rank, word)
-    for j in range(len(taus)):
-        lhs = delta(family, rank, taus[j]) - 1
-        rhs = sum(pairing(taus[k], taus[j]) for k in range(j))
-        if lhs != rhs:
-            return False
-    return True
+    plan = word_plan(family, rank, word)
+    return all(
+        d - 1 == sum(row[j] for row in plan.table[:j]) for j, d in enumerate(plan.deltas)
+    )
 
 
 # -- Bruhat strata ------------------------------------------------------
@@ -361,8 +384,9 @@ def forward_map_stratum(family: str, rank: int, w: WeylElement, pairs, h=None) -
     representative of w times the pair product over the stratum roots
     times the torus element."""
     gammas, taus = stratum_data(family, rank, w)
-    pairs = [(sc(a), sc(b)) for a, b in check_pairs(pairs, len(taus))]
-    hd = check_torus(family, rank, h)
+    plan = word_plan(family, rank, gammas)  # its taus are the stratum roots
+    pairs = plan.scalar_pairs(pairs)
+    hd = plan.check_torus(h)
     g = _product_matrix(family, rank, taus, pairs, hd)
     wmat = weyl_representative(family, rank, w)
     g = mat_mul(wmat, g)

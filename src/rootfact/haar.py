@@ -24,13 +24,9 @@ import math
 from fractions import Fraction
 
 from .errors import BranchViolationError, InvalidInputError
-from .factorization import check_pairs, forward_coords_jets
-from .jets import Jet
-from .linalg import det_exact
-from .matrices import coroot_diag, dim
-from .rootsystem import delta, pairing
-from .scalar import ONE, ZERO, Scalar, sc
-from .weyl import ordering_from_word
+from .factorization import WordPlan, forward_coords_jets, word_plan
+from .jets import jacobian_det
+from .scalar import ONE, Scalar, power, sc
 
 
 class RadicalScalar:
@@ -103,18 +99,7 @@ class RadicalScalar:
         return other * self.inverse()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RadicalScalar(ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, RadicalScalar(ONE))
 
     def __neg__(self):
         return RadicalScalar(-self.coeff, self.radicand)
@@ -199,12 +184,11 @@ def _as_scalar(x) -> Scalar:
 
 def haar_density(family: str, rank: int, word, pairs) -> Scalar:
     """prod_j |1 + z_j^- z_j^+|^(2 (delta_j - 1)), exact rational."""
-    taus = ordering_from_word(family, rank, word)
-    pairs = check_pairs(pairs, len(taus))
+    plan = word_plan(family, rank, word)
     out = ONE
-    for tau, (zm, zp) in zip(taus, pairs):
+    for d, (zm, zp) in zip(plan.deltas, plan.check_pairs(pairs)):
         s = _as_scalar(ONE + _mulx(zm, zp))
-        out = out * s.abs2() ** (delta(family, rank, tau) - 1)
+        out = out * s.abs2() ** (d - 1)
     return out
 
 
@@ -224,27 +208,14 @@ def eta_from_zeta(family: str, rank: int, word, pairs):
     Every 1 + z_j^- z_j^+ must be real positive (the positive branch);
     returns (eta_pairs, a_squared) where a_j^2 = 1 + z_j^- z_j^+.
     """
-    taus = ordering_from_word(family, rank, word)
-    n = len(taus)
-    pairs = [(p[0], p[1]) for p in check_pairs(pairs, n)]
-    asq = []
-    for k, (zm, zp) in enumerate(pairs):
-        s = _as_scalar(ONE + _mulx(zm, zp))
-        if not s.is_positive_real():
-            raise BranchViolationError(
-                f"1 + z^- z^+ must be real positive at pair {k + 1}, got {s}"
-            )
-        asq.append(s)
+    plan = word_plan(family, rank, word)
+    pairs = plan.check_pairs(pairs)
+    asq = _on_branch((_as_scalar(ONE + _mulx(zm, zp)) for zm, zp in pairs), "1 + z^- z^+")
     avals = [RadicalScalar.sqrt_of(s) for s in asq]
     eta = []
-    for j in range(n):
-        em = _lift(pairs[j][0])
-        ep = _lift(pairs[j][1])
-        for k in range(j + 1, n):
-            p = pairing(taus[j], taus[k])
-            em = em * avals[k] ** p
-            ep = ep * avals[k] ** (-p)
-        ep = ep * _lift(asq[j]).inverse()
+    for j, (zm, zp) in enumerate(pairs):
+        em = plan.suffix_mul(j, _lift(zm), avals)
+        ep = plan.suffix_mul(j, _lift(zp), avals, -1) * _lift(asq[j]).inverse()
         eta.append((_simplify(em), _simplify(ep)))
     return eta, asq
 
@@ -255,34 +226,28 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     Every 1 - y_j^- y_j^+ must be real positive; returns
     (zeta_pairs, h_shift, a_squared) where h_shift is the torus
     diagonal prod_j a_j^(h_tau_j)."""
-    taus = ordering_from_word(family, rank, word)
-    n = len(taus)
-    pairs = [(p[0], p[1]) for p in check_pairs(eta_pairs, n)]
-    asq = []
-    for k, (em, ep) in enumerate(pairs):
-        v = ONE - _mulx(em, ep)
-        v = _as_scalar(v)
-        if not v.is_positive_real():
-            raise BranchViolationError(
-                f"1 - y^- y^+ must be real positive at pair {k + 1}, got {v}"
-            )
-        asq.append(v.inverse())  # a_j^2 = (1 - y^- y^+)^(-1)
+    plan = word_plan(family, rank, word)
+    pairs = plan.check_pairs(eta_pairs)
+    ys = _on_branch((_as_scalar(ONE - _mulx(em, ep)) for em, ep in pairs), "1 - y^- y^+")
+    asq = [v.inverse() for v in ys]  # a_j^2 = (1 - y^- y^+)^(-1)
     avals = [RadicalScalar.sqrt_of(s) for s in asq]
     zeta = []
-    for j in range(n):
-        zm = _lift(pairs[j][0])
-        zp = _lift(pairs[j][1]) * asq[j]
-        for k in range(j + 1, n):
-            p = pairing(taus[j], taus[k])
-            zm = zm * avals[k] ** (-p)
-            zp = zp * avals[k] ** p
+    for j, (em, ep) in enumerate(pairs):
+        zm = plan.suffix_mul(j, _lift(em), avals, -1)
+        zp = plan.suffix_mul(j, _lift(ep) * asq[j], avals)
         zeta.append((_simplify(zm), _simplify(zp)))
-    hshift = [RadicalScalar(ONE)] * dim(family, rank)
-    for k in range(n):
-        for a, p in enumerate(coroot_diag(family, rank, taus[k])):
-            if p:
-                hshift[a] = hshift[a] * avals[k] ** p
+    hshift = plan.torus_power(avals, RadicalScalar(ONE))
     return zeta, [_simplify(v) for v in hshift], asq
+
+
+def _on_branch(values, what: str) -> list:
+    """The values in order, each required to be real positive."""
+    out = []
+    for k, v in enumerate(values, start=1):
+        if not v.val.is_positive_real():
+            raise BranchViolationError(f"{what} must be real positive at pair {k}, got {v.val}")
+        out.append(v)
+    return out
 
 
 def _simplify(x):
@@ -294,28 +259,16 @@ def _simplify(x):
 # -- volume pullback of the compact coordinates --------------------------
 
 
-def _jet_compact_chain(family: str, rank: int, word, eta_pairs):
-    """Jet-valued (taus, zeta, a^2) along the compact coordinate change.
+def _jet_compact_chain(plan: WordPlan, eta_pairs):
+    """Jet-valued zeta pairs along the compact coordinate change.
 
     Seeds one jet variable per coordinate (all y^- first, then all y^+).
     Every 1 - y_j^- y_j^+ must be real positive, and its value must be a
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
-    taus = ordering_from_word(family, rank, word)
-    n = len(taus)
-    pairs = check_pairs(eta_pairs, n)
-    flat = [sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs]
-    jets = Jet.variables(flat)
-    pairs = [(jets[k], jets[n + k]) for k in range(n)]
-    asq = []
-    for k, (em, ep) in enumerate(pairs):
-        v = 1 - em * ep
-        if not v.val.is_positive_real():
-            raise BranchViolationError(
-                f"1 - y^- y^+ must be real positive at pair {k + 1}, got {v.val}"
-            )
-        asq.append(1 / v)
+    pairs = plan.jet_pairs(eta_pairs)
+    asq = [1 / v for v in _on_branch((1 - em * ep for em, ep in pairs), "1 - y^- y^+")]
     try:
         avals = [v.sqrt() for v in asq]
     except InvalidInputError as exc:
@@ -324,22 +277,11 @@ def _jet_compact_chain(family: str, rank: int, word, eta_pairs):
             "rational square"
         ) from exc
     zeta = []
-    for j in range(n):
-        zm = pairs[j][0]
-        zp = pairs[j][1] * asq[j]
-        for k in range(j + 1, n):
-            p = pairing(taus[j], taus[k])
-            zm = zm * avals[k] ** (-p)
-            zp = zp * avals[k] ** p
+    for j, (em, ep) in enumerate(pairs):
+        zm = plan.suffix_mul(j, em, avals, -1)
+        zp = plan.suffix_mul(j, ep * asq[j], avals)
         zeta.append((zm, zp))
-    return taus, zeta, asq
-
-
-def _det_of_grad_rows(outputs, width: int) -> Scalar:
-    rows = []
-    for out in outputs:
-        rows.append(list(out.grad) if isinstance(out, Jet) else [ZERO] * width)
-    return det_exact(rows)
+    return zeta
 
 
 def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:
@@ -349,10 +291,8 @@ def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     feeds on pairs k >= j, so the matrix is block triangular with 2 x 2
     diagonal blocks of determinant a_j^4.
     """
-    taus, zeta, _ = _jet_compact_chain(family, rank, word, eta_pairs)
-    n = len(taus)
-    outs = [z[0] for z in zeta] + [z[1] for z in zeta]
-    return _det_of_grad_rows(outs, 2 * n)
+    zeta = _jet_compact_chain(word_plan(family, rank, word), eta_pairs)
+    return jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
 
 
 def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
@@ -363,10 +303,13 @@ def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     prod_j (1 + z_j^- z_j^+)^(delta_j - 1) with 1 + z^- z^+ = a^2, and
     the coordinate change contributes prod_j a_j^4.
     """
-    taus, zeta, _ = _jet_compact_chain(family, rank, word, eta_pairs)
-    n = len(taus)
-    lcoords, ucoords = forward_coords_jets(family, rank, taus, zeta)
-    return _det_of_grad_rows(list(lcoords) + list(ucoords), 2 * n)
+    return _pullback_det(word_plan(family, rank, word), eta_pairs)
+
+
+def _pullback_det(plan: WordPlan, eta_pairs) -> Scalar:
+    zeta = _jet_compact_chain(plan, eta_pairs)
+    lcoords, ucoords = forward_coords_jets(plan, zeta)
+    return jacobian_det(lcoords + ucoords, 2 * len(zeta))
 
 
 def unit_jacobian_check(family: str, rank: int, word, eta_pairs) -> Scalar:
@@ -381,11 +324,10 @@ def unit_jacobian_check(family: str, rank: int, word, eta_pairs) -> Scalar:
     of coordinates.  The bare determinant itself is not unimodular; its
     exact value is the closed form stated in lebesgue_pullback_det.
     """
-    det = lebesgue_pullback_det(family, rank, word, eta_pairs)
-    taus = ordering_from_word(family, rank, word)
-    pairs = check_pairs(eta_pairs, len(taus))
+    plan = word_plan(family, rank, word)
+    det = _pullback_det(plan, eta_pairs)
     den = ONE
-    for tau, (em, ep) in zip(taus, pairs):
+    for d, (em, ep) in zip(plan.deltas, plan.check_pairs(eta_pairs)):
         v = _as_scalar(ONE - _mulx(em, ep))
-        den = den * v.inverse() ** (2 * delta(family, rank, tau) + 2)
+        den = den * v.inverse() ** (2 * d + 2)
     return det.abs2() / den

@@ -9,7 +9,8 @@ truncation error.
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .scalar import ONE, ZERO, Scalar, sc
+from .linalg import det_exact
+from .scalar import ONE, ZERO, Scalar, _coerce, power, sc
 
 
 class Jet:
@@ -39,7 +40,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val + other.val, tuple(a + b for a, b in zip(self.grad, other.grad)))
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(self.val + other, self.grad)
@@ -49,13 +50,13 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet(self.val - other.val, tuple(a - b for a, b in zip(self.grad, other.grad)))
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(self.val - other, self.grad)
 
     def __rsub__(self, other):
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(other - self.val, tuple(-g for g in self.grad))
@@ -67,7 +68,7 @@ class Jet:
                 v1 * v2,
                 tuple(g1 * v2 + v1 * g2 for g1, g2 in zip(self.grad, other.grad)),
             )
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(self.val * other, tuple(g * other for g in self.grad))
@@ -82,30 +83,22 @@ class Jet:
                 q,
                 tuple((g1 - q * g2) / v2 for g1, g2 in zip(self.grad, other.grad)),
             )
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(self.val / other, tuple(g / other for g in self.grad))
 
     def __rtruediv__(self, other):
-        other = _lift(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return Jet(other, (ZERO,) * len(self.grad)).__truediv__(self)
 
+    def inverse(self) -> "Jet":
+        return Jet(ONE, (ZERO,) * len(self.grad)) / self
+
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (Jet(ONE, (ZERO,) * len(self.grad)) / self) ** (-n)
-        out = Jet(ONE, (ZERO,) * len(self.grad))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Jet(ONE, (ZERO,) * len(self.grad)))
 
     def __neg__(self):
         return Jet(-self.val, tuple(-g for g in self.grad))
@@ -130,8 +123,8 @@ class Jet:
         return f"Jet({self.val}; {','.join(map(str, self.grad))})"
 
 
-def _lift(x):
-    try:
-        return sc(x)
-    except InvalidInputError:
-        return None
+def jacobian_det(outputs, width: int) -> Scalar:
+    """det of the gradient rows of ``outputs``; a plain scalar among them
+    is a constant, with a zero row."""
+    return det_exact([list(out.grad) if isinstance(out, Jet) else [ZERO] * width
+                      for out in outputs])

@@ -53,11 +53,6 @@ def mat_copy(x):
     return [row[:] for row in x]
 
 
-def diag_matrix(entries):
-    n = len(entries)
-    return [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def scale_cols(x, diag):
     """x @ diag(entries) without building the diagonal matrix."""
     return [[v * diag[j] for j, v in enumerate(row)] for row in x]

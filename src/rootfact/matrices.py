@@ -22,7 +22,6 @@ from .errors import InvalidInputError
 from .linalg import (
     identity,
     mat_copy,
-    mat_eq,
     mat_inverse,
     mat_mul,
     matrix_rank,
@@ -31,7 +30,13 @@ from .linalg import (
 from .rootsystem import ambient_dim, check_family_rank, pairing, positive_roots
 from .scalar import I as IMAG
 from .scalar import ONE, ZERO, Scalar, sc
-from .weyl import WeylElement, deterministic_reduced_word, simple_roots
+from .weyl import (
+    WeylElement,
+    check_word,
+    deterministic_reduced_word,
+    ordering_from_word,
+    simple_roots,
+)
 
 HALF = Scalar(1, 0, 2)
 TWO = Scalar(2)
@@ -393,13 +398,8 @@ def conjugated_generators(family: str, rank: int, word):
     """Per-letter sl2 triples conjugated by the partial representative
     products: at step j the simple triple of letter j is moved into the
     root space of tau_j."""
-    from .weyl import check_word, is_reduced
-
     word = check_word(family, rank, word)
-    if not is_reduced(family, rank, word):
-        from .errors import InvalidWordError
-
-        raise InvalidWordError(f"word {word!r} is not reduced", index=None)
+    ordering_from_word(family, rank, word)  # rejects words that are not reduced
     n = dim(family, rank)
     simples = simple_roots(family, rank)
     wmat = identity(n)

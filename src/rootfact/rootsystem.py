@@ -11,6 +11,10 @@ B, C, D use m = r.  Simple roots:
 
 Positive roots have a positive leading coordinate: the first nonzero
 coordinate for family A, the last nonzero coordinate for B, C, D.
+
+The exponent delta(root) = rho(h_root) has the closed form
+(2 rho, root) / (root, root), 2 rho being the sum of the positive roots;
+simple_coroot_coordinates is the solver route to the same value.
 """
 
 from __future__ import annotations
@@ -160,16 +164,17 @@ def _solve_exact(columns: list[tuple], target: tuple) -> tuple[Fraction, ...]:
     return tuple(x)
 
 
+def _integral(coeffs, message: str) -> tuple[int, ...]:
+    if any(c.denominator != 1 for c in coeffs):
+        raise InvalidInputError(message)
+    return tuple(int(c) for c in coeffs)
+
+
 @lru_cache(maxsize=None)
 def simple_root_coordinates(family: str, rank: int, root: Root) -> tuple[int, ...]:
     """Coefficients of a root over the simple roots."""
     coeffs = _solve_exact(list(simple_roots(family, rank)), root)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvalidInputError(f"{root!r} is not in the root lattice of {family}{rank}")
-        out.append(int(c))
-    return tuple(out)
+    return _integral(coeffs, f"{root!r} is not in the root lattice of {family}{rank}")
 
 
 def height(family: str, rank: int, root: Root) -> int:
@@ -186,17 +191,19 @@ def simple_coroot_coordinates(family: str, rank: int, root: Root) -> tuple[int, 
     """Coefficients of the coroot of ``root`` over the simple coroots."""
     cols = [coroot(a) for a in simple_roots(family, rank)]
     coeffs = _solve_exact(cols, coroot(root))
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InvalidInputError(f"coroot of {root!r} is outside the coroot lattice")
-        out.append(int(c))
-    return tuple(out)
+    return _integral(coeffs, f"coroot of {root!r} is outside the coroot lattice")
+
+
+@lru_cache(maxsize=None)
+def _two_rho(family: str, rank: int) -> Root:
+    return tuple(map(sum, zip(*positive_roots(family, rank))))
 
 
 def delta(family: str, rank: int, root: Root) -> int:
-    """Sum of the simple-coroot coefficients of the coroot of ``root``."""
-    return sum(simple_coroot_coordinates(family, rank, root))
+    """Sum of the simple-coroot coefficients of the coroot of ``root``,
+    taken in closed form as (2 rho, root) / (root, root)."""
+    is_positive_root(family, rank, root)  # rejects vectors that are not roots
+    return sum(r * c for r, c in zip(_two_rho(family, rank), root)) // norm2(root)
 
 
 def reflect(beta: Root, alpha: Root) -> Root:

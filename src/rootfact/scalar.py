@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -31,13 +32,39 @@ _RE_IMAG = re.compile(rf"^({_PART})\*i$")
 _RE_BOTH = re.compile(rf"^({_PART})([+-]\d+(?:/\d+)?)\*i$")
 
 
+def digit_limit_error() -> InvalidInputError:
+    limit = sys.get_int_max_str_digits()
+    return InvalidInputError(f"integer has more than {limit} digits, "
+                             "the interpreter's limit for integer string conversion")
+
+
 def _frac(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InvalidInputError(f"zero denominator in scalar part {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            if int(den) == 0:
+                raise InvalidInputError(f"zero denominator in scalar part {text!r}")
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except ValueError:  # the pattern admits only digits, so this is the limit
+        raise digit_limit_error() from None
+
+
+def power(x, n: int, one):
+    """x ** n by square and multiply from ``one``, through x.inverse() for
+    n < 0; one loop for every number type, as RadicalScalar's printed
+    form depends on the order of the products."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 class Scalar:
@@ -198,18 +225,7 @@ class Scalar:
         return other.__truediv__(self)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     def __neg__(self):
         return _mk(-self.a, -self.b, self.d)
@@ -245,9 +261,12 @@ class Scalar:
 
 
 def _fmt(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise digit_limit_error() from None
 
 
 def _mk(a: int, b: int, d: int) -> Scalar:

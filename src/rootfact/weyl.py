@@ -25,9 +25,7 @@ from .errors import BudgetExceededError, InvalidInputError, InvalidWordError
 from .rootsystem import (
     ambient_dim,
     check_family_rank,
-    height,
     is_positive_root,
-    pairing,
     positive_roots,
     simple_roots,
 )
@@ -139,8 +137,7 @@ def length(w: WeylElement) -> int:
 
 
 def is_reduced(family: str, rank: int, word: Word) -> bool:
-    word = check_word(family, rank, word)
-    return length(word_evaluate(family, rank, word)) == len(word)
+    return _taus_if_reduced(family, rank, check_word(family, rank, word)) is not None
 
 
 def right_descents(w: WeylElement) -> list[int]:
@@ -215,18 +212,29 @@ def enumerate_reduced_words(
     return rec(w)
 
 
-def ordering_from_word(family: str, rank: int, word: Word) -> tuple[tuple, ...]:
-    """The root sequence tau_j attached to a reduced word."""
-    word = check_word(family, rank, word)
-    if not is_reduced(family, rank, word):
-        raise InvalidWordError(f"word {word!r} is not reduced", index=None)
+def _taus_if_reduced(family: str, rank: int, word: Word) -> tuple[tuple, ...] | None:
+    """The taus of a checked word, or None when it is not reduced: a word
+    is reduced iff every tau it generates is positive, as appending letter
+    i lengthens a prefix p iff p(a_i) > 0 (Humphreys 1990, 1.6-1.7)."""
     simples = simple_roots(family, rank)
     taus = []
     p = identity_element(family, rank)
     for i in word:
-        taus.append(p.act_root(simples[i - 1]))
+        tau = p.act_root(simples[i - 1])
+        if not is_positive_root(family, rank, tau):
+            return None
+        taus.append(tau)
         p = p * simple_reflection(family, rank, i)
     return tuple(taus)
+
+
+def ordering_from_word(family: str, rank: int, word: Word) -> tuple[tuple, ...]:
+    """The root sequence tau_j attached to a reduced word."""
+    word = check_word(family, rank, word)
+    taus = _taus_if_reduced(family, rank, word)
+    if taus is None:
+        raise InvalidWordError(f"word {word!r} is not reduced", index=None)
+    return taus
 
 
 def validate_ordering(family: str, rank: int, roots) -> Word:

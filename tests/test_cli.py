@@ -242,3 +242,28 @@ def test_self_check(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert "round-trip-A2" in payload["checks"]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # parses, but the product's entries outgrow the digit limit on output
+        json.dumps({"pairs": [["7" * 3000, "7" * 3000]] * 3}),
+        # one string scalar past the limit
+        json.dumps({"pairs": [["9" * 5000, "1"], ["1", "1"], ["1", "1"]]}),
+        # a bare JSON integer past the limit
+        "9" * 5000,
+    ],
+    ids=["product-3000-digits", "string-5000-digits", "json-int-5000-digits"],
+)
+def test_exit_2_oversized_numbers(capsys, monkeypatch, body):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+    code, payload, raw = run_cli(
+        capsys,
+        ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"],
+    )
+    assert code == 2
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload["error"]["kind"] == "invalid-input"
+    assert str(sys.get_int_max_str_digits()) in payload["error"]["message"]
+    assert capsys.readouterr().err == ""
