@@ -7,9 +7,10 @@ and matrix data arrives as a JSON object through --input PATH, with
 canonical strings like "1/2-3/4*i"; plain integers are also accepted.
 
 Exit codes: 0 on success; 2 for malformed requests (invalid-input,
-invalid-word, budget-exceeded, branch-violation); 3 when a well-formed
-point lies where the requested map is undefined (exceptional-set,
-stratum-failure).
+invalid-word, budget-exceeded, branch-violation), malformed or unknown
+flags included; 3 when a well-formed point lies where the requested
+map is undefined (exceptional-set, stratum-failure).  Only --help
+prints usage text.
 """
 
 from __future__ import annotations
@@ -241,100 +242,68 @@ def cmd_self_check(args) -> dict:
 
 # -- parser ------------------------------------------------------------
 
+_WORD_HELP = "comma-separated 1-based simple reflection indices, e.g. 1,2,1"
 
-def _add_family_rank(p) -> None:
-    p.add_argument("--family", required=True, choices=("A", "B", "C", "D"))
-    p.add_argument("--rank", required=True, type=int)
+# the options a subcommand can take, each a list of (flag, add_argument keywords)
+_OPTIONS = {
+    "family": [("--family", dict(required=True, choices=("A", "B", "C", "D"))),
+               ("--rank", dict(required=True, type=int))],
+    "word": [("--word", dict(required=True, default=None, help=_WORD_HELP))],
+    "optional-word": [("--word", dict(required=False, default=None, help=_WORD_HELP))],
+    "stratum-word": [("--stratum-word", dict(
+        default=None, help="word for the stratum element w; replaces --word"))],
+    "input": [("--input", dict(default=None, help="JSON input path, - for stdin"))],
+    "minors": [("--minors", dict(action="store_true", help="also print principal minors"))],
+    "budget": [("--budget", dict(type=int, default=500000))],
+}
+
+# subcommand: (handler, help, its options in order)
+_COMMANDS = {
+    "forward": (cmd_forward, "evaluate the factorization product",
+                ("family", "optional-word", "stratum-word", "input")),
+    "invert": (cmd_invert, "recover pairs from (l, u, h)", ("family", "word", "input")),
+    "dual": (cmd_dual, "transpose-dual coordinates and torus", ("family", "word", "input")),
+    "ldu": (cmd_ldu, "exact triangular factorization of a matrix", ("minors", "input")),
+    "ordering": (cmd_ordering, "root ordering of a reduced word", ("family", "word")),
+    "validate-ordering": (cmd_validate_ordering, "recover the word of an ordering",
+                          ("family", "input")),
+    "canonical-word": (cmd_canonical_word, "the fixed per-family word and ordering",
+                       ("family",)),
+    "count-words": (cmd_count_words, "count reduced words of the longest element",
+                    ("family", "budget")),
+    "jacobian": (cmd_jacobian, "Jacobian determinant, three exact ways",
+                 ("family", "word", "input")),
+    "haar-density": (cmd_haar_density, "invariant density at a coordinate point",
+                     ("family", "word", "input")),
+    "self-check": (cmd_self_check, "run the built-in identity battery", ()),
+}
 
 
-def _add_word(p, required: bool = True) -> None:
-    p.add_argument(
-        "--word",
-        required=required,
-        default=None,
-        help="comma-separated 1-based simple reflection indices, e.g. 1,2,1",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed flag as invalid-input instead of usage text."""
 
-
-def _add_input(p) -> None:
-    p.add_argument("--input", default=None, help="JSON input path, - for stdin")
+    def error(self, message):
+        raise InvalidInputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootfact",
         description="exact root subgroup factorization on the classical groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forward", help="evaluate the factorization product")
-    _add_family_rank(p)
-    _add_word(p, required=False)
-    p.add_argument(
-        "--stratum-word",
-        default=None,
-        help="word for the stratum element w; replaces --word",
-    )
-    _add_input(p)
-    p.set_defaults(func=cmd_forward)
-
-    p = sub.add_parser("invert", help="recover pairs from (l, u, h)")
-    _add_family_rank(p)
-    _add_word(p)
-    _add_input(p)
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("dual", help="transpose-dual coordinates and torus")
-    _add_family_rank(p)
-    _add_word(p)
-    _add_input(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("ldu", help="exact triangular factorization of a matrix")
-    p.add_argument("--minors", action="store_true", help="also print principal minors")
-    _add_input(p)
-    p.set_defaults(func=cmd_ldu)
-
-    p = sub.add_parser("ordering", help="root ordering of a reduced word")
-    _add_family_rank(p)
-    _add_word(p)
-    p.set_defaults(func=cmd_ordering)
-
-    p = sub.add_parser("validate-ordering", help="recover the word of an ordering")
-    _add_family_rank(p)
-    _add_input(p)
-    p.set_defaults(func=cmd_validate_ordering)
-
-    p = sub.add_parser("canonical-word", help="the fixed per-family word and ordering")
-    _add_family_rank(p)
-    p.set_defaults(func=cmd_canonical_word)
-
-    p = sub.add_parser("count-words", help="count reduced words of the longest element")
-    _add_family_rank(p)
-    p.add_argument("--budget", type=int, default=500000)
-    p.set_defaults(func=cmd_count_words)
-
-    p = sub.add_parser("jacobian", help="Jacobian determinant, three exact ways")
-    _add_family_rank(p)
-    _add_word(p)
-    _add_input(p)
-    p.set_defaults(func=cmd_jacobian)
-
-    p = sub.add_parser("haar-density", help="invariant density at a coordinate point")
-    _add_family_rank(p)
-    _add_word(p)
-    _add_input(p)
-    p.set_defaults(func=cmd_haar_density)
-
-    p = sub.add_parser("self-check", help="run the built-in identity battery")
-    p.set_defaults(func=cmd_self_check)
-
+    for name, (func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option in options:
+            for flag, keywords in _OPTIONS[option]:
+                p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.func(args)
     except LibError as err:
         sys.stdout.write(dumps_canonical({"error": err.payload()}))

@@ -12,8 +12,10 @@ ordered exponentials whose coefficient lists (l, u) are the other
 coordinate system this module converts to and from.
 
 The inverse direction recovers z from (l, u, h) through the dual
-element sigma(g_0^{-1}) and a downward elimination; points where that
-elimination degenerates form the exceptional set and raise
+element sigma(g_0^{-1}) and a downward recursion over the tails
+G_n *** G_(k+1) and their duals, each carried as LDU factors that take
+one pair per step by a Gauss factor update (Bennett 1965); points where
+the recursion degenerates form the exceptional set and raise
 ExceptionalSetError.  Pushing jets through the forward map gives the
 exact Jacobian determinant, which also has two closed product forms.
 
@@ -31,16 +33,13 @@ from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, StratumError
 from .jets import Jet, jacobian_det
-from .linalg import ldu, mat_inverse, mat_mul, scale_rows
+from .linalg import identity, ldu, mat_mul, mul_right_i_plus, scale_cols, scale_rows
 from .matrices import (
-    assemble_lower,
-    assemble_upper,
     dim,
     exp_e,
     exp_f,
     extract_lower,
     extract_upper,
-    identity,
     root_triple,
     sigma,
     weyl_representative,
@@ -202,6 +201,13 @@ def forward_coords_jets(plan: WordPlan, pairs):
 def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     """Recover the coordinate pairs from (l, u, h).
 
+    The dual element sigma(g_0^{-1}), g_0 = L h U, is built from the
+    inverted factors exp(-c f) and exp(-c e).  The pairs then come out
+    downward, k = n, ..., 1, each from the k-th lower coordinate of the
+    tail G_n *** G_(k+1) and of the dual tail.  Both tails are carried
+    as their LDU factors and take one pair per step (``_join_pair``);
+    every read is a full, checked ``extract_lower``.
+
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
     """
@@ -213,13 +219,16 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     if len(lcoords) != n or len(ucoords) != n:
         raise InvalidInputError(f"expected {n} lower and upper coordinates")
     hd = plan.check_torus(h)
+    size = len(hd)
 
-    g = assemble_lower(family, rank, taus, lcoords)
-    g = [[v * hd[j] for j, v in enumerate(row)] for row in g]
-    g = mat_mul(g, assemble_upper(family, rank, taus, ucoords))
-
-    # dual element: sigma(g_0^{-1}) with the torus part divided out
-    ghat = sigma(family, rank, scale_rows(hd, mat_inverse(g)))
+    # dual element: sigma(h g_0^{-1}) with g_0^{-1} = U^{-1} h^{-1} L^{-1}
+    ginv = identity(size)
+    for tau, c in zip(taus, ucoords):
+        ginv = exp_e(family, rank, tau, -c, ginv)
+    ginv = scale_cols(ginv, [ONE / v for v in hd])
+    for tau, c in zip(taus, lcoords):
+        ginv = exp_f(family, rank, tau, -c, ginv)
+    ghat = sigma(family, rank, scale_rows(hd, ginv))
     try:
         lhat, dhat, uhat = ldu(ghat)
     except StratumError as err:
@@ -231,12 +240,18 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     lprime = extract_lower(family, rank, taus, lhat)
 
     zeta: list[tuple] = [None] * n
+    eta: list[tuple] = [None] * n
     svals: list = [None] * n
-    tail = identity(dim(family, rank))
-    tail_dual = identity(dim(family, rank))
+    tail, tail_dual = [(identity(size), [ONE] * size, identity(size)) for _ in range(2)]
     for k in range(n - 1, -1, -1):
-        zm = lcoords[k] - _coord_of_lower(family, rank, taus, tail, k)
-        em = lprime[k] - _coord_of_lower(family, rank, taus, tail_dual, k)
+        # a tail takes pair k + 1 just before it is read, so the tail's
+        # pivot and residue checks come before the dual tail's
+        if k < n - 1:
+            tail = _join_pair(family, rank, taus[k + 1], tail, zeta[k + 1])
+        zm = lcoords[k] - extract_lower(family, rank, taus, tail[0])[k]
+        if k < n - 1:
+            tail_dual = _join_pair(family, rank, taus[k + 1], tail_dual, eta[k + 1])
+        em = lprime[k] - extract_lower(family, rank, taus, tail_dual[0])[k]
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -244,14 +259,9 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
                 f"exceptional set at pair {k + 1}", index=k + 1, value="denominator"
             )
         sk = ONE / den
-        zp = -(em * acc) / den
-        ep = -(zm * sk * acc)
-        zeta[k] = (zm, zp)
+        zeta[k] = (zm, -(em * acc) / den)
+        eta[k] = (em, -(zm * sk * acc))
         svals[k] = sk
-        tau = taus[k]
-        # tails hold factor_n *** factor_(k+1); factor_k joins on the right
-        tail = mat_mul(tail, _product_matrix(family, rank, [tau], [(zm, zp)]))
-        tail_dual = mat_mul(tail_dual, _product_matrix(family, rank, [tau], [(em, ep)]))
 
     check = _forward(plan, zeta, hd)
     if check.l != lcoords or check.u != ucoords:
@@ -263,9 +273,22 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     return zeta
 
 
-def _coord_of_lower(family: str, rank: int, taus, g, k: int):
-    lower, d, upper = ldu(g)
-    return extract_lower(family, rank, taus, lower)[k]
+def _join_pair(family: str, rank: int, tau, factors, pair):
+    """LDU factors of T exp(z^- f_tau) exp(z^+ e_tau) from those (L, D, U)
+    of T, which it consumes.
+
+    With M = U exp(z^- f_tau) = L_M D_M U_M the product is
+    L (D L_M D^-1) * D D_M * U_M exp(z^+ e_tau), so only M is factored: it
+    is upper unipotent outside the few columns f_tau touches, and its
+    leading minors vanish exactly where the product's do (Bennett 1965).
+    """
+    lower, d, upper = factors
+    zm, zp = pair
+    ml, md, mu = ldu(exp_f(family, rank, tau, zm, upper))
+    terms = [(i, c, d[i] * v / d[c]) for i, row in enumerate(ml)
+             for c, v in enumerate(row[:i]) if not v.is_zero()]
+    return (mul_right_i_plus(lower, terms), [a * b for a, b in zip(d, md)],
+            exp_e(family, rank, tau, zp, mu))
 
 
 def transpose_dual(family: str, rank: int, word, pairs, h=None):

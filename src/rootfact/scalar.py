@@ -62,8 +62,9 @@ def power(x, n: int, one):
     while n:
         if n & 1:
             out = out * x
-        x = x * x
         n >>= 1
+        if n:
+            x = x * x
     return out
 
 

@@ -10,18 +10,68 @@ square-root chains stay inside the rationals.
 Acceptance tests are named test_criterion_<n>; a terminal-summary hook
 prints one PASS/FAIL line per criterion after the run, plus any notes
 the tests recorded (values reported but deliberately not asserted).
+
+When the package runs from a source tree (PYTHONPATH=src) rather than
+an install, no console script is on PATH; a session fixture then writes
+the wrapper an install would, from pyproject.toml's [project.scripts].
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import shutil
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rootfact
 from rootfact import Scalar
 from rootfact.scalar import ONE, ZERO, sc
+
+# the script an install writes for a "module:attr" entry point
+_WRAPPER = """#!{python}
+# -*- coding: utf-8 -*-
+import re
+import sys
+from {module} import {name}
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit({attr}())
+"""
+
+
+@pytest.fixture(scope="session", autouse=True)
+def console_scripts(tmp_path_factory):
+    """Put the [project.scripts] wrappers on PATH when none is installed."""
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10: without a TOML reader, rely on an install
+        yield
+        return
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    missing = {name: spec for name, spec in scripts.items() if shutil.which(name) is None}
+    if not missing:
+        yield
+        return
+    bindir = tmp_path_factory.mktemp("bin")
+    for name, spec in missing.items():
+        module, _, attr = spec.partition(":")
+        path = bindir / name
+        path.write_text(_WRAPPER.format(python=sys.executable, module=module,
+                                        name=attr.split(".")[0], attr=attr))
+        path.chmod(0o755)
+    # the wrappers import the package under test, wherever the run found it
+    source = str(Path(rootfact.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", str(bindir) + os.pathsep + os.environ.get("PATH", ""))
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (source, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 ACCEPTANCE_NOTES: list[str] = []
 

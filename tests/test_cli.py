@@ -267,3 +267,21 @@ def test_exit_2_oversized_numbers(capsys, monkeypatch, body):
     assert payload["error"]["kind"] == "invalid-input"
     assert str(sys.get_int_max_str_digits()) in payload["error"]["message"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["ordering", "--family", "A", "--rank", "x", "--word", "1"],
+         "argument --rank: invalid int value: 'x'"),
+        (["ordering", "--family", "A", "--rank", "2", "--word", "1", "--bogus"],
+         "unrecognized arguments: --bogus"),
+    ],
+    ids=["bad-int", "unknown-flag"],
+)
+def test_exit_2_bad_flags(capsys, argv, message):
+    code, payload, raw = run_cli(capsys, argv)
+    assert code == 2
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload == {"error": {"kind": "invalid-input", "message": message}}
+    assert capsys.readouterr().err == ""

@@ -1,0 +1,131 @@
+"""The inverse map's tail kernel against explicit products.
+
+inverse_map carries the tail G_n *** G_(k+1) and its dual as LDU
+factors and joins one pair per step.  These tests check, at every
+step, the carried factors against the LDU of the explicitly multiplied
+tails, check one join on general factors, and pin the exceptional-set
+payloads of non-generic integer points.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from rootfact import (
+    ExceptionalSetError,
+    StratumError,
+    dim,
+    exp_e,
+    exp_f,
+    forward_map,
+    identity,
+    inverse_map,
+    ldu,
+    mat_mul,
+    positive_roots,
+    random_reduced_word,
+)
+from rootfact import factorization
+from rootfact.linalg import scale_cols
+from rootfact.scalar import sc
+
+from conftest import exact_scalar, generic_pairs, pairs_equal, torus_diag
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
+    word = random_reduced_word(family, rank, 11)
+    rng = random.Random(f"kernel/{family}{rank}")
+    pairs = generic_pairs(rng, len(word))
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, pairs, h=h)
+
+    # the tail and the dual tail take their pairs alternately
+    explicit = [identity(len(h)), identity(len(h))]
+    joins = []
+    join = factorization._join_pair
+
+    def checked_join(fam, rk, tau, factors, pair):
+        tail = explicit[len(joins) % 2]
+        assert ldu(tail) == (factors[0], factors[1], factors[2])
+        step = exp_e(fam, rk, tau, pair[1], exp_f(fam, rk, tau, pair[0]))
+        tail = explicit[len(joins) % 2] = mat_mul(tail, step)
+        out = join(fam, rk, tau, factors, pair)
+        assert ldu(tail) == out
+        joins.append(tau)
+        return out
+
+    monkeypatch.setattr(factorization, "_join_pair", checked_join)
+    zeta = inverse_map(family, rank, word, res.l, res.u, h=h)
+    assert pairs_equal(zeta, pairs)
+    # no join after the last pair: pairs n, ..., 2 once per tail
+    assert joins == [t for t in reversed(res.taus[1:]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_join_pair_on_general_factors(family, rank):
+    # the tails of inverse_map have middle factor I, as every pair product
+    # does; here D is a random torus, so the D L_M D^-1 scaling is checked
+    rng = random.Random(f"join/{family}{rank}")
+    n = dim(family, rank)
+    for tau in positive_roots(family, rank):
+        lower, upper = identity(n), identity(n)
+        for i in range(n):
+            for j in range(i):
+                lower[i][j] = exact_scalar(rng, 2)
+                upper[j][i] = exact_scalar(rng, 2)
+        d = torus_diag(family, rank, rng)
+        pair = (exact_scalar(rng), exact_scalar(rng))
+        tail = mat_mul(scale_cols(lower, d), upper)
+        tail = exp_e(family, rank, tau, pair[1], exp_f(family, rank, tau, pair[0], tail))
+        try:
+            expected = ldu(tail)
+        except StratumError:
+            continue
+        assert factorization._join_pair(family, rank, tau, (lower, d, upper), pair) == expected
+
+
+# (value, index) of the ExceptionalSetError, or None where the point
+# inverts, for twelve seeded integer points (l, u) in {-1, 0, 1}
+PINNED = {
+    ("A", 3): [("pivot", 1), ("pivot", 1), ("pivot", 1), None, None, ("pivot", 3),
+               None, None, ("pivot", 1), None, None, None],
+    ("B", 3): [None, ("pivot", 1), ("pivot", 2), None, None, None,
+               None, ("pivot", 1), None, ("pivot", 3), None, ("pivot", 3)],
+    ("C", 3): [("denominator", 4), None, None, None, ("denominator", 8), ("pivot", 2),
+               None, ("pivot", 1), ("pivot", 2), ("pivot", 2), None, ("pivot", 2)],
+    ("D", 4): [("pivot", 2), ("pivot", 3), None, ("pivot", 2), ("pivot", 1),
+               ("denominator", 11), ("pivot", 1), None, None, None, ("pivot", 1), ("pivot", 2)],
+    ("D", 5): [None, None, None, ("pivot", 2), None, None,
+               ("denominator", 18), ("pivot", 3), ("pivot", 1), None, ("pivot", 1), ("pivot", 4)],
+}
+
+MESSAGES = {
+    "pivot": "dual element has no triangular factorization (pivot {})",
+    "denominator": "exceptional set at pair {}",
+}
+
+
+@pytest.mark.parametrize("family,rank", list(PINNED))
+def test_exceptional_payloads_pinned(family, rank):
+    word = random_reduced_word(family, rank, 7)
+    rng = random.Random(f"exceptional/{family}{rank}")
+    for expected in PINNED[(family, rank)]:
+        l = [rng.choice((-1, 0, 1)) for _ in word]
+        u = [rng.choice((-1, 0, 1)) for _ in word]
+        if expected is None:
+            zeta = inverse_map(family, rank, word, l, u)
+            assert forward_map(family, rank, word, zeta).l == [sc(v) for v in l]
+            continue
+        value, index = expected
+        with pytest.raises(ExceptionalSetError) as err:
+            inverse_map(family, rank, word, l, u)
+        assert err.value.payload() == {
+            "kind": "exceptional-set",
+            "message": MESSAGES[value].format(index),
+            "index": index,
+            "value": value,
+        }
+

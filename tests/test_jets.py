@@ -60,6 +60,18 @@ def test_negative_powers():
     assert list(y.grad) == [sc(-16)]  # -2 x^(-3)
 
 
+@pytest.mark.parametrize("n,products", [(1, 1), (5, 4)])
+def test_power_stops_squaring_after_last_bit(monkeypatch, n, products):
+    # x ** n multiplies once per set bit and squares once per bit below the top
+    x = Jet.variables([sc(3)])[0]
+    calls = []
+    mul = Jet.__mul__
+    monkeypatch.setattr(Jet, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    y = x ** n
+    assert len(calls) == products
+    assert y.val == sc(3 ** n) and list(y.grad) == [sc(n * 3 ** (n - 1))]
+
+
 def test_chain_through_composite():
     # d/dx of (x^2 + 1)^2 at x = 2 is 2*(x^2+1)*2x = 40
     x = Jet.variables([sc(2)])[0]
