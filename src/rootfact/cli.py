@@ -94,6 +94,8 @@ def _read_input(args) -> dict:
         raise InvalidInputError(f"input is not valid JSON: {err}") from None
     except ValueError:  # a bare integer past the int/str digit limit
         raise digit_limit_error() from None
+    except RecursionError:
+        raise InvalidInputError("input JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise InvalidInputError("input must be a JSON object")
     return obj

@@ -259,7 +259,7 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
                 f"exceptional set at pair {k + 1}", index=k + 1, value="denominator"
             )
         sk = ONE / den
-        zeta[k] = (zm, -(em * acc) / den)
+        zeta[k] = (zm, -(em * acc * sk))
         eta[k] = (em, -(zm * sk * acc))
         svals[k] = sk
 

@@ -182,16 +182,16 @@ def ldu(g):
                 raise InvalidInputError("matrix is singular")
             raise StratumError(f"vanishing leading minor at position {k + 1}", index=k + 1)
         d.append(p)
+        ak = a[k]
+        # an exact zero stays as it is, undivided, and its row needs no
+        # update; a jet of value zero can still carry derivatives
         for j in range(k + 1, n):
-            upper[k][j] = a[k][j] / p
+            upper[k][j] = ak[j] if ak[j].is_zero() else ak[j] / p
         for i in range(k + 1, n):
-            f = a[i][k] / p
-            lower[i][k] = f
-            # skip only exact zeros: a jet with zero value can still
-            # carry derivatives that the update must propagate
+            f = lower[i][k] = a[i][k]
             if f.is_zero():
                 continue
-            ak = a[k]
+            f = lower[i][k] = f / p
             ai = a[i]
             for j in range(k + 1, n):
                 ai[j] = ai[j] - f * ak[j]

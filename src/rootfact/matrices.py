@@ -376,7 +376,8 @@ def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
     for tau in taus:
         t = root_triple(family, rank, tau)
         row, col, a0 = t.anchor_f() if use_f else t.anchor_e()
-        c = g[row][col] / a0
+        c = g[row][col]
+        c = c if c.is_zero() else c / a0  # an exact zero stays undivided
         coeffs.append(c)
         entries, squares = (t.f, t.f2) if use_f else (t.e, t.e2)
         g = mul_right_i_plus(g, exp_terms(entries, squares, -c))

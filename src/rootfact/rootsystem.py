@@ -14,13 +14,15 @@ coordinate for family A, the last nonzero coordinate for B, C, D.
 
 The exponent delta(root) = rho(h_root) has the closed form
 (2 rho, root) / (root, root), 2 rho being the sum of the positive roots;
-simple_coroot_coordinates is the solver route to the same value.
+the coefficients of simple_coroot_coordinates sum to it.  Those and the
+simple-root coefficients are closed forms too (see _coefficients).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InvalidInputError
 
@@ -43,66 +45,33 @@ def ambient_dim(family: str, rank: int) -> int:
     return rank + 1 if family == "A" else rank
 
 
-def _unit(m: int, k: int, c: int = 1) -> Root:
-    return tuple(c if j == k else 0 for j in range(m))
-
-
-@lru_cache(maxsize=None)
-def simple_roots(family: str, rank: int) -> tuple[Root, ...]:
-    check_family_rank(family, rank)
-    m = ambient_dim(family, rank)
-    out = []
-    if family == "A":
-        for k in range(rank):
-            root = [0] * m
-            root[k] = 1
-            root[k + 1] = -1
-            out.append(tuple(root))
-        return tuple(out)
-    for k in range(1, rank + 1):
-        root = [0] * m
-        if k == 1:
-            if family == "B":
-                root[0] = 1
-            elif family == "C":
-                root[0] = 2
-            else:
-                root[0] = 1
-                root[1] = 1
-        elif k == 2 and family == "D":
-            root[0] = -1
-            root[1] = 1
-        else:
-            root[k - 1] = 1
-            root[k - 2] = -1
-        out.append(tuple(root))
+def _vector(m: int, *entries) -> Root:
+    """The length-m integer vector with the given (index, value) entries."""
+    out = [0] * m
+    for k, c in entries:
+        out[k] = c
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def positive_roots(family: str, rank: int) -> tuple[Root, ...]:
-    check_family_rank(family, rank)
+def simple_roots(family: str, rank: int) -> tuple[Root, ...]:
     m = ambient_dim(family, rank)
-    roots = []
     if family == "A":
-        for i in range(m):
-            for j in range(i + 1, m):
-                root = [0] * m
-                root[i] = 1
-                root[j] = -1
-                roots.append(tuple(root))
+        return tuple(_vector(m, (k, 1), (k + 1, -1)) for k in range(rank))
+    first = {"B": ((0, 1),), "C": ((0, 2),), "D": ((0, 1), (1, 1))}[family]
+    return (_vector(m, *first), *(_vector(m, (k, 1), (k - 1, -1)) for k in range(1, rank)))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(family: str, rank: int) -> tuple[Root, ...]:
+    m = ambient_dim(family, rank)
+    if family == "A":
+        roots = [_vector(m, (i, 1), (j, -1)) for i in range(m) for j in range(i + 1, m)]
     else:
-        for j in range(m):
-            for i in range(j):
-                for sign in (1, -1):
-                    root = [0] * m
-                    root[j] = 1
-                    root[i] = sign
-                    roots.append(tuple(root))
-        if family == "B":
-            roots.extend(_unit(m, k) for k in range(m))
-        elif family == "C":
-            roots.extend(_unit(m, k, 2) for k in range(m))
+        roots = [_vector(m, (i, sign), (j, 1))
+                 for j in range(m) for i in range(j) for sign in (1, -1)]
+        if family != "D":
+            roots += [_vector(m, (k, 1 if family == "B" else 2)) for k in range(m)]
     roots.sort(key=lambda r: (height(family, rank, r), r))
     return tuple(roots)
 
@@ -135,33 +104,29 @@ def pairing(beta: Root, alpha: Root) -> int:
     return num // den
 
 
-def _solve_exact(columns: list[tuple], target: tuple) -> tuple[Fraction, ...]:
-    # solve sum_k x_k * columns[k] == target over the rationals
-    rows = len(target)
-    cols = len(columns)
-    m = [[Fraction(columns[k][i]) for k in range(cols)] + [Fraction(target[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [v / p for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = m[i][cols]
-    for i in range(r, rows):
-        if m[i][cols] != 0:
+def _coefficients(family: str, rank: int, vector: Root) -> list:
+    """Rational coefficients of ``vector`` over the simple roots.
+
+    From the fundamental coweights (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VI, Plates I-IV): for A the prefix sums of the
+    coordinates, whose total must be 0; for B, C, D the suffix sums
+    S_k, except c_1 = S_1 / 2 for C and c_1, c_2 = (S_2 +- x_1) / 2 for D.
+    """
+    m = ambient_dim(family, rank)
+    if len(vector) != m:
+        raise InvalidInputError(
+            f"{vector!r} has {len(vector)} coordinates, {family}{rank} needs {m}")
+    if family == "A":
+        sums = list(accumulate(vector))
+        if sums.pop():
             raise InvalidInputError("vector outside the root lattice span")
-    return tuple(x)
+        return sums
+    sums = list(accumulate(reversed(vector)))[::-1]
+    if family == "C":
+        sums[0] = Fraction(sums[0], 2)
+    elif family == "D":
+        sums[0], sums[1] = Fraction(sums[1] + vector[0], 2), Fraction(sums[1] - vector[0], 2)
+    return sums
 
 
 def _integral(coeffs, message: str) -> tuple[int, ...]:
@@ -170,11 +135,10 @@ def _integral(coeffs, message: str) -> tuple[int, ...]:
     return tuple(int(c) for c in coeffs)
 
 
-@lru_cache(maxsize=None)
 def simple_root_coordinates(family: str, rank: int, root: Root) -> tuple[int, ...]:
     """Coefficients of a root over the simple roots."""
-    coeffs = _solve_exact(list(simple_roots(family, rank)), root)
-    return _integral(coeffs, f"{root!r} is not in the root lattice of {family}{rank}")
+    return _integral(_coefficients(family, rank, root),
+                     f"{root!r} is not in the root lattice of {family}{rank}")
 
 
 def height(family: str, rank: int, root: Root) -> int:
@@ -186,12 +150,16 @@ def coroot(root: Root) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * c, n) for c in root)
 
 
-@lru_cache(maxsize=None)
 def simple_coroot_coordinates(family: str, rank: int, root: Root) -> tuple[int, ...]:
-    """Coefficients of the coroot of ``root`` over the simple coroots."""
-    cols = [coroot(a) for a in simple_roots(family, rank)]
-    coeffs = _solve_exact(cols, coroot(root))
-    return _integral(coeffs, f"coroot of {root!r} is outside the coroot lattice")
+    """Coefficients of the coroot of ``root`` over the simple coroots:
+    root = sum c_i a_i gives root^vee = sum c_i (|a_i|^2 / |root|^2) a_i^vee."""
+    coeffs = _coefficients(family, rank, root)
+    n = norm2(root)
+    if not n:
+        raise InvalidInputError("the zero vector has no coroot")
+    simples = simple_roots(family, rank)
+    return _integral([Fraction(c * norm2(a), n) for c, a in zip(coeffs, simples)],
+                     f"coroot of {root!r} is outside the coroot lattice")
 
 
 @lru_cache(maxsize=None)

@@ -285,3 +285,17 @@ def test_exit_2_bad_flags(capsys, argv, message):
     assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert payload == {"error": {"kind": "invalid-input", "message": message}}
     assert capsys.readouterr().err == ""
+
+
+def test_exit_2_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, payload, raw = run_cli(
+        capsys,
+        ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", str(path)],
+    )
+    assert code == 2
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload == {"error": {"kind": "invalid-input",
+                                 "message": "input JSON is nested too deeply"}}
+    assert capsys.readouterr().err == ""

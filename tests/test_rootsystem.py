@@ -7,17 +7,20 @@ integers and all identities are asserted exactly.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from rootfact import (
     InvalidInputError,
+    coroot,
     delta,
     height,
     pairing,
     positive_roots,
     simple_coroot_coordinates,
+    simple_root_coordinates,
     simple_roots,
 )
 
@@ -130,7 +133,7 @@ def test_height_additive_on_root_sums(family, rank):
 
 
 def test_membership_errors():
-    from rootfact import is_positive_root, simple_root_coordinates
+    from rootfact import is_positive_root
 
     with pytest.raises(InvalidInputError):
         is_positive_root("A", 2, (5, 5, 5))
@@ -140,3 +143,104 @@ def test_membership_errors():
         simple_root_coordinates("A", 2, (1, 0, 0))
     with pytest.raises(InvalidInputError):
         pairing((1, 0), (3, 0))  # non-integral Cartan number
+
+
+# -- the closed-form coefficients against a general rational solver ----
+
+ORACLE_CONFIGS = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(1, 8)]
+                  + [("C", r) for r in range(1, 8)] + [("D", r) for r in range(2, 8)])
+
+
+def _solve_exact(columns, target):
+    # solve sum_k x_k * columns[k] == target over the rationals
+    rows = len(target)
+    cols = len(columns)
+    m = [[Fraction(columns[k][i]) for k in range(cols)] + [Fraction(target[i])]
+         for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [u - f * v for u, v in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(piv_cols):
+        x[c] = m[i][cols]
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            raise InvalidInputError("vector outside the root lattice span")
+    return tuple(x)
+
+
+def _oracle_integral(coeffs, message):
+    if any(c.denominator != 1 for c in coeffs):
+        raise InvalidInputError(message)
+    return tuple(int(c) for c in coeffs)
+
+
+def oracle_root_coordinates(family, rank, root):
+    coeffs = _solve_exact(list(simple_roots(family, rank)), root)
+    return _oracle_integral(coeffs, f"{root!r} is not in the root lattice of {family}{rank}")
+
+
+def oracle_coroot_coordinates(family, rank, root):
+    cols = [coroot(a) for a in simple_roots(family, rank)]
+    coeffs = _solve_exact(cols, coroot(root))
+    return _oracle_integral(coeffs, f"coroot of {root!r} is outside the coroot lattice")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInputError as err:
+        return type(err), str(err)
+
+
+def oracle_vectors(family, rank):
+    roots = positive_roots(family, rank)
+    m = len(roots[0])
+    rng = random.Random(f"{family}{rank}")
+    randoms = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(60)]
+    return list(roots) + [tuple(-c for c in r) for r in roots] + randoms
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_CONFIGS)
+def test_closed_forms_match_solver(family, rank):
+    for v in oracle_vectors(family, rank):
+        assert outcome(simple_root_coordinates, family, rank, v) == outcome(
+            oracle_root_coordinates, family, rank, v)
+        if any(v):  # the solver divides by zero here; see the zero-vector test
+            assert outcome(simple_coroot_coordinates, family, rank, v) == outcome(
+                oracle_coroot_coordinates, family, rank, v)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_CONFIGS)
+def test_positive_roots_sorted_by_solver_height(family, rank):
+    roots = positive_roots(family, rank)
+    assert roots == tuple(sorted(roots, key=lambda r: (
+        sum(oracle_root_coordinates(family, rank, r)), r)))
+
+
+def test_wrong_length_vector_too_short():
+    with pytest.raises(InvalidInputError, match="has 2 coordinates, A2 needs 3"):
+        simple_root_coordinates("A", 2, (1, -1))
+
+
+def test_wrong_length_vector_too_long():
+    with pytest.raises(InvalidInputError, match="has 4 coordinates, B3 needs 3"):
+        height("B", 3, (1, 0, 0, 0))
+
+
+def test_zero_vector_has_no_coroot():
+    assert simple_root_coordinates("B", 3, (0, 0, 0)) == (0, 0, 0)
+    with pytest.raises(InvalidInputError, match="zero vector"):
+        simple_coroot_coordinates("B", 3, (0, 0, 0))

@@ -8,6 +8,8 @@ ordering/validation round trip.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from rootfact import (
@@ -160,6 +162,21 @@ def test_bc_share_words_but_not_orderings():
     assert words_b == words_c == [(1, 2, 1, 2), (2, 1, 2, 1)]
     assert printed_count_bc(2) != len(words_b)  # reported elsewhere, never asserted equal
     assert canonical_ordering("B", 2) != canonical_ordering("C", 2)
+
+
+def square_tableaux(n: int) -> int:
+    """Standard Young tableaux of the n x n square by the hook-length
+    formula; the cell (i, j) has hook length i + j - 1."""
+    hooks = math.prod(i + j - 1 for i in range(1, n + 1) for j in range(1, n + 1))
+    return math.factorial(n * n) // hooks
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("B", 3), ("C", 3), ("B", 4)])
+def test_bc_longest_word_count_is_square_tableaux(family, rank):
+    # Haiman 1992: reduced words of the B_n / C_n longest element are
+    # equinumerous with standard Young tableaux of the n x n square
+    assert [square_tableaux(n) for n in (2, 3, 4)] == [2, 42, 24024]
+    assert len(enumerate_reduced_words(family, rank)) == square_tableaux(rank)
 
 
 def test_deterministic_and_random_words():
