@@ -9,17 +9,20 @@ canonical strings like "1/2-3/4*i"; plain integers are also accepted.
 Exit codes: 0 on success; 2 for malformed requests (invalid-input,
 invalid-word, budget-exceeded, branch-violation), malformed or unknown
 flags included; 3 when a well-formed point lies where the requested
-map is undefined (exceptional-set, stratum-failure).  Only --help
-prints usage text.
+map is undefined (exceptional-set, stratum-failure); 4 for any other
+exception, a fault of this program rather than of the request, reported
+as kind internal-error without a traceback.  Only --help prints usage
+text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import InvalidInputError, LibError
+from .errors import InvalidInputError, LibError, echo
 from .factorization import (
     forward_map,
     forward_map_stratum,
@@ -57,6 +60,7 @@ from .weyl import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
+EXIT_INTERNAL = 4
 
 _EXIT_BY_KIND = {
     "invalid-input": EXIT_INVALID,
@@ -76,7 +80,7 @@ def _parse_word_flag(text: str) -> tuple:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InvalidInputError(
-            f"a word flag must be comma-separated integers, got {text!r}"
+            f"a word flag must be comma-separated integers, got {echo(text)}"
         ) from None
 
 
@@ -310,6 +314,14 @@ def main(argv=None) -> int:
     except LibError as err:
         sys.stdout.write(dumps_canonical({"error": err.payload()}))
         return _EXIT_BY_KIND.get(err.kind, EXIT_INVALID)
+    except Exception as err:  # the last resort: keep the one-object contract
+        import traceback
+
+        frame = traceback.extract_tb(err.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        sys.stdout.write(dumps_canonical({"error": {
+            "kind": "internal-error", "message": f"{type(err).__name__} at {where}: {err}"}}))
+        return EXIT_INTERNAL
     sys.stdout.write(dumps_canonical(payload))
     return EXIT_OK
 

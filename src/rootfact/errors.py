@@ -3,10 +3,24 @@
 Every library failure raises a LibError subclass carrying a stable
 ``kind`` string.  The CLI maps kinds to exit codes: user mistakes
 (invalid-input, invalid-word, budget-exceeded, branch-violation) exit
-with 2, geometric failures (exceptional-set, stratum-failure) with 3.
+with 2, geometric failures (exceptional-set, stratum-failure) with 3;
+any other exception is a fault of the program, which the CLI reports
+as kind internal-error with exit code 4.
 """
 
 from __future__ import annotations
+
+# the longest repr of an offending value that a message repeats whole
+_ECHO_CHARS = 60
+
+
+def echo(value) -> str:
+    """repr of an offending input value for an error message; a long one
+    is cut to a fixed prefix followed by its full length."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class LibError(Exception):
@@ -65,7 +79,9 @@ class ExceptionalSetError(LibError):
     """A coordinate point lies on the exceptional set of an inverse map.
 
     ``index`` is the 1-based recurrence or pivot position where the
-    reconstruction degenerated, ``value`` a short origin tag.
+    reconstruction degenerated, or for the tag "image" the position of
+    the first coordinate that the closing forward check does not give
+    back (l before u); ``value`` is a short origin tag.
     """
 
     kind = "exceptional-set"

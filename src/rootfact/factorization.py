@@ -264,12 +264,15 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         svals[k] = sk
 
     check = _forward(plan, zeta, hd)
-    if check.l != lcoords or check.u != ucoords:
-        raise ExceptionalSetError(
-            "coordinates are outside the image of the factorization map",
-            index=None,
-            value="image",
-        )
+    for name, got, given in (("l", check.l, lcoords), ("u", check.u, ucoords)):
+        k = next((k for k, (a, b) in enumerate(zip(got, given)) if a != b), None)
+        if k is not None:
+            raise ExceptionalSetError(
+                "coordinates are outside the image of the factorization map "
+                f"({name}_{k + 1} differs)",
+                index=k + 1,
+                value="image",
+            )
     return zeta
 
 

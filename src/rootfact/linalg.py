@@ -116,18 +116,31 @@ def mat_inverse(x):
 
 def _gauss_div(xa, xb, ya, yb):
     # exact division in Z[i]; callers guarantee divisibility
-    q = ya * ya + yb * yb
-    na = xa * ya + xb * yb
-    nb = xb * ya - xa * yb
-    qa, ra = divmod(na, q)
-    qb, rb = divmod(nb, q)
+    if yb:
+        q = ya * ya + yb * yb
+        xa, xb = xa * ya + xb * yb, xb * ya - xa * yb
+    else:
+        q = ya
+    qa, ra = divmod(xa, q)
+    qb, rb = divmod(xb, q)
     if ra or rb:
         raise ArithmeticError("inexact Gaussian division in Bareiss elimination")
     return qa, qb
 
 
 def det_exact(x) -> Scalar:
-    """Determinant of a Scalar matrix, fraction-free over Z[i]."""
+    """Determinant of a Scalar matrix, fraction-free over Z[i].
+
+    Bareiss's step k replaces each row i below the pivot p_k = m_kk by
+    (p_k m_ij - m_ik m_kj) / p_(k-1), which keeps every entry a minor of
+    the integer matrix.  Exact zeros make parts of it pointless: a zero
+    m_kj adds no cross term, a zero target without one stays zero, and a
+    zero m_ik leaves only the rescale by p_k / p_(k-1).  That rescale is
+    deferred: at step k a row whose last update was step t - 1 holds its
+    value times p_(t-1) / p_(k-1), the skipped rescales telescoping, so
+    its next update divides by p_(t-1) in place of p_(k-1), and a pivot
+    row is brought up to date before it is used.
+    """
     n = len(x)
     if n == 0:
         return ONE
@@ -140,25 +153,44 @@ def det_exact(x) -> Scalar:
         denom *= d
         m.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
     sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
+    div = [(1, 0)]  # div[k] = p_(k-1), the divisor of step k
+    since = [0] * n  # the last update of row i was step since[i] - 1
+    for k in range(n):
         if m[k][k] == (0, 0):
             piv = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
             if piv is None:
                 return ZERO
             m[k], m[piv] = m[piv], m[k]
+            since[k], since[piv] = since[piv], since[k]
             sign = -sign
-        pa, pb = m[k][k]
+        mk = m[k]
+        if since[k] != k:
+            (ca, cb), (ea, eb) = div[k], div[since[k]]
+            for j in range(k, n):
+                ua, ub = mk[j]
+                if ua or ub:
+                    mk[j] = _gauss_div(ua * ca - ub * cb, ua * cb + ub * ca, ea, eb)
+        pa, pb = mk[k]
+        div.append((pa, pb))
         for i in range(k + 1, n):
-            ia, ib = m[i][k]
+            mi = m[i]
+            ia, ib = mi[k]
+            if not (ia or ib):
+                continue
+            mi[k] = (0, 0)
+            ea, eb = div[since[i]]
+            since[i] = k + 1
             for j in range(k + 1, n):
-                ja, jb = m[k][j]
-                ua, ub = m[i][j]
-                ta = ua * pa - ub * pb - (ia * ja - ib * jb)
-                tb = ua * pb + ub * pa - (ia * jb + ib * ja)
-                m[i][j] = _gauss_div(ta, tb, prev[0], prev[1])
-            m[i][k] = (0, 0)
-        prev = (pa, pb)
+                ua, ub = mi[j]
+                ja, jb = mk[j]
+                if ja or jb:
+                    ta = ua * pa - ub * pb - (ia * ja - ib * jb)
+                    tb = ua * pb + ub * pa - (ia * jb + ib * ja)
+                elif ua or ub:
+                    ta, tb = ua * pa - ub * pb, ua * pb + ub * pa
+                else:
+                    continue
+                mi[j] = _gauss_div(ta, tb, ea, eb)
     da, db = m[n - 1][n - 1]
     return Scalar(sign * da, sign * db, denom)
 

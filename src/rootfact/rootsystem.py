@@ -145,8 +145,15 @@ def height(family: str, rank: int, root: Root) -> int:
     return sum(simple_root_coordinates(family, rank, root))
 
 
-def coroot(root: Root) -> tuple[Fraction, ...]:
+def _coroot_norm2(root: Root) -> int:
     n = norm2(root)
+    if not n:
+        raise InvalidInputError("the zero vector has no coroot")
+    return n
+
+
+def coroot(root: Root) -> tuple[Fraction, ...]:
+    n = _coroot_norm2(root)
     return tuple(Fraction(2 * c, n) for c in root)
 
 
@@ -154,9 +161,7 @@ def simple_coroot_coordinates(family: str, rank: int, root: Root) -> tuple[int, 
     """Coefficients of the coroot of ``root`` over the simple coroots:
     root = sum c_i a_i gives root^vee = sum c_i (|a_i|^2 / |root|^2) a_i^vee."""
     coeffs = _coefficients(family, rank, root)
-    n = norm2(root)
-    if not n:
-        raise InvalidInputError("the zero vector has no coroot")
+    n = _coroot_norm2(root)
     simples = simple_roots(family, rank)
     return _integral([Fraction(c * norm2(a), n) for c, a in zip(coeffs, simples)],
                      f"coroot of {root!r} is outside the coroot lattice")

@@ -24,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, echo
 
 _PART = r"[+-]?\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"^({_PART})$")
@@ -43,7 +43,7 @@ def _frac(text: str) -> Fraction:
         if "/" in text:
             num, den = text.split("/")
             if int(den) == 0:
-                raise InvalidInputError(f"zero denominator in scalar part {text!r}")
+                raise InvalidInputError(f"zero denominator in scalar part {echo(text)}")
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except ValueError:  # the pattern admits only digits, so this is the limit
@@ -111,7 +111,7 @@ class Scalar:
         m = _RE_REAL.match(s)
         if m:
             return cls.from_fraction(_frac(m.group(1)))
-        raise InvalidInputError(f"cannot parse scalar {text!r}")
+        raise InvalidInputError(f"cannot parse scalar {echo(text)}")
 
     # -- structure ---------------------------------------------------
 
@@ -297,5 +297,5 @@ def sc(x) -> Scalar:
     """Coerce an int, Fraction, or Scalar; reject everything else."""
     out = _coerce(x)
     if out is None:
-        raise InvalidInputError(f"not a scalar: {x!r}")
+        raise InvalidInputError(f"not a scalar: {echo(x)}")
     return out

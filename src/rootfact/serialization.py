@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, echo
 from .scalar import Scalar
 
 
@@ -30,7 +30,7 @@ def scalar_from_json(v) -> Scalar:
         return Scalar(v)
     if isinstance(v, str):
         return Scalar.parse(v)
-    raise InvalidInputError(f"not a scalar: {v!r}")
+    raise InvalidInputError(f"not a scalar: {echo(v)}")
 
 
 def diag_to_json(entries) -> list:

@@ -3,7 +3,7 @@
 Most tests drive main(argv) in process and read canonical JSON off
 capsys; one subprocess smoke test proves the console script itself
 is wired.  Exit codes: 0 success, 2 malformed request, 3 well-formed
-point where the requested map is undefined.
+point where the requested map is undefined, 4 internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from rootfact import cli
 from rootfact.cli import main
 
 IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
@@ -298,4 +299,41 @@ def test_exit_2_deeply_nested_json(capsys, tmp_path):
     assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert payload == {"error": {"kind": "invalid-input",
                                  "message": "input JSON is nested too deeply"}}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    [["x" * 1_000_000, "1"], [list(range(200_000)), "1"]],
+    ids=["million-character-string", "200000-element-list"],
+)
+def test_exit_2_echo_is_bounded(capsys, monkeypatch, coordinate):
+    # the message repeats a fixed prefix of the offending value and its length
+    body = json.dumps({"pairs": [coordinate, ["1", "1"], ["1", "1"]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+    code, payload, raw = run_cli(
+        capsys,
+        ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"],
+    )
+    assert code == 2
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(raw.encode()) < 1024
+    assert payload["error"]["kind"] == "invalid-input"
+    assert f"({len(repr(coordinate[0]))} characters)" in payload["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
+def test_exit_4_internal_error(capsys, monkeypatch):
+    def fault(family, rank, word):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "ordering_from_word", fault)
+    code, payload, raw = run_cli(
+        capsys, ["ordering", "--family", "A", "--rank", "2", "--word", "1,2,1"])
+    assert code == 4
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    error = payload["error"]
+    assert error["kind"] == "internal-error"
+    assert error["message"].startswith("ZeroDivisionError at test_cli.py:")
+    assert error["message"].endswith(": division by zero")
     assert capsys.readouterr().err == ""

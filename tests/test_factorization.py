@@ -116,6 +116,57 @@ def test_principal_minors_and_rank():
     assert matrix_rank([[ONE, ONE], [ONE, ONE]]) == 1
 
 
+def elimination_det(x):
+    """Reference determinant: Gaussian elimination over Scalars."""
+    m = [row[:] for row in x]
+    n = len(m)
+    det = ONE
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        if piv is None:
+            return ZERO
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [u - f * v for u, v in zip(m[i], m[k])]
+    return det
+
+
+def sparse_matrix(rng: random.Random, n: int, density: float):
+    """Random entries at the given density, and a nonzero one at (i, perm(i))
+    for a random permutation, so that most are invertible."""
+    g = [[exact_scalar(rng) if rng.random() < density else ZERO for _ in range(n)]
+         for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        g[i][j] = exact_scalar(rng) + Scalar(5)
+    return g
+
+
+@pytest.mark.parametrize("density", [0.15, 0.3, 0.6, 1.0])
+def test_det_exact_matches_elimination(density):
+    # sparse matrices leave rows untouched for many steps and need row
+    # swaps; one case in five has a zero leading pivot, two are singular
+    rng = random.Random(f"det/{density}")
+    assert det_exact([]) == ONE
+    for trial in range(50):
+        n = 1 + trial % 12
+        g = sparse_matrix(rng, n, density)
+        case = trial % 5
+        if case == 1:
+            g[0][0] = ZERO
+        elif case == 2 and n > 2:
+            # the last row is a combination of the first two
+            c = exact_scalar(rng)
+            g[n - 1] = [u + c * v for u, v in zip(g[0], g[1])]
+            assert det_exact(g) == ZERO
+        elif case == 3:
+            g[rng.randrange(n)] = [ZERO] * n
+        assert det_exact(g) == elimination_det(g)
+
+
 def test_extraction_round_trip():
     word = (1, 2, 1, 3, 2, 1)
     taus = ordering_from_word("A", 3, word)

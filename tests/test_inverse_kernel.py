@@ -130,6 +130,35 @@ def test_exceptional_payloads_pinned(family, rank):
         }
 
 
+@pytest.mark.parametrize("moved,index,name", [
+    ({"l": [4], "u": [1]}, 5, "l_5"),
+    ({"u": [2, 6]}, 3, "u_3"),
+], ids=["l-before-u", "u-only"])
+def test_image_rejection_names_first_coordinate(monkeypatch, moved, index, name):
+    # no point found reaches the closing forward check with a difference,
+    # so the check is fed a forward result with some coordinates moved
+    word = random_reduced_word("B", 3, 5)
+    pairs = generic_pairs(random.Random("kernel/image"), len(word))
+    res = forward_map("B", 3, word, pairs)
+    forward = factorization._forward
+
+    def moved_forward(plan, zeta, h):
+        out = forward(plan, zeta, h)
+        for side, positions in moved.items():
+            for k in positions:
+                getattr(out, side)[k] += 1
+        return out
+
+    monkeypatch.setattr(factorization, "_forward", moved_forward)
+    with pytest.raises(ExceptionalSetError) as err:
+        inverse_map("B", 3, word, res.l, res.u)
+    assert err.value.payload() == {
+        "kind": "exceptional-set",
+        "message": f"coordinates are outside the image of the factorization map ({name} differs)",
+        "index": index,
+        "value": "image",
+    }
+
 
 def test_inverse_divides_no_exact_zero(monkeypatch):
     # ldu and extract_lower keep an exact zero entry as it is, and the

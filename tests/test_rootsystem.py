@@ -244,3 +244,5 @@ def test_zero_vector_has_no_coroot():
     assert simple_root_coordinates("B", 3, (0, 0, 0)) == (0, 0, 0)
     with pytest.raises(InvalidInputError, match="zero vector"):
         simple_coroot_coordinates("B", 3, (0, 0, 0))
+    with pytest.raises(InvalidInputError, match="the zero vector has no coroot"):
+        coroot((0, 0))
