@@ -59,13 +59,11 @@ from .matrices import (
     e_matrix,
     exp_e,
     exp_f,
-    exp_nilpotent,
     f_matrix,
     form_matrix,
     h_matrix,
     inverse_dual,
     iota,
-    log_unipotent,
     r_root,
     root_triple,
     row_weight,

@@ -13,9 +13,11 @@ coordinate system this module converts to and from.
 
 The inverse direction recovers z from (l, u, h) through the dual
 element sigma(g_0^{-1}) and a downward recursion over the tails
-G_n *** G_(k+1) and their duals, each carried as LDU factors that take
-one pair per step by a Gauss factor update (Bennett 1965); points where
-the recursion degenerates form the exceptional set and raise
+G_n *** G_(k+1) and their duals.  Each is carried as LDU factors that
+take one pair per step by a Gauss factor update (Bennett 1965), and
+gives its k-th lower coordinate as one entry, since the later ones are
+known (Humphreys, Linear Algebraic Groups, 28.1).  Points where the
+recursion degenerates form the exceptional set and raise
 ExceptionalSetError.  Pushing jets through the forward map gives the
 exact Jacobian determinant, which also has two closed product forms.
 
@@ -38,6 +40,7 @@ from .matrices import (
     dim,
     exp_e,
     exp_f,
+    exp_terms,
     extract_lower,
     extract_upper,
     root_triple,
@@ -45,7 +48,7 @@ from .matrices import (
     weyl_representative,
 )
 from .rootsystem import delta, is_positive_root, norm2, simple_roots
-from .scalar import ONE, Scalar, sc
+from .scalar import ONE, ZERO, Scalar, sc
 from .weyl import (
     WeylElement,
     check_word,
@@ -205,8 +208,9 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     inverted factors exp(-c f) and exp(-c e).  The pairs then come out
     downward, k = n, ..., 1, each from the k-th lower coordinate of the
     tail G_n *** G_(k+1) and of the dual tail.  Both tails are carried
-    as their LDU factors and take one pair per step (``_join_pair``);
-    every read is a full, checked ``extract_lower``.
+    as their LDU factors and take one pair per step (``_join_pair``),
+    and coordinate k of each is read as one entry (``_tail_coordinate``);
+    one full, checked ``extract_lower`` of each last tail backs the reads.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -243,15 +247,16 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     eta: list[tuple] = [None] * n
     svals: list = [None] * n
     tail, tail_dual = [(identity(size), [ONE] * size, identity(size)) for _ in range(2)]
+    peel, peel_dual = identity(size), identity(size)
     for k in range(n - 1, -1, -1):
-        # a tail takes pair k + 1 just before it is read, so the tail's
-        # pivot and residue checks come before the dual tail's
         if k < n - 1:
-            tail = _join_pair(family, rank, taus[k + 1], tail, zeta[k + 1])
-        zm = lcoords[k] - extract_lower(family, rank, taus, tail[0])[k]
-        if k < n - 1:
-            tail_dual = _join_pair(family, rank, taus[k + 1], tail_dual, eta[k + 1])
-        em = lprime[k] - extract_lower(family, rank, taus, tail_dual[0])[k]
+            tau = taus[k + 1]
+            tail = _join_pair(family, rank, tau, tail, zeta[k + 1])
+            tail_dual = _join_pair(family, rank, tau, tail_dual, eta[k + 1])
+            peel = _peel_left(family, rank, tau, lcoords[k + 1], peel)
+            peel_dual = _peel_left(family, rank, tau, lprime[k + 1], peel_dual)
+        zm = lcoords[k] - _tail_coordinate(family, rank, taus[k], peel, tail[0])
+        em = lprime[k] - _tail_coordinate(family, rank, taus[k], peel_dual, tail_dual[0])
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -262,6 +267,13 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         zeta[k] = (zm, -(em * acc * sk))
         eta[k] = (em, -(zm * sk * acc))
         svals[k] = sk
+
+    # the reads rest on each tail's L being an ordered product; one full,
+    # checked extraction of each last tail G_n *** G_2 still rejects a
+    # residue, and must give back the coordinates the reads assumed
+    for lower, given, read in ((tail[0], lcoords, zeta[0][0]), (tail_dual[0], lprime, eta[0][0])):
+        if extract_lower(family, rank, taus, lower) != [given[0] - read] + given[1:]:
+            raise ArithmeticError("a tail coordinate read differs from its extraction")
 
     check = _forward(plan, zeta, hd)
     for name, got, given in (("l", check.l, lcoords), ("u", check.u, ucoords)):
@@ -274,6 +286,30 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
                 value="image",
             )
     return zeta
+
+
+def _peel_left(family: str, rank: int, tau, c, peel):
+    """exp(-c f_tau) Q from Q, carried as its transpose ``peel``; mutates it."""
+    t = root_triple(family, rank, tau)
+    return mul_right_i_plus(peel, [(col, row, v) for row, col, v in exp_terms(t.f, t.f2, -c)])
+
+
+def _tail_coordinate(family: str, rank: int, tau, peel, lower):
+    """Coordinate tau_k of the lower factor of a tail G_n *** G_(k+1).
+
+    Its coordinates after k are l_(k+1), ..., l_n, so Q = exp(-l_(k+1)
+    f_(k+1)) *** exp(-l_n f_n) leaves Q L = exp(c_k f_k) *** exp(c_1 f_1).
+    tau_1, ..., tau_(k-1) are the inversions of a prefix of the word, a
+    set closed under root sums, so no product of their root vectors has
+    weight -tau_k and the anchor entry of Q L is c_k times that of f_k:
+    one row of Q (a column of ``peel``) against one column of L.
+    """
+    row, col, a0 = root_triple(family, rank, tau).anchor_f()
+    c = ZERO
+    for q, l in zip(peel, lower):
+        if not (q[row].is_zero() or l[col].is_zero()):
+            c = c + q[row] * l[col]
+    return c if c.is_zero() else c / a0  # an exact zero stays undivided
 
 
 def _join_pair(family: str, rank: int, tau, factors, pair):

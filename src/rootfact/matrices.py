@@ -210,42 +210,6 @@ def exp_e(family: str, rank: int, root: tuple, c, g=None):
     return mul_right_i_plus(g, exp_terms(t.e, t.e2, c))
 
 
-def exp_nilpotent(x):
-    """Exact exp of a nilpotent matrix (series terminates)."""
-    n = len(x)
-    out = identity(n)
-    term = identity(n)
-    fact = 1
-    for k in range(1, n + 1):
-        term = mat_mul(term, x)
-        if all(v.val.is_zero() for row in term for v in row):
-            return out
-        if k == n:
-            raise InvalidInputError("matrix is not nilpotent")
-        fact *= k
-        inv = ONE / Scalar(fact)
-        out = [[u + t * inv for u, t in zip(ro, rt)] for ro, rt in zip(out, term)]
-    return out
-
-
-def log_unipotent(u):
-    """Exact log of a unipotent triangular matrix."""
-    n = len(u)
-    x = [[v - (ONE if i == j else ZERO) for j, v in enumerate(row)] for i, row in enumerate(u)]
-    for i in range(n):
-        if not x[i][i].val.is_zero():
-            raise InvalidInputError("matrix is not unipotent")
-    out = [[ZERO] * n for _ in range(n)]
-    term = identity(n)
-    for k in range(1, n + 1):
-        term = mat_mul(term, x)
-        if all(v.val.is_zero() for row in term for v in row):
-            break
-        coeff = Scalar(1 if k % 2 else -1, 0, k)
-        out = [[u0 + t * coeff for u0, t in zip(ro, rt)] for ro, rt in zip(out, term)]
-    return out
-
-
 # -- structural maps --------------------------------------------------
 
 

@@ -98,7 +98,7 @@ def norm2(root: Root) -> int:
 def pairing(beta: Root, alpha: Root) -> int:
     """beta(h_alpha) = 2 (beta, alpha) / (alpha, alpha), always an integer."""
     num = 2 * sum(b * a for b, a in zip(beta, alpha))
-    den = norm2(alpha)
+    den = _coroot_norm2(alpha)
     if num % den:
         raise InvalidInputError(f"non-integral pairing of {beta!r} with {alpha!r}")
     return num // den

@@ -167,6 +167,40 @@ def test_det_exact_matches_elimination(density):
         assert det_exact(g) == elimination_det(g)
 
 
+def ldu_outcome(fn, g):
+    try:
+        return fn(g)
+    except StratumError as err:
+        return ("stratum", err.payload())
+    except InvalidInputError as err:
+        return ("singular", err.payload())
+
+
+@pytest.mark.parametrize("density", [0.3, 1.0])
+def test_ldu_matches_ldu_minors(density):
+    # elimination against quotients of minors: the same factors, or the
+    # same first vanishing leading minor, or both singular
+    rng = random.Random(f"ldu/{density}")
+    kinds = set()
+    for trial in range(60):
+        n = 1 + trial % 7
+        g = sparse_matrix(rng, n, density)
+        case = trial % 4
+        if case == 1 and n > 1:
+            # row k - 1 of the leading k x k block is a combination of those above
+            k = rng.randrange(1, n)
+            cs = [exact_scalar(rng) for _ in range(k - 1)]
+            g[k - 1][:k] = [sum((c * g[i][j] for i, c in enumerate(cs)), ZERO) for j in range(k)]
+        elif case == 2 and n > 1:
+            # the last row is a multiple of an earlier one
+            c = exact_scalar(rng)
+            g[n - 1] = [c * v for v in g[rng.randrange(n - 1)]]
+        got = ldu_outcome(ldu, g)
+        assert got == ldu_outcome(ldu_minors, g)
+        kinds.add(got[0] if isinstance(got[0], str) else "factors")
+    assert kinds == {"factors", "stratum", "singular"}
+
+
 def test_extraction_round_trip():
     word = (1, 2, 1, 3, 2, 1)
     taus = ordering_from_word("A", 3, word)

@@ -1,10 +1,12 @@
 """The inverse map's tail kernel against explicit products.
 
 inverse_map carries the tail G_n *** G_(k+1) and its dual as LDU
-factors and joins one pair per step.  These tests check, at every
-step, the carried factors against the LDU of the explicitly multiplied
-tails, check one join on general factors, and pin the exceptional-set
-payloads of non-generic integer points.
+factors, joins one pair per step and reads coordinate k of each tail
+as one entry.  These tests check, at every step, the carried factors
+against the LDU of the explicitly multiplied tails and the reads
+against full extractions, check one join on general factors, check
+that the closing extraction still rejects a faulty tail, and pin the
+exceptional-set payloads of non-generic integer points.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import pytest
 
 from rootfact import (
     ExceptionalSetError,
+    InvalidInputError,
     StratumError,
     dim,
     exp_e,
     exp_f,
     forward_map,
     identity,
+    inverse_dual,
     inverse_map,
     ldu,
     mat_mul,
@@ -29,7 +33,8 @@ from rootfact import (
 )
 from rootfact import factorization
 from rootfact.linalg import scale_cols
-from rootfact.scalar import Scalar, sc
+from rootfact.matrices import assemble_lower, assemble_upper, extract_lower
+from rootfact.scalar import ONE, Scalar, sc
 
 from conftest import exact_scalar, generic_pairs, pairs_equal, torus_diag
 
@@ -62,6 +67,93 @@ def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
     assert pairs_equal(zeta, pairs)
     # no join after the last pair: pairs n, ..., 2 once per tail
     assert joins == [t for t in reversed(res.taus[1:]) for _ in range(2)]
+
+
+def dual_lower_coords(family, rank, taus, l, u, h):
+    """Lower coordinates of sigma(h g_0^-1) = sigma(g_0^-1) h, g_0 = L h U;
+    None where that has no LDU."""
+    g0 = mat_mul(scale_cols(assemble_lower(family, rank, taus, l), h),
+                 assemble_upper(family, rank, taus, u))
+    try:
+        return extract_lower(family, rank, taus, ldu(inverse_dual(family, rank, g0))[0])
+    except StratumError:
+        return None
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_tail_reads_match_full_extraction(monkeypatch, family, rank):
+    word = random_reduced_word(family, rank, 11)
+    rng = random.Random(f"reads/{family}{rank}")
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, generic_pairs(rng, len(word)), h=h)
+    taus = res.taus
+    # the image point, then integer points with a unit torus, some rejected
+    points = [(res.l, res.u, h)] + [
+        ([sc(rng.choice((-1, 0, 1))) for _ in word], [sc(rng.choice((-1, 0, 1))) for _ in word],
+         [ONE] * len(h))
+        for _ in range(12)
+    ]
+    read = factorization._tail_coordinate
+    reads = []
+
+    # the tail and the dual tail are read alternately; each tail's
+    # coordinates after k are the given l (the dual's: those of sigma(h g_0^-1))
+    def checked_read(fam, rk, tau, peel, lower):
+        k = taus.index(tau)
+        coords = extract_lower(fam, rk, taus, lower)
+        assert coords[k + 1:] == given[len(reads) % 2][k + 1:]
+        reads.append(read(fam, rk, tau, peel, lower))
+        assert reads[-1] == coords[k]
+        return reads[-1]
+
+    monkeypatch.setattr(factorization, "_tail_coordinate", checked_read)
+    counts = []
+    for l, u, hd in points:
+        given = (l, dual_lower_coords(family, rank, taus, l, u, hd))
+        reads.clear()
+        try:
+            inverse_map(family, rank, word, l, u, h=hd)
+        except ExceptionalSetError:
+            pass
+        counts.append(len(reads))
+    assert counts[0] == 2 * len(word)
+    assert sum(counts[1:]) > 0
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["tail", "dual-tail"])
+def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
+    # the first join of one tail leaves an L outside the group; the reads
+    # go on, and the one full extraction after the loop finds the residue
+    word = random_reduced_word("D", 4, 11)
+    res = forward_map("D", 4, word, generic_pairs(random.Random("kernel/corrupted"), len(word)))
+    join = factorization._join_pair
+    joins = []
+
+    def corrupting_join(fam, rk, tau, factors, pair):
+        lower, d, upper = join(fam, rk, tau, factors, pair)
+        if len(joins) == side:
+            lower[-1][0] = lower[-1][0] + 1  # weight -2 l_4, not a root of D4
+        joins.append(tau)
+        return lower, d, upper
+
+    monkeypatch.setattr(factorization, "_join_pair", corrupting_join)
+    with pytest.raises(InvalidInputError, match="not an ordered product over the given roots"):
+        inverse_map("D", 4, word, res.l, res.u)
+
+
+def test_read_that_misses_the_tail_raises(monkeypatch):
+    # the closing extraction must also give back the coordinates the reads assumed
+    word = random_reduced_word("B", 3, 11)
+    res = forward_map("B", 3, word, generic_pairs(random.Random("kernel/missed"), len(word)))
+    read = factorization._tail_coordinate
+
+    def off_by_one(fam, rk, tau, peel, lower):
+        c = read(fam, rk, tau, peel, lower)
+        return c + 1 if tau == res.taus[0] else c
+
+    monkeypatch.setattr(factorization, "_tail_coordinate", off_by_one)
+    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+        inverse_map("B", 3, word, res.l, res.u)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])

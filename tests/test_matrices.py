@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rootfact import (
     InvalidInputError,
@@ -23,13 +21,11 @@ from rootfact import (
     e_matrix,
     exp_e,
     exp_f,
-    exp_nilpotent,
     f_matrix,
     form_matrix,
     h_matrix,
     identity,
     iota,
-    log_unipotent,
     longest_element,
     mat_inverse,
     mat_mul,
@@ -38,7 +34,6 @@ from rootfact import (
     r_root,
     simple_roots,
     weyl_representative,
-    word_evaluate,
 )
 from rootfact.linalg import mat_transpose
 from rootfact.scalar import I, ONE, ZERO, sc
@@ -213,29 +208,6 @@ def test_conjugated_generators_root_spaces(family, rank, word):
 def test_conjugated_generators_rejects_non_reduced():
     with pytest.raises(InvalidWordError):
         conjugated_generators("A", 2, (1, 1))
-
-
-def test_exp_log_small_cases():
-    assert exp_nilpotent([[ZERO, ZERO], [ZERO, ZERO]]) == identity(2)
-    z = Scalar(7, -1, 2)
-    x = [[ZERO, z], [ZERO, ZERO]]
-    assert exp_nilpotent(x) == [[ONE, z], [ZERO, ONE]]
-    with pytest.raises(InvalidInputError):
-        exp_nilpotent(identity(2))
-    with pytest.raises(InvalidInputError):
-        log_unipotent([[Scalar(2), ZERO], [ZERO, ONE]])
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(min_value=-6, max_value=6), min_size=6, max_size=6),
-       st.lists(st.integers(min_value=1, max_value=4), min_size=6, max_size=6))
-def test_exp_log_round_trip(nums, dens):
-    vals = [Scalar(a, 0, b) for a, b in zip(nums, dens)]
-    x = [[ZERO] * 4 for _ in range(4)]
-    slots = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-    for (i, j), v in zip(slots, vals):
-        x[i][j] = v
-    assert log_unipotent(exp_nilpotent(x)) == x
 
 
 def test_ad_torus_grading():

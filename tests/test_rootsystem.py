@@ -246,3 +246,9 @@ def test_zero_vector_has_no_coroot():
         simple_coroot_coordinates("B", 3, (0, 0, 0))
     with pytest.raises(InvalidInputError, match="the zero vector has no coroot"):
         coroot((0, 0))
+
+
+def test_pairing_with_zero_vector_has_no_coroot():
+    with pytest.raises(InvalidInputError, match="the zero vector has no coroot"):
+        pairing((1, 0), (0, 0))
+    assert pairing((0, 0), (1, -1)) == 0
