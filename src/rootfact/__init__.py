@@ -49,11 +49,9 @@ from .linalg import (
     ldu_minors,
     mat_inverse,
     mat_mul,
-    matrix_rank,
     principal_minor,
 )
 from .matrices import (
-    conjugated_generators,
     coroot_diag,
     dim,
     e_matrix,
@@ -68,7 +66,6 @@ from .matrices import (
     root_triple,
     row_weight,
     sigma,
-    stratum_permutation,
     weyl_representative,
 )
 from .rootsystem import (
@@ -79,7 +76,6 @@ from .rootsystem import (
     norm2,
     pairing,
     positive_roots,
-    reflect,
     simple_coroot_coordinates,
     simple_root_coordinates,
     simple_roots,
@@ -102,9 +98,7 @@ from .weyl import (
     simple_reflection,
     standard_count_a,
     validate_ordering,
-    word_conjugate_w0,
     word_evaluate,
-    word_reverse,
 )
 
 __version__ = "0.1.0"

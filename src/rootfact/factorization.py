@@ -270,8 +270,10 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
 
     # the reads rest on each tail's L being an ordered product; one full,
     # checked extraction of each last tail G_n *** G_2 still rejects a
-    # residue, and must give back the coordinates the reads assumed
-    for lower, given, read in ((tail[0], lcoords, zeta[0][0]), (tail_dual[0], lprime, eta[0][0])):
+    # residue, and must give back the coordinates the reads assumed; the
+    # empty word has no tail
+    reads = [(tail[0], lcoords, zeta[0][0]), (tail_dual[0], lprime, eta[0][0])] if n else []
+    for lower, given, read in reads:
         if extract_lower(family, rank, taus, lower) != [given[0] - read] + given[1:]:
             raise ArithmeticError("a tail coordinate read differs from its extraction")
 
@@ -304,7 +306,7 @@ def _tail_coordinate(family: str, rank: int, tau, peel, lower):
     weight -tau_k and the anchor entry of Q L is c_k times that of f_k:
     one row of Q (a column of ``peel``) against one column of L.
     """
-    row, col, a0 = root_triple(family, rank, tau).anchor_f()
+    row, col, a0 = root_triple(family, rank, tau).f[0]
     c = ZERO
     for q, l in zip(peel, lower):
         if not (q[row].is_zero() or l[col].is_zero()):

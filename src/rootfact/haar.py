@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import BranchViolationError, InvalidInputError
 from .factorization import WordPlan, forward_coords_jets, word_plan
 from .jets import jacobian_det
-from .scalar import ONE, Scalar, power, sc
+from .scalar import ONE, Scalar, _coerce, power, sc
 
 
 class RadicalScalar:
@@ -167,10 +167,8 @@ def _rational_sqrt(q: Fraction):
 def _lift(x):
     if isinstance(x, RadicalScalar):
         return x
-    try:
-        return RadicalScalar(sc(x))
-    except InvalidInputError:
-        return None
+    s = _coerce(x)
+    return None if s is None else RadicalScalar(s)
 
 
 def _as_scalar(x) -> Scalar:

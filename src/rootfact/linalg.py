@@ -263,27 +263,3 @@ def ldu_minors(g):
             upper[i - 1][j - 1] = det_exact([[g[r][c] for c in cols] for r in rows]) / sig[i]
     d = [sig[k] / sig[k - 1] for k in range(1, n + 1)]
     return lower, d, upper
-
-
-def matrix_rank(x) -> int:
-    m = mat_copy(x)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if not m[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for i in range(row + 1, rows):
-            f = m[i][col]
-            if f.is_zero():
-                continue
-            m[i] = [u - (f / p) * v for u, v in zip(m[i], m[row])]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank

@@ -19,24 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .linalg import (
-    identity,
-    mat_copy,
-    mat_inverse,
-    mat_mul,
-    matrix_rank,
-    mul_right_i_plus,
-)
+from .linalg import identity, mat_copy, mat_inverse, mat_mul, mul_right_i_plus
 from .rootsystem import ambient_dim, check_family_rank, pairing, positive_roots
 from .scalar import I as IMAG
 from .scalar import ONE, ZERO, Scalar, sc
-from .weyl import (
-    WeylElement,
-    check_word,
-    deterministic_reduced_word,
-    ordering_from_word,
-    simple_roots,
-)
+from .weyl import WeylElement, deterministic_reduced_word, simple_roots
 
 HALF = Scalar(1, 0, 2)
 TWO = Scalar(2)
@@ -82,17 +69,13 @@ class RootTriple:
     """Sparse canonical (e, f, h) data for one positive root."""
 
     root: tuple
-    e: tuple  # ((row, col, Scalar), ...)
+    # ((row, col, Scalar), ...) sorted by (row, col); the first entry is
+    # the anchor that coordinate extraction reads
+    e: tuple
     f: tuple
     h: tuple  # diagonal ints
     e2: tuple  # sparse square of e
     f2: tuple
-
-    def anchor_f(self):
-        return min(self.f, key=lambda t: (t[0], t[1]))
-
-    def anchor_e(self):
-        return min(self.e, key=lambda t: (t[0], t[1]))
 
 
 def _sparse_square(entries):
@@ -339,7 +322,7 @@ def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
     coeffs = []
     for tau in taus:
         t = root_triple(family, rank, tau)
-        row, col, a0 = t.anchor_f() if use_f else t.anchor_e()
+        row, col, a0 = t.f[0] if use_f else t.e[0]
         c = g[row][col]
         c = c if c.is_zero() else c / a0  # an exact zero stays undivided
         coeffs.append(c)
@@ -354,62 +337,3 @@ def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
                     "matrix is not an ordered product over the given roots"
                 )
     return coeffs
-
-
-# -- conjugated generators setting ------------------------------------
-
-
-def conjugated_generators(family: str, rank: int, word):
-    """Per-letter sl2 triples conjugated by the partial representative
-    products: at step j the simple triple of letter j is moved into the
-    root space of tau_j."""
-    word = check_word(family, rank, word)
-    ordering_from_word(family, rank, word)  # rejects words that are not reduced
-    n = dim(family, rank)
-    simples = simple_roots(family, rank)
-    wmat = identity(n)
-    winv = identity(n)
-    out = []
-    for i in word:
-        e0 = e_matrix(family, rank, simples[i - 1])
-        f0 = f_matrix(family, rank, simples[i - 1])
-        h0 = h_matrix(family, rank, simples[i - 1])
-        out.append(
-            tuple(mat_mul(winv, mat_mul(x, wmat)) for x in (e0, f0, h0))
-        )
-        r = _r_simple(family, rank, i)
-        wmat = mat_mul(r, wmat)
-        winv = mat_mul(winv, mat_inverse(r))
-    return out
-
-
-# -- Bruhat stratum detection (family A) ------------------------------
-
-
-def stratum_permutation(g) -> tuple[int, ...]:
-    """The permutation w with g in N- w T N+ (invertible g, family A).
-
-    Northwest submatrix ranks are invariant under left lower and right
-    upper unipotent factors, so w(j) is the first row index at which
-    appending column j raises rank(g[:i, :j])."""
-    n = len(g)
-
-    def nw_rank(i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return matrix_rank([row[:j] for row in g[:i]])
-
-    images = []
-    for j in range(1, n + 1):
-        val = next(
-            (
-                i
-                for i in range(1, n + 1)
-                if nw_rank(i, j) == nw_rank(i, j - 1) + 1
-            ),
-            None,
-        )
-        if val is None:
-            raise InvalidInputError("matrix is singular")
-        images.append(val)
-    return tuple(images)

@@ -177,9 +177,3 @@ def delta(family: str, rank: int, root: Root) -> int:
     taken in closed form as (2 rho, root) / (root, root)."""
     is_positive_root(family, rank, root)  # rejects vectors that are not roots
     return sum(r * c for r, c in zip(_two_rho(family, rank), root)) // norm2(root)
-
-
-def reflect(beta: Root, alpha: Root) -> Root:
-    """Reflection of beta in the hyperplane orthogonal to alpha."""
-    p = pairing(beta, alpha)
-    return tuple(b - p * a for b, a in zip(beta, alpha))

@@ -73,14 +73,6 @@ def word_to_json(word) -> list:
     return [int(i) for i in word]
 
 
-def word_from_json(v) -> tuple:
-    if not isinstance(v, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in v
-    ):
-        raise InvalidInputError("a word must be a list of integers")
-    return tuple(v)
-
-
 def root_to_json(root) -> list:
     return [int(c) for c in root]
 

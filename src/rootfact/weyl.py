@@ -264,34 +264,6 @@ def validate_ordering(family: str, rank: int, roots) -> Word:
     return tuple(out)
 
 
-def word_reverse(word: Word) -> Word:
-    return tuple(reversed(word))
-
-
-@lru_cache(maxsize=None)
-def _conjugation_table(family: str, rank: int) -> dict:
-    w0 = longest_element(family, rank)
-    simples = simple_roots(family, rank)
-    table = {}
-    for i, a in enumerate(simples, start=1):
-        img = tuple(-c for c in w0.act_root(a))
-        table[i] = simples.index(img) + 1
-    return table
-
-
-def word_conjugate_w0(family: str, rank: int, word: Word) -> Word:
-    """Replace each letter i by j with a_j = -w0(a_i).
-
-    The word must be a reduced word of the longest element.
-    """
-    word = check_word(family, rank, word)
-    if len(word) != len(positive_roots(family, rank)) or not is_reduced(family, rank, word):
-        raise InvalidWordError(
-            f"word {word} is not a reduced word of the longest element")
-    table = _conjugation_table(family, rank)
-    return tuple(table[i] for i in word)
-
-
 # -- canonical words and orderings -----------------------------------
 
 

@@ -8,14 +8,17 @@ point where the requested map is undefined, 4 internal error.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootfact import cli
+from rootfact import cli, dim, enumerate_reduced_words, ordering_from_word, positive_roots
 from rootfact.cli import main
 
 IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
@@ -127,6 +130,14 @@ def test_invert_forward_round_trip(capsys, tmp_path):
     code, payload, _ = run_cli(capsys, ["invert", *word, "--input", back_src])
     assert code == 0
     assert payload == {"pairs": pairs}
+
+
+def test_invert_empty_word(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"l": [], "u": []})))
+    code, payload, _ = run_cli(
+        capsys, ["invert", "--family", "A", "--rank", "2", "--word", "", "--input", "-"])
+    assert code == 0
+    assert payload == {"pairs": []}
 
 
 def test_dual_frozen_gl2(capsys, tmp_path):
@@ -337,3 +348,106 @@ def test_exit_4_internal_error(capsys, monkeypatch):
     assert error["message"].startswith("ZeroDivisionError at test_cli.py:")
     assert error["message"].endswith(": division by zero")
     assert capsys.readouterr().err == ""
+
+
+# -- the contract on random requests -------------------------------------
+
+_GOOD = st.integers(-3, 3) | st.sampled_from(["1/2", "2-3*i", "1*i", "-1/3*i"])
+_BAD = st.sampled_from(["1/0", "x", "1e3", "", "i"]) | st.floats() | st.booleans() | st.none()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=6,
+)
+# a torus entry and its inverse, for h[a] * h[N+1-a] == 1
+_TORUS = st.sampled_from([("1", "1"), ("2", "1/2"), ("-1", "-1"), ("1*i", "-1*i")])
+_FAULTS = ("family", "rank", "flag", "text", "body", "key", "value", "scalar", "count",
+           "budget")
+
+
+@st.composite
+def _requests(draw):
+    """(argv, stdin text): a well-formed request with up to two faults.
+
+    Without faults the flags and the body fit the subcommand, so the
+    request reaches the maps; the faults bring in family E, ranks 0 and
+    non-integers, missing flags and keys, broken JSON, wrong types,
+    floats, booleans and zero denominators.  Words are either prefixes
+    of reduced words or up to 7 letters from 0-4."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    family = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers(2, 3))
+    reduced = draw(st.booleans())
+    if reduced:
+        # a prefix of a reduced word of the longest element is reduced
+        word = draw(st.sampled_from(enumerate_reduced_words(family, rank)))[:draw(st.integers(0, 7))]
+    else:
+        word = tuple(draw(st.lists(st.integers(0, 4), max_size=7)))
+    which = draw(st.sampled_from(["word", "stratum-word"])) if name == "forward" else "word"
+    # the stratum of w takes a pair per positive root that w keeps positive
+    n = len(word) if which == "word" else max(0, len(positive_roots(family, rank)) - len(word))
+    size = dim(family, rank)
+    torus = draw(st.lists(_TORUS, min_size=size // 2, max_size=size // 2))
+    m = draw(st.integers(0, 3))
+    body = {
+        "pairs": draw(st.lists(st.lists(_GOOD, min_size=2, max_size=2), min_size=n, max_size=n)),
+        "l": draw(st.lists(_GOOD, min_size=n, max_size=n)),
+        "u": draw(st.lists(_GOOD, min_size=n, max_size=n)),
+        "h": [t for t, _ in torus] + ["1"] * (size % 2) + [t for _, t in reversed(torus)],
+        "matrix": draw(st.lists(st.lists(_GOOD, min_size=m, max_size=m), min_size=m,
+                                max_size=m)),
+        "ordering": ([list(t) for t in ordering_from_word(family, rank, word)] if reduced else
+                     draw(st.lists(st.lists(st.integers(-2, 2), max_size=4), max_size=9))),
+    }
+    flags = {"family": ["--family", family, "--rank", str(rank)], "input": ["--input", "-"],
+             "minors": ["--minors"], "budget": ["--budget", "100000"]}
+    flags[which] = ["--" + which, ",".join(map(str, word))]
+    text = None
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault == "family":
+            flags["family"][1] = "E"
+        elif fault == "rank":
+            flags["family"][3] = draw(st.sampled_from(["0", "1", "1.5", "x", "-1"]))
+        elif fault == "flag":
+            flags.pop(draw(st.sampled_from(sorted(flags))))
+        elif fault == "text":
+            text = draw(st.sampled_from(["", "{", "[1]", "1/0"]))
+        elif fault == "body":
+            body = draw(_JSON)
+        elif fault == "budget":
+            flags["budget"] = ["--budget", draw(st.sampled_from(["1", "0", "y"]))]
+        elif isinstance(body, dict) and body:
+            key = draw(st.sampled_from(sorted(body)))
+            if fault == "key":
+                del body[key]
+            elif fault == "value":
+                body[key] = draw(_JSON)
+            elif isinstance(body[key], list):
+                if fault == "count":
+                    body[key].append(body[key][0] if body[key] else "1")
+                elif body[key]:
+                    body[key][draw(st.integers(0, len(body[key]) - 1))] = draw(_BAD)
+    options = [option.removeprefix("optional-") for option in cli._COMMANDS[name][2]]
+    argv = [name] + [a for option in options for a in flags.get(option, [])]
+    return argv, json.dumps(body) if text is None else text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_requests())
+def test_contract_on_random_requests(request):
+    """One canonical JSON object on stdout, exit 0, 2 or 3, nothing on stderr."""
+    argv, text = request
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    raw = out.getvalue()
+    payload = json.loads(raw)
+    assert isinstance(payload, dict)
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert code in (0, 2, 3), payload
+    assert (code != 0) == ("error" in payload)
+    assert err.getvalue() == ""

@@ -2,8 +2,12 @@
 
 Covers exact LDU (elimination and minor formulas), ordered product
 extraction, the forward product, the transpose dual, the rational
-inverse on frozen points, stratum detection, and the error taxonomy.
-The broad randomized identities live in the acceptance suite.
+inverse on frozen points and on the empty word, stratum detection, and
+the error taxonomy.  The stratum map is checked against
+``stratum_permutation`` and its ``matrix_rank``, a reference kept here:
+it reads the permutation off northwest-submatrix ranks, independently
+of how the stratum map builds its product.  The broad randomized
+identities live in the acceptance suite.
 """
 
 from __future__ import annotations
@@ -33,11 +37,10 @@ from rootfact import (
     longest_element,
     mat_inverse,
     mat_mul,
-    matrix_rank,
     ordering_from_word,
     principal_minor,
     simple_reflection,
-    stratum_permutation,
+    stratum_data,
     transpose_dual,
     weyl_representative,
 )
@@ -45,6 +48,59 @@ from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, ext
 from rootfact.scalar import ONE, ZERO, sc
 
 from conftest import exact_scalar, generic_pairs, pairs_equal
+
+
+def matrix_rank(x) -> int:
+    m = [row[:] for row in x]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    rank = 0
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, rows) if not m[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        p = m[row][col]
+        for i in range(row + 1, rows):
+            f = m[i][col]
+            if f.is_zero():
+                continue
+            m[i] = [u - (f / p) * v for u, v in zip(m[i], m[row])]
+        rank += 1
+        row += 1
+        if row == rows:
+            break
+    return rank
+
+
+def stratum_permutation(g) -> tuple[int, ...]:
+    """The permutation w with g in N- w T N+ (invertible g, family A).
+
+    Northwest submatrix ranks are invariant under left lower and right
+    upper unipotent factors, so w(j) is the first row index at which
+    appending column j raises rank(g[:i, :j])."""
+    n = len(g)
+
+    def nw_rank(i: int, j: int) -> int:
+        if i == 0 or j == 0:
+            return 0
+        return matrix_rank([row[:j] for row in g[:i]])
+
+    images = []
+    for j in range(1, n + 1):
+        val = next(
+            (
+                i
+                for i in range(1, n + 1)
+                if nw_rank(i, j) == nw_rank(i, j - 1) + 1
+            ),
+            None,
+        )
+        if val is None:
+            raise InvalidInputError("matrix is singular")
+        images.append(val)
+    return tuple(images)
 
 
 def rational_matrix(rng: random.Random, n: int):
@@ -253,6 +309,18 @@ def test_inverse_exceptional_point():
     assert info.value.index == 1
 
 
+def test_inverse_empty_word():
+    # no pairs, so no tail: only the coordinate counts and the torus are checked
+    assert inverse_map("A", 2, (), [], []) == []
+    assert inverse_map("A", 2, (), [], [], h=[Scalar(2), Scalar(3), Scalar(1, 0, 6)]) == []
+    assert inverse_map("C", 2, (), [], [], h=[Scalar(2), Scalar(-3), Scalar(-1, 0, 3),
+                                              Scalar(1, 0, 2)]) == []
+    with pytest.raises(InvalidInputError):
+        inverse_map("A", 2, (), [ONE], [ONE])
+    with pytest.raises(InvalidInputError):
+        inverse_map("C", 2, (), [], [], h=[Scalar(2)] * 4)
+
+
 def test_transpose_dual_frozen_gl2():
     eta, hdual = transpose_dual("A", 1, (1,), [(1, 2)])
     assert pairs_equal(eta, [(Scalar(-2, 0, 3), Scalar(-3))])
@@ -290,6 +358,18 @@ def test_stratum_map_detection():
     assert len(res.taus) == 2
     with pytest.raises(InvalidInputError):
         forward_map_stratum("A", 2, w, generic_pairs(rng, 3))
+    # every element of A3, reached by a search from the identity, lands
+    # in its own stratum at a generic point
+    seen = [identity_element("A", 3)]
+    for v in seen:
+        for i in (1, 2, 3):
+            u = v * simple_reflection("A", 3, i)
+            if u not in seen:
+                seen.append(u)
+    assert len(seen) == 24
+    for w in seen:
+        pairs = generic_pairs(rng, len(stratum_data("A", 3, w)[1]))
+        assert stratum_permutation(forward_map_stratum("A", 3, w, pairs).matrix) == w.images
 
 
 def test_stratum_permutation_generic():

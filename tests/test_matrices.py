@@ -13,9 +13,7 @@ import pytest
 
 from rootfact import (
     InvalidInputError,
-    InvalidWordError,
     Scalar,
-    conjugated_generators,
     coroot_diag,
     dim,
     e_matrix,
@@ -175,39 +173,6 @@ def test_representative_normalizes_torus():
             diag[k][k] = sc(k + 2)
         conj = mat_mul(rep, mat_mul(diag, mat_inverse(rep)))
         assert all(conj[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-
-
-def test_conjugated_generators_gl3():
-    triples = conjugated_generators("A", 2, (1, 2, 1))
-    e2, f2, h2 = triples[1]
-    assert e2 == scale(-I, unit_matrix(3, 0, 2))
-    assert f2 == scale(I, unit_matrix(3, 2, 0))
-    assert h2 == [[ONE, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, -ONE]]
-    g1 = simple_roots("A", 2)[0]
-    assert triples[0] == (
-        e_matrix("A", 2, g1), f_matrix("A", 2, g1), h_matrix("A", 2, g1))
-
-
-@pytest.mark.parametrize("family,rank,word", [
-    ("A", 2, (1, 2, 1)), ("B", 2, (1, 2, 1, 2)),
-    ("C", 2, (2, 1, 2, 1)), ("D", 3, (1, 2, 3, 2, 1, 3))])
-def test_conjugated_generators_root_spaces(family, rank, word):
-    from rootfact import ordering_from_word
-
-    taus = ordering_from_word(family, rank, word)
-    triples = conjugated_generators(family, rank, word)
-    for tau, (e, f, h) in zip(taus, triples):
-        assert h == h_matrix(family, rank, tau)
-        assert commutator(e, f) == h
-        for gamma in simple_roots(family, rank):
-            hg = h_matrix(family, rank, gamma)
-            assert commutator(hg, e) == scale(pairing(tau, gamma), e)
-            assert commutator(hg, f) == scale(-pairing(tau, gamma), f)
-
-
-def test_conjugated_generators_rejects_non_reduced():
-    with pytest.raises(InvalidWordError):
-        conjugated_generators("A", 2, (1, 1))
 
 
 def test_ad_torus_grading():

@@ -16,7 +16,6 @@ import pytest
 from rootfact import (
     InvalidWordError,
     coroot_diag,
-    conjugated_generators,
     delta,
     delta_identity_check,
     eta_change_jacobian_det,
@@ -163,7 +162,6 @@ def test_non_reduced_word_same_payload_everywhere(family, rank, word):
     calls = [
         lambda: ordering_from_word(family, rank, word),
         lambda: word_plan(family, rank, word),
-        lambda: conjugated_generators(family, rank, word),
         lambda: forward_map(family, rank, word, pairs),
         lambda: inverse_map(family, rank, word, coords, coords),
         lambda: transpose_dual(family, rank, word, pairs),

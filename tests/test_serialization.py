@@ -13,6 +13,7 @@ import random
 import pytest
 
 from rootfact import InvalidInputError, Scalar
+from rootfact.cli import _parse_word_flag
 from rootfact.serialization import (
     diag_from_json,
     diag_to_json,
@@ -25,7 +26,6 @@ from rootfact.serialization import (
     roots_to_json,
     scalar_from_json,
     scalar_to_json,
-    word_from_json,
     word_to_json,
 )
 
@@ -86,12 +86,11 @@ def test_diag_round_trip():
 
 
 def test_word_round_trip():
-    assert word_from_json(word_to_json((1, 2, 1))) == (1, 2, 1)
-    assert word_from_json([]) == ()
+    # words leave as JSON integer lists and come back as --word flags
+    for word in [(1, 2, 1), ()]:
+        assert _parse_word_flag(",".join(map(str, word_to_json(word)))) == word
     with pytest.raises(InvalidInputError):
-        word_from_json([1, True])
-    with pytest.raises(InvalidInputError):
-        word_from_json((1, 2))
+        _parse_word_flag("1,x")
 
 
 def test_roots_round_trip():

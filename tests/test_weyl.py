@@ -31,9 +31,7 @@ from rootfact import (
     standard_count_a,
     printed_count_bc,
     validate_ordering,
-    word_conjugate_w0,
     word_evaluate,
-    word_reverse,
 )
 
 A2_ORDERING = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
@@ -109,27 +107,6 @@ def test_canonical_word_reduced_and_longest(family, rank):
     taus = canonical_ordering(family, rank)
     assert taus == ordering_from_word(family, rank, word)
     assert validate_ordering(family, rank, taus) == word
-
-
-def test_word_reverse_and_conjugate():
-    # (1,2,1) is a palindrome, so reversal fixes word and ordering
-    assert word_reverse((1, 2, 1)) == (1, 2, 1)
-    assert ordering_from_word("A", 2, word_reverse((1, 2, 1))) == A2_ORDERING
-    assert word_conjugate_w0("A", 2, (1, 2, 1)) == (2, 1, 2)
-    for family, rank in [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("D", 3)]:
-        word = canonical_word(family, rank)
-        reversed_word = word_reverse(word)
-        assert is_reduced(family, rank, reversed_word)
-        assert length(word_evaluate(family, rank, reversed_word)) == len(word)
-        # conjugated-and-reversed word induces the reversed ordering
-        flipped = word_reverse(word_conjugate_w0(family, rank, word))
-        assert ordering_from_word(family, rank, flipped) == tuple(
-            reversed(ordering_from_word(family, rank, word)))
-
-
-def test_conjugate_rejects_non_longest():
-    with pytest.raises(InvalidWordError):
-        word_conjugate_w0("A", 2, (1,))
 
 
 def test_enumeration_small():
