@@ -89,8 +89,12 @@ def _read_input(args) -> dict:
     if path is None:
         raise InvalidInputError("this subcommand needs --input PATH (or - for stdin)")
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as err:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except (OSError, UnicodeDecodeError) as err:
         raise InvalidInputError(f"cannot read input: {err}") from None
     try:
         obj = json.loads(text)

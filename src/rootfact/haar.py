@@ -257,15 +257,13 @@ def _simplify(x):
 # -- volume pullback of the compact coordinates --------------------------
 
 
-def _jet_compact_chain(plan: WordPlan, eta_pairs):
-    """Jet-valued zeta pairs along the compact coordinate change.
+def _jet_compact_chain(plan: WordPlan, pairs):
+    """Jet-valued zeta pairs along the compact change of ``plan.jet_pairs``.
 
-    Seeds one jet variable per coordinate (all y^- first, then all y^+).
     Every 1 - y_j^- y_j^+ must be real positive, and its value must be a
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
-    pairs = plan.jet_pairs(eta_pairs)
     asq = [1 / v for v in _on_branch((1 - em * ep for em, ep in pairs), "1 - y^- y^+")]
     try:
         avals = [v.sqrt() for v in asq]
@@ -289,8 +287,14 @@ def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     feeds on pairs k >= j, so the matrix is block triangular with 2 x 2
     diagonal blocks of determinant a_j^4.
     """
-    zeta = _jet_compact_chain(word_plan(family, rank, word), eta_pairs)
+    plan = word_plan(family, rank, word)
+    zeta = _jet_compact_chain(plan, plan.jet_pairs(eta_pairs))
     return jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
+
+
+# [((family, rank, word, point), det)] of the last pullback, one slot read and
+# written whole, so unit_jacobian_check at the same point runs no second chain
+_last_pullback = [(None, None)]
 
 
 def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
@@ -301,31 +305,32 @@ def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     prod_j (1 + z_j^- z_j^+)^(delta_j - 1) with 1 + z^- z^+ = a^2, and
     the coordinate change contributes prod_j a_j^4.
     """
-    return _pullback_det(word_plan(family, rank, word), eta_pairs)
-
-
-def _pullback_det(plan: WordPlan, eta_pairs) -> Scalar:
-    zeta = _jet_compact_chain(plan, eta_pairs)
-    lcoords, ucoords = forward_coords_jets(plan, zeta)
-    return jacobian_det(lcoords + ucoords, 2 * len(zeta))
+    plan = word_plan(family, rank, word)
+    pairs = plan.jet_pairs(eta_pairs)
+    key = (plan.family, plan.rank, plan.word, [(a.val, b.val) for a, b in pairs])
+    last_key, det = _last_pullback[0]
+    if last_key != key:
+        zeta = _jet_compact_chain(plan, pairs)
+        lcoords, ucoords = forward_coords_jets(plan, zeta)
+        det = jacobian_det(lcoords + ucoords, 2 * len(zeta))
+        _last_pullback[0] = key, det
+    return det
 
 
 def unit_jacobian_check(family: str, rank: int, word, eta_pairs) -> Scalar:
     """Exact ratio of the squared (l, u) pullback to the carried density.
 
-    The numerator is |det d(l,u)/dy|^2 from the end-to-end jet chain; the
-    denominator is the invariant density written in compact coordinates
-    times the squared determinant of the coordinate change, the rational
-    closed form prod_j (a_j^2)^(2 delta_j + 2).  The ratio is exactly one
-    on the positive branch: Lebesgue volume in (l, u) matches Lebesgue
-    volume in y once the invariant density rides along with the change
-    of coordinates.  The bare determinant itself is not unimodular; its
-    exact value is the closed form stated in lebesgue_pullback_det.
+    The numerator is |det d(l,u)/dy|^2 from the jet chain, which it shares
+    with lebesgue_pullback_det when both are asked at one point back to
+    back; the denominator is the invariant density in compact coordinates
+    times the squared determinant of the change, the closed form
+    prod_j (a_j^2)^(2 delta_j + 2).  The ratio is exactly one on the positive
+    branch: Lebesgue volume in (l, u) matches Lebesgue volume in y once the
+    invariant density rides along with the change of coordinates.  The bare
+    determinant is not unimodular; lebesgue_pullback_det gives its value.
     """
+    out = lebesgue_pullback_det(family, rank, word, eta_pairs).abs2()
     plan = word_plan(family, rank, word)
-    det = _pullback_det(plan, eta_pairs)
-    den = ONE
-    for d, (em, ep) in zip(plan.deltas, plan.check_pairs(eta_pairs)):
-        v = _as_scalar(ONE - _mulx(em, ep))
-        den = den * v.inverse() ** (2 * d + 2)
-    return det.abs2() / den
+    for d, (em, ep) in zip(plan.deltas, plan.scalar_pairs(eta_pairs)):
+        out = out * (ONE - em * ep) ** (2 * d + 2)
+    return out

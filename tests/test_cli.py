@@ -249,6 +249,18 @@ def test_exit_2_missing_input_file(capsys, tmp_path):
     assert payload["error"]["kind"] == "invalid-input"
 
 
+def test_exit_2_non_utf8_input_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"pairs": [["\xe9", "1"]]}'.encode("latin-1"))
+    code, payload, _ = run_cli(
+        capsys,
+        ["forward", "--family", "A", "--rank", "1", "--word", "1", "--input", str(path)],
+    )
+    assert code == 2
+    assert payload["error"]["kind"] == "invalid-input"
+    assert payload["error"]["message"].startswith("cannot read input: 'utf-8' codec")
+
+
 def test_self_check(capsys):
     code, payload, _ = run_cli(capsys, ["self-check"])
     assert code == 0

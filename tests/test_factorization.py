@@ -201,6 +201,38 @@ def sparse_matrix(rng: random.Random, n: int, density: float):
     return g
 
 
+def parity(perm) -> int:
+    """(-1) to the number of inversions."""
+    n = len(perm)
+    return (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+
+
+def permuted(rng: random.Random, g, odd: bool):
+    """g with its rows and columns shuffled, the two together odd or even."""
+    n = len(g)
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    if n > 1 and (parity(rows) * parity(cols) == -1) != odd:
+        rows[0], rows[1] = rows[1], rows[0]
+    return [[g[i][j] for j in cols] for i in rows]
+
+
+def block_triangular(rng: random.Random, sizes, density: float):
+    """Block lower-triangular: sparse diagonal blocks of the given sizes,
+    whose patterns all admit a perfect matching, and entries below them
+    at the given density."""
+    n = sum(sizes)
+    g = [[ZERO] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i, row in enumerate(sparse_matrix(rng, size, density)):
+            g[start + i][start:start + size] = row
+            for j in range(start):
+                if rng.random() < density:
+                    g[start + i][j] = exact_scalar(rng)
+        start += size
+    return g
+
+
 @pytest.mark.parametrize("density", [0.15, 0.3, 0.6, 1.0])
 def test_det_exact_matches_elimination(density):
     # sparse matrices leave rows untouched for many steps and need row
@@ -221,6 +253,44 @@ def test_det_exact_matches_elimination(density):
         elif case == 3:
             g[rng.randrange(n)] = [ZERO] * n
         assert det_exact(g) == elimination_det(g)
+    # shuffled block-triangular matrices: 1x1 and larger diagonal blocks,
+    # odd and even shuffles, a pattern with no perfect matching and a
+    # fully matched block that is singular in value
+    for trial in range(40):
+        sizes = [rng.choice([1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 6))]
+        g = block_triangular(rng, sizes, density)
+        n = len(g)
+        case = trial % 4
+        if case == 2 and n > 2:
+            # three rows with nonzeros in two columns only
+            for i in range(3):
+                g[i] = [exact_scalar(rng) + Scalar(5) if j < 2 else ZERO for j in range(n)]
+        elif case == 3:
+            # a last, dense 2 x 2 block of rank one
+            a, b, c = (exact_scalar(rng) + Scalar(5) for _ in range(3))
+            g = block_triangular(rng, sizes + [2], density)
+            n = len(g)
+            g[n - 2][n - 2:], g[n - 1][n - 2:] = [a, b], [c * a, c * b]
+        g = permuted(rng, g, odd=trial % 2 == 1)
+        if case == 3 or (case == 2 and n > 2):
+            assert det_exact(g) == ZERO
+        assert det_exact(g) == elimination_det(g)
+
+
+def test_det_exact_of_a_deep_shuffled_bidiagonal():
+    # a chain of 1500 one-by-one blocks: matching and components run on
+    # explicit stacks, with no recursion as deep as the matrix
+    rng = random.Random("det/deep")
+    n = 1500
+    g = [[ZERO] * n for _ in range(n)]
+    expected = ONE
+    for i in range(n):
+        g[i][i] = exact_scalar(rng) + Scalar(5)
+        expected = expected * g[i][i]
+        if i:
+            g[i][i - 1] = exact_scalar(rng) + Scalar(5)
+    order = rng.sample(range(n), n)
+    assert det_exact([[g[i][j] for j in order] for i in order]) == expected
 
 
 def ldu_outcome(fn, g):

@@ -28,6 +28,7 @@ from rootfact import (
     unit_jacobian_check,
     zeta_from_eta,
 )
+from rootfact import haar
 from rootfact.scalar import ONE, sc
 
 from conftest import branch_pairs, generic_pairs, pythagorean_pair
@@ -158,3 +159,52 @@ def test_complex_branch_point():
     yp = Scalar(0, -3, 5)
     assert unit_jacobian_check("A", 1, (1,), [(ym, yp)]) == ONE
     assert unit_jacobian_check(*A2, [(ym, yp), (ym, yp), (ym, yp)]) == ONE
+
+
+def counting_chain(monkeypatch) -> list:
+    """Count the runs of the compact jet chain from here on."""
+    runs = []
+    chain = haar._jet_compact_chain
+
+    def counted(plan, pairs):
+        runs.append(plan.word)
+        return chain(plan, pairs)
+
+    monkeypatch.setattr(haar, "_jet_compact_chain", counted)
+    monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+    return runs
+
+
+@pytest.mark.parametrize("first", [lebesgue_pullback_det, unit_jacobian_check])
+def test_pullback_and_unit_ratio_share_one_chain(monkeypatch, first):
+    runs = counting_chain(monkeypatch)
+    eta = branch_pairs(random.Random(5), 4)
+    second = unit_jacobian_check if first is lebesgue_pullback_det else lebesgue_pullback_det
+    one, two = first(*B2, eta), second(*B2, eta)
+    assert len(runs) == 1
+    det, unit = (one, two) if first is lebesgue_pullback_det else (two, one)
+    assert unit == ONE
+    # a different point, word or family runs the chain again
+    other = branch_pairs(random.Random(6), 4)
+    assert unit_jacobian_check(*B2, other) == ONE
+    assert unit_jacobian_check("B", 2, (2, 1, 2, 1), eta) == ONE
+    assert unit_jacobian_check(*C2, eta) == ONE
+    assert lebesgue_pullback_det(*B2, eta) == det
+    assert len(runs) == 5
+
+
+@pytest.mark.parametrize("point,error", [
+    ([(0, 0), (2, 1), (0, 0)], BranchViolationError),  # 1 - y y = -1
+    ([(0, 0), (Scalar(1, 0, 2), Scalar(1, 0, 2)), (0, 0)], InvalidInputError),  # 3/4
+])
+def test_pullback_errors_are_never_stored(monkeypatch, point, error):
+    runs = counting_chain(monkeypatch)
+    payloads = []
+    for call in (lebesgue_pullback_det, unit_jacobian_check) * 2:
+        with pytest.raises(error) as info:
+            call(*A2, point)
+        payloads.append(info.value.payload())
+    assert len(runs) == 4
+    assert all(p == payloads[0] for p in payloads)
+    if error is InvalidInputError:
+        assert "perfect rational square" in payloads[0]["message"]
