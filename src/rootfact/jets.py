@@ -165,7 +165,7 @@ class Jet:
 
 
 def jacobian_det(outputs, width: int) -> Scalar:
-    """det of the gradient rows of ``outputs``, by blocks in ``det_exact``;
+    """det of the gradient rows of ``outputs``, peeled and eliminated in ``det_exact``;
     a plain scalar among them is a constant, with a zero row."""
     rows = []
     for out in outputs:

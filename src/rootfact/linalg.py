@@ -129,74 +129,44 @@ def _gauss_div(xa, xb, ya, yb):
 
 
 def det_exact(x) -> Scalar:
-    """Determinant of a Scalar matrix, block by block: once a perfect
-    matching of rows to columns puts nonzeros on the diagonal (with none,
-    det x is an exact zero), the strongly connected components of the
-    pattern are the diagonal blocks of a block-triangular permutation of x
-    (Duff & Reid 1978).  Each goes to ``_bareiss`` with its rows and
-    columns in their original relative order."""
-    cols = [[j for j, v in enumerate(row) if v.a or v.b] for row in x]
-    row_of = _perfect_matching(cols)
-    if row_of is None:
-        return ZERO
-    blocks = _strong_components([cols[i] for i in row_of])
-    if len(blocks) <= 1:
-        return _bareiss(x)
-    det, sigma = ONE, [0] * len(x)
-    for bcols in blocks:
-        rows = sorted(row_of[j] for j in bcols)
-        det = det * _bareiss([[x[i][j] for j in bcols] for i in rows])
-        for i, j in zip(rows, bcols):
-            sigma[i] = j
+    """Determinant of a Scalar matrix, singleton lines peeled first.
+
+    A row or column with one nonzero left is a 1x1 diagonal block: the
+    entry joins the product and its row and column leave, which can leave
+    other lines with one entry, or none (det x is then an exact zero); a
+    worklist keeps this linear in the nonzeros.  The rest goes to
+    ``_bareiss`` with rows and columns in their original relative order,
+    times the sign of the permutation pairing peeled rows with their
+    columns and the rest in order."""
+    n = len(x)
+    # lines: row i is i, column j is n + j; adj lists the other side's lines
+    adj = [[n + j for j, v in enumerate(row) if v.a or v.b] for row in x] + [[] for _ in x]
+    for i in range(n):
+        for j in adj[i]:
+            adj[j].append(i)
+    left, live = [len(a) for a in adj], [True] * (2 * n)
+    work = [k for k in range(2 * n) if left[k] == 1]
+    det, sigma = ONE, [0] * n
+    while work:
+        k = work.pop()
+        if live[k]:
+            o = next(o for o in adj[k] if live[o])
+            i, j = min(k, o), max(k, o) - n
+            det, sigma[i], live[k], live[o] = det * x[i][j], j, False, False
+            for p in adj[o]:
+                if live[p]:
+                    left[p] -= 1
+                    if not left[p]:
+                        return ZERO
+                    if left[p] == 1:
+                        work.append(p)
+    rows = [i for i in range(n) if live[i]]
+    cols = [j for j in range(n) if live[n + j]]
+    for i, j in zip(rows, cols):
+        sigma[i] = j
+    det = det * _bareiss([[x[i][j] for j in cols] for i in rows])
     # times the sign of sigma, by its inversions in O(n^2) as for the pattern
     return -det if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2 else det
-
-
-def _perfect_matching(cols):
-    """row_of[j], the row matched to column j, each row i taking one of cols[i], or None if none
-    exists: iterative depth-first augmenting paths with a free-column look-ahead (Duff's MC21)."""
-    row_of, seen = [-1] * len(cols), [-1] * len(cols)
-    for r in range(len(cols)):
-        # rows on the path, with their untried columns and the column that reached them
-        path = [(r, iter(cols[r]), -1)]
-        while (j := next((j for j in cols[path[-1][0]] if row_of[j] < 0), -1)) < 0:
-            while (j := next((j for j in path[-1][1] if seen[j] != r), -1)) < 0:
-                path.pop()
-                if not path:
-                    return None
-            seen[j] = r
-            path.append((row_of[j], iter(cols[row_of[j]]), j))
-        for i, _, reached in reversed(path):
-            row_of[j], j = i, reached
-    return row_of
-
-
-def _strong_components(adj):
-    """Tarjan's strongly connected components of the digraph adj, each sorted and listed after all
-    it reaches; iterative, with stack positions as indices and a finished node's low len(adj)."""
-    low, stack, out = [-1] * len(adj), [], []
-    for root in range(len(adj)):
-        call = [(root, None)] if low[root] < 0 else []
-        while call:
-            v, edges = call.pop()
-            if edges is None:
-                low[v] = len(stack)
-                stack.append(v)
-                edges = iter(adj[v])
-            for w in edges:
-                if low[w] < 0:
-                    call += [(v, edges), (w, None)]
-                    break
-                low[v] = min(low[v], low[w])
-            else:
-                if stack[low[v]] == v:
-                    out.append(sorted(stack[low[v]:]))
-                    del stack[low[v]:]
-                    for w in out[-1]:
-                        low[w] = len(adj)
-                if call:
-                    low[call[-1][0]] = min(low[call[-1][0]], low[v])
-    return out
 
 
 def _bareiss(x) -> Scalar:

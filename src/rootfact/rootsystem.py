@@ -24,9 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, echo
 
 FAMILIES = ("A", "B", "C", "D")
+# a one-letter ordering takes 0.2 s and 25 MB at rank 100, 3.8 s and 279 MB at rank 400
+MAX_RANK = 100
 
 Root = tuple  # integer coordinate tuple
 
@@ -36,6 +38,8 @@ def check_family_rank(family: str, rank: int) -> None:
         raise InvalidInputError(f"unknown family {family!r}")
     if not isinstance(rank, int) or rank < 1:
         raise InvalidInputError(f"rank must be a positive integer, got {rank!r}")
+    if rank > MAX_RANK:
+        raise InvalidInputError(f"rank must be at most {MAX_RANK}, got {echo(rank)}")
     if family == "D" and rank < 2:
         raise InvalidInputError("family D needs rank >= 2")
 

@@ -325,6 +325,19 @@ def test_exit_2_deeply_nested_json(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("rank", [10**12, 800])
+def test_exit_2_rank_above_the_cap(capsys, rank):
+    # building the positive roots ran out of memory at rank 10**12, and
+    # its cost grows about as the cube of the rank
+    code, payload, raw = run_cli(
+        capsys, ["ordering", "--family", "A", "--rank", str(rank), "--word", "1"])
+    assert code == 2
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload == {"error": {"kind": "invalid-input",
+                                 "message": f"rank must be at most 100, got {rank}"}}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "coordinate",
     [["x" * 1_000_000, "1"], [list(range(200_000)), "1"]],

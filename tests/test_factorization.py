@@ -39,11 +39,14 @@ from rootfact import (
     mat_mul,
     ordering_from_word,
     principal_minor,
+    random_reduced_word,
     simple_reflection,
     stratum_data,
     transpose_dual,
     weyl_representative,
 )
+from rootfact import linalg
+from rootfact.linalg import mat_transpose
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
 from rootfact.scalar import ONE, ZERO, sc
 
@@ -234,7 +237,7 @@ def block_triangular(rng: random.Random, sizes, density: float):
 
 
 @pytest.mark.parametrize("density", [0.15, 0.3, 0.6, 1.0])
-def test_det_exact_matches_elimination(density):
+def test_det_exact_matches_elimination(density, monkeypatch):
     # sparse matrices leave rows untouched for many steps and need row
     # swaps; one case in five has a zero leading pivot, two are singular
     rng = random.Random(f"det/{density}")
@@ -275,11 +278,70 @@ def test_det_exact_matches_elimination(density):
         if case == 3 or (case == 2 and n > 2):
             assert det_exact(g) == ZERO
         assert det_exact(g) == elimination_det(g)
+    # patterns for the peel, shuffled: rows that reach one entry only as
+    # the rows peeled before them take their columns away, the same for
+    # columns, both chains around one dense core, 2 x 2 blocks with
+    # nothing to peel, and a row or a column that peeling empties; the
+    # sizes _bareiss receives show what was peeled
+    sizes = bareiss_sizes(monkeypatch)
+    for trial in range(40):
+        k, case = 1 + trial % 4, trial % 5
+        core = [[exact_scalar(rng) + Scalar(5) for _ in range(2 + trial % 3)]
+                for _ in range(2 + trial % 3)]
+        g = [
+            row_chain(rng, k, core),
+            mat_transpose(row_chain(rng, k, core)),
+            row_chain(rng, k, mat_transpose(row_chain(rng, k, core))),
+            block_diagonal_pairs(rng, k),
+            row_chain(rng, k + 1, core),
+        ][case]
+        if case == 4:
+            # row k then has nonzeros only in the columns of rows 0 .. k - 1
+            g[k][k] = ZERO
+            if trial % 2:
+                g = mat_transpose(g)
+        g = permuted(rng, g, odd=trial % 2 == 1)
+        sizes.clear()
+        det = det_exact(g)
+        assert det == elimination_det(g)
+        assert sizes == ([[len(core)]] * 3 + [[2 * k], []])[case]
+        if case == 4:
+            assert det == ZERO
+
+
+def bareiss_sizes(monkeypatch) -> list:
+    """The sizes of the matrices ``_bareiss`` receives from now on."""
+    sizes = []
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda x: sizes.append(len(x)) or bareiss(x))
+    return sizes
+
+
+def row_chain(rng: random.Random, k: int, core):
+    """Block lower-triangular: k 1 x 1 blocks, then core, with every entry
+    below the diagonal blocks nonzero, so that row 0 has one entry and
+    row i only once rows 0 .. i - 1 are peeled, and no column outside the
+    core has fewer than two."""
+    n = k + len(core)
+    g = [[exact_scalar(rng) + Scalar(5) if j <= i else ZERO for j in range(n)]
+         for i in range(n)]
+    for i, row in enumerate(core):
+        g[k + i][k:] = row
+    return g
+
+
+def block_diagonal_pairs(rng: random.Random, k: int):
+    """k dense 2 x 2 diagonal blocks: every row and column has two entries."""
+    g = [[ZERO] * (2 * k) for _ in range(2 * k)]
+    for b in range(0, 2 * k, 2):
+        for i in (b, b + 1):
+            g[i][b:b + 2] = [exact_scalar(rng) + Scalar(5) for _ in range(2)]
+    return g
 
 
 def test_det_exact_of_a_deep_shuffled_bidiagonal():
-    # a chain of 1500 one-by-one blocks: matching and components run on
-    # explicit stacks, with no recursion as deep as the matrix
+    # a chain of 1500 one-by-one blocks: the peel's worklist frees one
+    # line per step, and finds each in time linear in the nonzeros
     rng = random.Random("det/deep")
     n = 1500
     g = [[ZERO] * n for _ in range(n)]
@@ -291,6 +353,18 @@ def test_det_exact_of_a_deep_shuffled_bidiagonal():
             g[i][i - 1] = exact_scalar(rng) + Scalar(5)
     order = rng.sample(range(n), n)
     assert det_exact([[g[i][j] for j in order] for i in order]) == expected
+
+
+@pytest.mark.parametrize(
+    "family,rank,left", [("A", 8, [54]), ("D", 5, [30]), ("B", 4, [24])])
+def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left):
+    # of 72, 40 and 32 rows, _bareiss receives only those of the diagonal
+    # blocks larger than 1 x 1 in a block-triangular form, here one block
+    sizes = bareiss_sizes(monkeypatch)
+    word = random_reduced_word(family, rank, 1)
+    pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
+    jacobian_det_ad(family, rank, word, pairs)
+    assert sizes == left
 
 
 def ldu_outcome(fn, g):

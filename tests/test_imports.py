@@ -1,13 +1,15 @@
 """Import hygiene: every name a rootfact module imports from a sibling
-module is used in that module.
+module is used in that module, and every module-level private function
+or class is used somewhere in the package besides its own definition.
 
 The package ``__init__`` imports names only to export them, so it is
-left out.
+left out of the first check.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rootfact"
@@ -30,3 +32,33 @@ def test_relative_imports_are_used():
     assert modules
     unused = {p.name: names for p in modules if (names := unused_relative_imports(p))}
     assert unused == {}
+
+
+def names_used(node) -> collections.Counter:
+    """Occurrences of each name read, as a bare name, an attribute or an import."""
+    return collections.Counter(
+        name
+        for sub in ast.walk(node)
+        for name in (
+            [sub.id] if isinstance(sub, ast.Name)
+            else [sub.attr] if isinstance(sub, ast.Attribute)
+            else [a.name for a in sub.names] if isinstance(sub, ast.ImportFrom)
+            else []
+        )
+    )
+
+
+def test_private_helpers_are_used():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    used = sum((names_used(tree) for tree in trees), collections.Counter())
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert helpers
+    # a use inside the helper's own body, a recursive call, does not count
+    dead = [h.name for h in helpers if used[h.name] <= names_used(h)[h.name]]
+    assert dead == []

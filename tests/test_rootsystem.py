@@ -23,6 +23,7 @@ from rootfact import (
     simple_root_coordinates,
     simple_roots,
 )
+from rootfact.rootsystem import MAX_RANK, check_family_rank
 
 FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
             ("B", 1), ("B", 2), ("B", 3),
@@ -67,6 +68,13 @@ def test_d_minimum_rank():
         positive_roots("D", 1)
     with pytest.raises(InvalidInputError):
         positive_roots("E", 2)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_cap(family):
+    check_family_rank(family, MAX_RANK)
+    with pytest.raises(InvalidInputError, match=f"rank must be at most {MAX_RANK}"):
+        check_family_rank(family, MAX_RANK + 1)
 
 
 @pytest.mark.parametrize("family,rank", FAMILIES)
