@@ -33,6 +33,7 @@ from .factorization import (
     transpose_dual,
 )
 from .linalg import ldu, principal_minor
+from .rootsystem import positive_roots
 from .scalar import digit_limit_error
 from .serialization import (
     diag_from_json,
@@ -61,6 +62,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
+
+# A6 to C5 (25 letters) reach the default budget in about 10 s, A10 in 19 s, A40 in over 60 s
+COUNT_WORDS_CAP = 25
 
 _EXIT_BY_KIND = {
     "invalid-input": EXIT_INVALID,
@@ -211,6 +215,10 @@ def cmd_canonical_word(args) -> dict:
 
 
 def cmd_count_words(args) -> dict:
+    length = len(positive_roots(args.family, args.rank))
+    if length > COUNT_WORDS_CAP:
+        raise InvalidInputError(f"count-words takes longest words of at most {COUNT_WORDS_CAP}"
+                                f" letters; that of {args.family}{args.rank} has {length}")
     count = len(enumerate_reduced_words(args.family, args.rank, budget=args.budget))
     if args.family == "A":
         formula = str(standard_count_a(args.rank + 1))

@@ -14,12 +14,13 @@ coordinate system this module converts to and from.
 The inverse direction recovers z from (l, u, h) through the dual
 element sigma(g_0^{-1}) and a downward recursion over the tails
 G_n *** G_(k+1) and their duals.  Each is carried as LDU factors that
-take one pair per step by a Gauss factor update (Bennett 1965), and
-gives its k-th lower coordinate as one entry, since the later ones are
-known (Humphreys, Linear Algebraic Groups, 28.1).  Points where the
-recursion degenerates form the exceptional set and raise
-ExceptionalSetError.  Pushing jets through the forward map gives the
-exact Jacobian determinant, which also has two closed product forms.
+take one pair per step by a Gauss update of only the rows its root
+vector reaches (Bennett 1965), and gives its k-th lower coordinate as
+one entry, since the later ones are known (Humphreys, Linear Algebraic
+Groups, 28.1).  Points where the recursion degenerates form the
+exceptional set and raise ExceptionalSetError.  Pushing jets through the
+forward map gives the exact Jacobian determinant, which also has two
+closed product forms.
 
 Every map here and in the compact picture reads one cached WordPlan
 per (family, rank, word): the checked word and its taus, the pairing
@@ -319,17 +320,36 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
     of T, which it consumes.
 
     With M = U exp(z^- f_tau) = L_M D_M U_M the product is
-    L (D L_M D^-1) * D D_M * U_M exp(z^+ e_tau), so only M is factored: it
-    is upper unipotent outside the few columns f_tau touches, and its
-    leading minors vanish exactly where the product's do (Bennett 1965).
+    L (D L_M D^-1) * D D_M * U_M exp(z^+ e_tau), so only M is factored, in
+    place of U, and a zero pivot raises the StratumError of ``ldu(M)``
+    (Bennett 1965).  M is upper triangular but in the rows c+1, ..., r an
+    entry (r, c) of f_tau reaches (f_tau^2 lies inside them), so only those
+    are eliminated, at the pivots min c, ..., max r; a pivot row is divided
+    only by a pivot other than 1, and only L's rows from the first of them
+    move.  e_tau has f_tau's pattern transposed: U_M moves up to row max c.
     """
-    lower, d, upper = factors
-    zm, zp = pair
-    ml, md, mu = ldu(exp_f(family, rank, tau, zm, upper))
-    terms = [(i, c, d[i] * v / d[c]) for i, row in enumerate(ml)
-             for c, v in enumerate(row[:i]) if not v.is_zero()]
-    return (mul_right_i_plus(lower, terms), [a * b for a, b in zip(d, md)],
-            exp_e(family, rank, tau, zp, mu))
+    (lower, d, upper), (zm, zp) = factors, pair
+    f = root_triple(family, rank, tau).f
+    rows = sorted({i for r, c, _ in f for i in range(c + 1, r + 1)})
+    m = exp_f(family, rank, tau, zm, upper[:rows[-1] + 1])
+    terms = []
+    for k in range(min(c for _, c, _ in f), rows[-1] + 1):
+        mk, p = m[k], m[k][k]
+        if p.is_zero():
+            raise StratumError(f"vanishing leading minor at position {k + 1}", index=k + 1)
+        if p != ONE:
+            mk[k:] = [ONE] + [v if v.is_zero() else v / p for v in mk[k + 1:]]
+            d[k] = d[k] * p
+        for i in rows:
+            mi = m[i]
+            if i > k and not mi[k].is_zero():
+                # d_i l_ik / d_k with l_ik = m_ik / p, and d[k] is now d_k p
+                terms.append((i, k, d[i] * mi[k] / d[k]))
+                mi[k:] = [ZERO] + [a if b.is_zero() else a - mi[k] * b
+                                   for a, b in zip(mi[k + 1:], mk[k + 1:])]
+    mul_right_i_plus(lower[rows[0]:], terms)
+    exp_e(family, rank, tau, zp, upper[:max(c for _, c, _ in f) + 1])
+    return lower, d, upper
 
 
 def transpose_dual(family: str, rank: int, word, pairs, h=None):

@@ -215,6 +215,8 @@ class Scalar:
         if other.b == 0:
             if other.a == 0:
                 raise ZeroDivisionError("division by zero scalar")
+            if other.a == 1 and other.d == 1:
+                return self
             num = self * other.d
             return Scalar(num.a, num.b, num.d * other.a)
         return self * other.inverse()

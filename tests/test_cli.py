@@ -118,6 +118,27 @@ def test_count_words_budget(capsys):
     assert payload["error"]["kind"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize("family,rank,length", [("A", 44, 990), ("B", 32, 1024), ("A", 40, 820),
+                                                ("A", 7, 28)])
+def test_count_words_above_the_cap(capsys, family, rank, length):
+    # A44 and B32 ran out of recursion depth and A40 ran past a minute
+    code, payload, _ = run_cli(capsys, ["count-words", "--family", family, "--rank", str(rank)])
+    assert code == 2
+    assert payload == {"error": {"kind": "invalid-input", "message": (
+        f"count-words takes longest words of at most 25 letters; that of {family}{rank} "
+        f"has {length}")}}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("family,rank", [("B", 5), ("C", 5), ("A", 6)])
+def test_count_words_at_the_cap_enumerates(capsys, family, rank):
+    # the longest words of 25 letters or fewer reach the enumeration
+    code, payload, _ = run_cli(
+        capsys, ["count-words", "--family", family, "--rank", str(rank), "--budget", "10"])
+    assert code == 2
+    assert payload["error"]["kind"] == "budget-exceeded"
+
+
 def test_invert_forward_round_trip(capsys, tmp_path):
     pairs = [["1", "2"], ["1/2", "-3"], ["0", "1"], ["2", "1/3"], ["-1", "2"], ["1", "1"]]
     src = write_json(tmp_path, "pairs.json", {"pairs": pairs})

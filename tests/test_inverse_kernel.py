@@ -156,7 +156,8 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
         inverse_map("B", 3, word, res.l, res.u)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+# the short roots of B3 give f_tau^2 entries spanning rows a, ..., N-1-a
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4), ("B", 3)])
 def test_join_pair_on_general_factors(family, rank):
     # the tails of inverse_map have middle factor I, as every pair product
     # does; here D is a random torus, so the D L_M D^-1 scaling is checked
@@ -177,6 +178,64 @@ def test_join_pair_on_general_factors(family, rank):
         except StratumError:
             continue
         assert factorization._join_pair(family, rank, tau, (lower, d, upper), pair) == expected
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_join_pair_raises_where_ldu_of_m_does(family, rank):
+    # M = U exp(z^- f_tau) from integer U and z^-, kept where ldu(M) meets
+    # a zero pivot; the join must raise the same StratumError
+    rng = random.Random(f"join-stratum/{family}{rank}")
+    n = dim(family, rank)
+    indices = set()
+    for tau in positive_roots(family, rank):
+        for _ in range(30):
+            lower, upper = identity(n), identity(n)
+            for i in range(n):
+                for j in range(i):
+                    lower[i][j] = exact_scalar(rng, 2)
+                    upper[j][i] = sc(rng.choice((-1, 0, 1)))
+            zm = sc(rng.choice((-2, -1, 1, 2)))
+            try:
+                ldu(exp_f(family, rank, tau, zm, [row[:] for row in upper]))
+                continue
+            except StratumError as err:
+                expected = err
+            factors = (lower, torus_diag(family, rank, rng), upper)
+            with pytest.raises(StratumError) as got:
+                factorization._join_pair(family, rank, tau, factors, (zm, exact_scalar(rng)))
+            assert (got.value.index, str(got.value)) == (expected.index, str(expected))
+            indices.add(expected.index)
+    assert len(indices) > 1
+
+
+@pytest.mark.parametrize("family,rank", [("A", 8), ("B", 4)])
+def test_inverse_runs_one_dense_ldu(monkeypatch, family, rank):
+    # the joins factor only the rows f_tau reaches; the one dense ldu
+    # outside the closing forward round trip is that of the dual element
+    word = random_reduced_word(family, rank, 11)
+    rng = random.Random(f"kernel/one-ldu/{family}{rank}")
+    pairs = generic_pairs(rng, len(word))
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, pairs, h=h)
+    dense, forward = factorization.ldu, factorization._forward
+    calls, in_forward = [], []
+
+    def counting_ldu(g):
+        if not in_forward:
+            calls.append(g)
+        return dense(g)
+
+    def marked_forward(plan, zeta, hd):
+        in_forward.append(True)
+        return forward(plan, zeta, hd)
+
+    monkeypatch.setattr(factorization, "ldu", counting_ldu)
+    monkeypatch.setattr(factorization, "_forward", marked_forward)
+    assert pairs_equal(inverse_map(family, rank, word, res.l, res.u, h=h), pairs)
+    assert in_forward == [True]
+    g0 = mat_mul(scale_cols(assemble_lower(family, rank, res.taus, res.l), h),
+                 assemble_upper(family, rank, res.taus, res.u))
+    assert calls == [scale_cols(inverse_dual(family, rank, g0), h)]
 
 
 # (value, index) of the ExceptionalSetError, or None where the point

@@ -91,6 +91,13 @@ def test_division_and_zero_guards():
         ZERO.inverse()
 
 
+@pytest.mark.parametrize("x", [Scalar(-3), Scalar(0, 2), Scalar(5, -7, 6), ZERO],
+                         ids=["real", "imaginary", "fractional", "zero"])
+def test_division_by_one_returns_the_dividend(x):
+    assert x / ONE == x
+    assert x / 1 is x
+
+
 @settings(max_examples=60, deadline=None)
 @given(scalars(), scalars(), scalars())
 def test_field_laws(x, y, z):
