@@ -48,6 +48,7 @@ from .serialization import (
     word_to_json,
 )
 from .weyl import (
+    COUNT_WORDS_CAP,
     canonical_ordering,
     canonical_word,
     enumerate_reduced_words,
@@ -62,9 +63,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
-
-# A6 to C5 (25 letters) reach the default budget in about 10 s, A10 in 19 s, A40 in over 60 s
-COUNT_WORDS_CAP = 25
 
 _EXIT_BY_KIND = {
     "invalid-input": EXIT_INVALID,

@@ -24,13 +24,27 @@ def echo(value) -> str:
 
 
 class LibError(Exception):
-    """Base class; ``kind`` identifies the failure class."""
+    """Base class; ``kind`` identifies the failure class.
+
+    ``fields`` names what a subclass keeps beside its message: each is a
+    keyword argument of the constructor (None when left out), an
+    attribute, and a key of the payload.
+    """
 
     kind = "error"
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, message: str, **values):
+        super().__init__(message)
+        for name in self.fields:
+            setattr(self, name, values.pop(name, None))
+        if values:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(values)}")
 
     def payload(self) -> dict:
         """JSON-ready description of the failure."""
-        return {"kind": self.kind, "message": str(self)}
+        return {"kind": self.kind, "message": str(self),
+                **{name: getattr(self, name) for name in self.fields}}
 
 
 class InvalidInputError(LibError):
@@ -45,13 +59,7 @@ class InvalidWordError(LibError):
     """
 
     kind = "invalid-word"
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "message": str(self), "index": self.index}
+    fields = ("index",)
 
 
 class BudgetExceededError(LibError):
@@ -66,13 +74,7 @@ class StratumError(LibError):
     """
 
     kind = "stratum-failure"
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-    def payload(self) -> dict:
-        return {"kind": self.kind, "message": str(self), "index": self.index}
+    fields = ("index",)
 
 
 class ExceptionalSetError(LibError):
@@ -85,19 +87,7 @@ class ExceptionalSetError(LibError):
     """
 
     kind = "exceptional-set"
-
-    def __init__(self, message: str, index: int | None = None, value: str | None = None):
-        super().__init__(message)
-        self.index = index
-        self.value = value
-
-    def payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "message": str(self),
-            "index": self.index,
-            "value": self.value,
-        }
+    fields = ("index", "value")
 
 
 class BranchViolationError(LibError):

@@ -13,11 +13,12 @@ coordinate system this module converts to and from.
 
 The inverse direction recovers z from (l, u, h) through the dual
 element sigma(g_0^{-1}) and a downward recursion over the tails
-G_n *** G_(k+1) and their duals.  Each is carried as LDU factors that
-take one pair per step by a Gauss update of only the rows its root
-vector reaches (Bennett 1965), and gives its k-th lower coordinate as
-one entry, since the later ones are known (Humphreys, Linear Algebraic
-Groups, 28.1).  Points where the recursion degenerates form the
+G_n *** G_(k+1) and their duals.  Each tail L U (a pair product has
+middle factor I) is carried as (Q L, U), Q undoing its known lower
+coordinates, takes one pair per step by a Gauss update of only the
+rows its root vector reaches (Bennett 1965), and gives its k-th lower
+coordinate as one entry of Q L (Humphreys, Linear Algebraic Groups,
+28.1).  Points where the recursion degenerates form the
 exceptional set and raise ExceptionalSetError.  Pushing jets through the
 forward map gives the exact Jacobian determinant, which also has two
 closed product forms.
@@ -208,10 +209,11 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     The dual element sigma(g_0^{-1}), g_0 = L h U, is built from the
     inverted factors exp(-c f) and exp(-c e).  The pairs then come out
     downward, k = n, ..., 1, each from the k-th lower coordinate of the
-    tail G_n *** G_(k+1) and of the dual tail.  Both tails are carried
-    as their LDU factors and take one pair per step (``_join_pair``),
-    and coordinate k of each is read as one entry (``_tail_coordinate``);
-    one full, checked ``extract_lower`` of each last tail backs the reads.
+    tail G_n *** G_(k+1) and of the dual tail.  Each tail L U is carried
+    as (Q L, U) and takes one pair per step (``_join_pair``), Q as its
+    known coordinates l_(k+1), ..., l_n are peeled off (``_peel_left``),
+    and coordinate k is read as one entry (``_tail_coordinate``); one
+    full, checked ``extract_lower`` of each last Q L backs the reads.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -235,29 +237,25 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         ginv = exp_f(family, rank, tau, -c, ginv)
     ghat = sigma(family, rank, scale_rows(hd, ginv))
     try:
-        lhat, dhat, uhat = ldu(ghat)
+        lprime = extract_lower(family, rank, taus, ldu(ghat)[0])
     except StratumError as err:
         raise ExceptionalSetError(
             f"dual element has no triangular factorization (pivot {err.index})",
-            index=err.index,
-            value="pivot",
-        ) from err
-    lprime = extract_lower(family, rank, taus, lhat)
+            index=err.index, value="pivot") from err
 
     zeta: list[tuple] = [None] * n
     eta: list[tuple] = [None] * n
     svals: list = [None] * n
-    tail, tail_dual = [(identity(size), [ONE] * size, identity(size)) for _ in range(2)]
-    peel, peel_dual = identity(size), identity(size)
+    tail, tail_dual = [(identity(size), identity(size)) for _ in range(2)]
     for k in range(n - 1, -1, -1):
         if k < n - 1:
             tau = taus[k + 1]
             tail = _join_pair(family, rank, tau, tail, zeta[k + 1])
             tail_dual = _join_pair(family, rank, tau, tail_dual, eta[k + 1])
-            peel = _peel_left(family, rank, tau, lcoords[k + 1], peel)
-            peel_dual = _peel_left(family, rank, tau, lprime[k + 1], peel_dual)
-        zm = lcoords[k] - _tail_coordinate(family, rank, taus[k], peel, tail[0])
-        em = lprime[k] - _tail_coordinate(family, rank, taus[k], peel_dual, tail_dual[0])
+            _peel_left(family, rank, tau, lcoords[k + 1], tail[0])
+            _peel_left(family, rank, tau, lprime[k + 1], tail_dual[0])
+        read, read_dual = (_tail_coordinate(family, rank, taus[k], t[0]) for t in (tail, tail_dual))
+        zm, em = lcoords[k] - read, lprime[k] - read_dual
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -269,87 +267,77 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         eta[k] = (em, -(zm * sk * acc))
         svals[k] = sk
 
-    # the reads rest on each tail's L being an ordered product; one full,
-    # checked extraction of each last tail G_n *** G_2 still rejects a
-    # residue, and must give back the coordinates the reads assumed; the
-    # empty word has no tail
-    reads = [(tail[0], lcoords, zeta[0][0]), (tail_dual[0], lprime, eta[0][0])] if n else []
-    for lower, given, read in reads:
-        if extract_lower(family, rank, taus, lower) != [given[0] - read] + given[1:]:
+    # the reads rest on each tail's L being the ordered product with the
+    # given coordinates after the first, so each last Q L is exp(c f_tau_1),
+    # c the last read; one full, checked extraction of each rejects a
+    # residue and must give [c, 0, ..., 0]; the empty word has no tail
+    for lower, c in ((tail[0], read), (tail_dual[0], read_dual)) if n else ():
+        if extract_lower(family, rank, taus, lower) != [c] + [ZERO] * (n - 1):
             raise ArithmeticError("a tail coordinate read differs from its extraction")
 
     check = _forward(plan, zeta, hd)
     for name, got, given in (("l", check.l, lcoords), ("u", check.u, ucoords)):
         k = next((k for k, (a, b) in enumerate(zip(got, given)) if a != b), None)
         if k is not None:
-            raise ExceptionalSetError(
-                "coordinates are outside the image of the factorization map "
-                f"({name}_{k + 1} differs)",
-                index=k + 1,
-                value="image",
-            )
+            raise ExceptionalSetError("coordinates are outside the image of the factorization "
+                                      f"map ({name}_{k + 1} differs)", index=k + 1, value="image")
     return zeta
 
 
-def _peel_left(family: str, rank: int, tau, c, peel):
-    """exp(-c f_tau) Q from Q, carried as its transpose ``peel``; mutates it."""
+def _peel_left(family: str, rank: int, tau, c, lower):
+    """exp(-c f_tau) Q L from the carried Q L.  Changed rows are replaced,
+    not mutated, so each ``src`` row stays as it was before the peel."""
     t = root_triple(family, rank, tau)
-    return mul_right_i_plus(peel, [(col, row, v) for row, col, v in exp_terms(t.f, t.f2, -c)])
+    terms = exp_terms(t.f, t.f2, -c)
+    for (r, _, w), src in zip(terms, [lower[col] for _, col, _ in terms]):
+        lower[r] = [a if b.is_zero() else a + w * b for a, b in zip(lower[r], src)]
 
 
-def _tail_coordinate(family: str, rank: int, tau, peel, lower):
-    """Coordinate tau_k of the lower factor of a tail G_n *** G_(k+1).
+def _tail_coordinate(family: str, rank: int, tau, lower):
+    """Coordinate tau_k of the L of a tail G_n *** G_(k+1), from Q L.
 
     Its coordinates after k are l_(k+1), ..., l_n, so Q = exp(-l_(k+1)
     f_(k+1)) *** exp(-l_n f_n) leaves Q L = exp(c_k f_k) *** exp(c_1 f_1).
     tau_1, ..., tau_(k-1) are the inversions of a prefix of the word, a
     set closed under root sums, so no product of their root vectors has
-    weight -tau_k and the anchor entry of Q L is c_k times that of f_k:
-    one row of Q (a column of ``peel``) against one column of L.
+    weight -tau_k and the anchor entry of Q L is c_k times that of f_k.
     """
     row, col, a0 = root_triple(family, rank, tau).f[0]
-    c = ZERO
-    for q, l in zip(peel, lower):
-        if not (q[row].is_zero() or l[col].is_zero()):
-            c = c + q[row] * l[col]
+    c = lower[row][col]
     return c if c.is_zero() else c / a0  # an exact zero stays undivided
 
 
 def _join_pair(family: str, rank: int, tau, factors, pair):
-    """LDU factors of T exp(z^- f_tau) exp(z^+ e_tau) from those (L, D, U)
-    of T, which it consumes.
+    """(P L_M, U_M exp(z^+ e_tau)) from (P, U) of a tail T = L U, P = L
+    or Q L; it consumes both.
 
-    With M = U exp(z^- f_tau) = L_M D_M U_M the product is
-    L (D L_M D^-1) * D D_M * U_M exp(z^+ e_tau), so only M is factored, in
-    place of U, and a zero pivot raises the StratumError of ``ldu(M)``
-    (Bennett 1965).  M is upper triangular but in the rows c+1, ..., r an
-    entry (r, c) of f_tau reaches (f_tau^2 lies inside them), so only those
-    are eliminated, at the pivots min c, ..., max r; a pivot row is divided
-    only by a pivot other than 1, and only L's rows from the first of them
-    move.  e_tau has f_tau's pattern transposed: U_M moves up to row max c.
+    M = U exp(z^- f_tau) = L_M U_M is factored in place of U (Bennett
+    1965) with every pivot 1: T exp(z^- f_tau) is the forward product of
+    a reduced word (one of w < w_0 extends to one of w_0) at a point
+    whose other pairs are zero, and ``_forward`` checks that its middle
+    factor is that torus, I.  M is upper triangular but in the rows c+1,
+    ..., r an entry (r, c) of f_tau reaches (f_tau^2 lies inside them),
+    so only those are eliminated, at the pivots min c, ..., max r, and
+    only P's rows from the first move; U_M moves up to row max c, as
+    e_tau has f_tau's pattern transposed.
     """
-    (lower, d, upper), (zm, zp) = factors, pair
+    (lower, upper), (zm, zp) = factors, pair
     f = root_triple(family, rank, tau).f
     rows = sorted({i for r, c, _ in f for i in range(c + 1, r + 1)})
     m = exp_f(family, rank, tau, zm, upper[:rows[-1] + 1])
     terms = []
     for k in range(min(c for _, c, _ in f), rows[-1] + 1):
-        mk, p = m[k], m[k][k]
-        if p.is_zero():
-            raise StratumError(f"vanishing leading minor at position {k + 1}", index=k + 1)
-        if p != ONE:
-            mk[k:] = [ONE] + [v if v.is_zero() else v / p for v in mk[k + 1:]]
-            d[k] = d[k] * p
+        if m[k][k] != ONE:
+            raise ArithmeticError(f"join pivot {k + 1} is {m[k][k]}, not 1")
         for i in rows:
             mi = m[i]
             if i > k and not mi[k].is_zero():
-                # d_i l_ik / d_k with l_ik = m_ik / p, and d[k] is now d_k p
-                terms.append((i, k, d[i] * mi[k] / d[k]))
+                terms.append((i, k, mi[k]))
                 mi[k:] = [ZERO] + [a if b.is_zero() else a - mi[k] * b
-                                   for a, b in zip(mi[k + 1:], mk[k + 1:])]
+                                   for a, b in zip(mi[k + 1:], m[k][k + 1:])]
     mul_right_i_plus(lower[rows[0]:], terms)
     exp_e(family, rank, tau, zp, upper[:max(c for _, c, _ in f) + 1])
-    return lower, d, upper
+    return lower, upper
 
 
 def transpose_dual(family: str, rank: int, word, pairs, h=None):
@@ -436,14 +424,8 @@ def stratum_data(family: str, rank: int, w: WeylElement):
     p = identity_element(family, rank)
     w0 = longest_element(family, rank)
     while v != w0:
-        i = next(
-            (
-                i
-                for i, a in enumerate(simples, start=1)
-                if is_positive_root(family, rank, v.act_root(a))
-            ),
-            None,
-        )
+        i = next((i for i, a in enumerate(simples, start=1)
+                  if is_positive_root(family, rank, v.act_root(a))), None)
         if i is None:
             raise InvalidInputError("stratum construction failed to reach the top")
         gammas.append(i)

@@ -226,16 +226,22 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     diagonal prod_j a_j^(h_tau_j)."""
     plan = word_plan(family, rank, word)
     pairs = plan.check_pairs(eta_pairs)
-    ys = _on_branch((_as_scalar(ONE - _mulx(em, ep)) for em, ep in pairs), "1 - y^- y^+")
-    asq = [v.inverse() for v in ys]  # a_j^2 = (1 - y^- y^+)^(-1)
-    avals = [RadicalScalar.sqrt_of(s) for s in asq]
-    zeta = []
-    for j, (em, ep) in enumerate(pairs):
-        zm = plan.suffix_mul(j, _lift(em), avals, -1)
-        zp = plan.suffix_mul(j, _lift(ep) * asq[j], avals)
-        zeta.append((_simplify(zm), _simplify(zp)))
+    ys = (_as_scalar(ONE - _mulx(em, ep)) for em, ep in pairs)
+    zeta, asq, avals = _compact_chain(plan, [(_lift(em), _lift(ep)) for em, ep in pairs], ys,
+                                      RadicalScalar.sqrt_of)
     hshift = plan.torus_power(avals, RadicalScalar(ONE))
-    return zeta, [_simplify(v) for v in hshift], asq
+    return [(_simplify(zm), _simplify(zp)) for zm, zp in zeta], [_simplify(v) for v in hshift], asq
+
+
+def _compact_chain(plan: WordPlan, pairs, ys, sqrt):
+    """(zeta pairs, a_j^2, a_j) along the compact change of ``pairs``, with
+    a_j^2 = 1 / (1 - y_j^- y_j^+) from the values ``ys`` yields, each
+    required real positive, and a_j = sqrt(a_j^2)."""
+    asq = [1 / v for v in _on_branch(ys, "1 - y^- y^+")]
+    avals = [sqrt(v) for v in asq]
+    zeta = [(plan.suffix_mul(j, em, avals, -1), plan.suffix_mul(j, ep * asq[j], avals))
+            for j, (em, ep) in enumerate(pairs)]
+    return zeta, asq, avals
 
 
 def _on_branch(values, what: str) -> list:
@@ -264,20 +270,15 @@ def _jet_compact_chain(plan: WordPlan, pairs):
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
-    asq = [1 / v for v in _on_branch((1 - em * ep for em, ep in pairs), "1 - y^- y^+")]
+    return _compact_chain(plan, pairs, (1 - em * ep for em, ep in pairs), _jet_sqrt)[0]
+
+
+def _jet_sqrt(v):
     try:
-        avals = [v.sqrt() for v in asq]
+        return v.sqrt()
     except InvalidInputError as exc:
-        raise InvalidInputError(
-            "the exact jet chain needs every 1 - y^- y^+ to be a perfect "
-            "rational square"
-        ) from exc
-    zeta = []
-    for j, (em, ep) in enumerate(pairs):
-        zm = plan.suffix_mul(j, em, avals, -1)
-        zp = plan.suffix_mul(j, ep * asq[j], avals)
-        zeta.append((zm, zp))
-    return zeta
+        raise InvalidInputError("the exact jet chain needs every 1 - y^- y^+ to be a perfect "
+                                "rational square") from exc
 
 
 def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:

@@ -1,12 +1,14 @@
 """The inverse map's tail kernel against explicit products.
 
-inverse_map carries the tail G_n *** G_(k+1) and its dual as LDU
-factors, joins one pair per step and reads coordinate k of each tail
-as one entry.  These tests check, at every step, the carried factors
-against the LDU of the explicitly multiplied tails and the reads
-against full extractions, check one join on general factors, check
-that the closing extraction still rejects a faulty tail, and pin the
-exceptional-set payloads of non-generic integer points.
+inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
+(Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), joins one pair
+per step and reads coordinate k of each tail as one entry of Q L.
+These tests check, at every step, the carried pair against the LDU of
+the explicitly multiplied tails and the reads against full extractions,
+check one join on general Q L against the explicit product and its
+unit-pivot guard, check that the closing extraction still rejects a
+faulty tail, and pin the exceptional-set payloads of non-generic
+integer points.
 """
 
 from __future__ import annotations
@@ -28,45 +30,16 @@ from rootfact import (
     inverse_map,
     ldu,
     mat_mul,
+    ordering_from_word,
     positive_roots,
     random_reduced_word,
 )
 from rootfact import factorization
 from rootfact.linalg import scale_cols
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower
-from rootfact.scalar import ONE, Scalar, sc
+from rootfact.scalar import ONE, ZERO, Scalar, sc
 
 from conftest import exact_scalar, generic_pairs, pairs_equal, torus_diag
-
-
-@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
-def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
-    word = random_reduced_word(family, rank, 11)
-    rng = random.Random(f"kernel/{family}{rank}")
-    pairs = generic_pairs(rng, len(word))
-    h = torus_diag(family, rank, rng)
-    res = forward_map(family, rank, word, pairs, h=h)
-
-    # the tail and the dual tail take their pairs alternately
-    explicit = [identity(len(h)), identity(len(h))]
-    joins = []
-    join = factorization._join_pair
-
-    def checked_join(fam, rk, tau, factors, pair):
-        tail = explicit[len(joins) % 2]
-        assert ldu(tail) == (factors[0], factors[1], factors[2])
-        step = exp_e(fam, rk, tau, pair[1], exp_f(fam, rk, tau, pair[0]))
-        tail = explicit[len(joins) % 2] = mat_mul(tail, step)
-        out = join(fam, rk, tau, factors, pair)
-        assert ldu(tail) == out
-        joins.append(tau)
-        return out
-
-    monkeypatch.setattr(factorization, "_join_pair", checked_join)
-    zeta = inverse_map(family, rank, word, res.l, res.u, h=h)
-    assert pairs_equal(zeta, pairs)
-    # no join after the last pair: pairs n, ..., 2 once per tail
-    assert joins == [t for t in reversed(res.taus[1:]) for _ in range(2)]
 
 
 def dual_lower_coords(family, rank, taus, l, u, h):
@@ -78,6 +51,61 @@ def dual_lower_coords(family, rank, taus, l, u, h):
         return extract_lower(family, rank, taus, ldu(inverse_dual(family, rank, g0))[0])
     except StratumError:
         return None
+
+
+def peel(family, rank, taus, given, k):
+    """Q = exp(-given_(k+1) f_(k+1)) *** exp(-given_n f_n), 0-based k."""
+    q = identity(dim(family, rank))
+    for tau, c in zip(taus[k + 1:], given[k + 1:]):
+        q = exp_f(family, rank, tau, -c, q)
+    return q
+
+
+def unit_lower(rng, n):
+    x = identity(n)
+    for i in range(n):
+        for j in range(i):
+            x[i][j] = exact_scalar(rng, 2)
+    return x
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
+    word = random_reduced_word(family, rank, 11)
+    rng = random.Random(f"kernel/{family}{rank}")
+    pairs = generic_pairs(rng, len(word))
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, pairs, h=h)
+    taus = res.taus
+    given = (res.l, dual_lower_coords(family, rank, taus, res.l, res.u, h))
+
+    # the tail and the dual tail take their pairs alternately; before the
+    # join of tau_k, Q has peeled the given coordinates after k
+    explicit = [identity(len(h)), identity(len(h))]
+    joins = []
+    join = factorization._join_pair
+
+    def carried(tail, k):
+        lower, d, upper = ldu(tail)
+        assert d == [ONE] * len(h)
+        return mat_mul(peel(family, rank, taus, given[len(joins) % 2], k), lower), upper
+
+    def checked_join(fam, rk, tau, factors, pair):
+        k = taus.index(tau)
+        tail = explicit[len(joins) % 2]
+        assert carried(tail, k) == factors
+        step = exp_e(fam, rk, tau, pair[1], exp_f(fam, rk, tau, pair[0]))
+        tail = explicit[len(joins) % 2] = mat_mul(tail, step)
+        out = join(fam, rk, tau, factors, pair)
+        assert carried(tail, k) == out
+        joins.append(tau)
+        return out
+
+    monkeypatch.setattr(factorization, "_join_pair", checked_join)
+    zeta = inverse_map(family, rank, word, res.l, res.u, h=h)
+    assert pairs_equal(zeta, pairs)
+    # no join after the last pair: pairs n, ..., 2 once per tail
+    assert joins == [t for t in reversed(taus[1:]) for _ in range(2)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
@@ -96,13 +124,17 @@ def test_tail_reads_match_full_extraction(monkeypatch, family, rank):
     read = factorization._tail_coordinate
     reads = []
 
-    # the tail and the dual tail are read alternately; each tail's
-    # coordinates after k are the given l (the dual's: those of sigma(h g_0^-1))
-    def checked_read(fam, rk, tau, peel, lower):
+    # the tail and the dual tail are read alternately; Q L has no
+    # coordinates after k, and is Q times the tail's L, whose coordinates
+    # after k are the given l (the dual's: those of sigma(h g_0^-1))
+    def checked_read(fam, rk, tau, lower):
         k = taus.index(tau)
         coords = extract_lower(fam, rk, taus, lower)
-        assert coords[k + 1:] == given[len(reads) % 2][k + 1:]
-        reads.append(read(fam, rk, tau, peel, lower))
+        assert coords[k + 1:] == [ZERO] * (len(taus) - k - 1)
+        side = given[len(reads) % 2]
+        tail_lower = assemble_lower(fam, rk, taus, coords[:k + 1] + side[k + 1:])
+        assert lower == mat_mul(peel(fam, rk, taus, side, k), tail_lower)
+        reads.append(read(fam, rk, tau, lower))
         assert reads[-1] == coords[k]
         return reads[-1]
 
@@ -122,7 +154,7 @@ def test_tail_reads_match_full_extraction(monkeypatch, family, rank):
 
 @pytest.mark.parametrize("side", [0, 1], ids=["tail", "dual-tail"])
 def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
-    # the first join of one tail leaves an L outside the group; the reads
+    # the first join of one tail leaves a Q L outside the group; the reads
     # go on, and the one full extraction after the loop finds the residue
     word = random_reduced_word("D", 4, 11)
     res = forward_map("D", 4, word, generic_pairs(random.Random("kernel/corrupted"), len(word)))
@@ -130,11 +162,11 @@ def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
     joins = []
 
     def corrupting_join(fam, rk, tau, factors, pair):
-        lower, d, upper = join(fam, rk, tau, factors, pair)
+        lower, upper = join(fam, rk, tau, factors, pair)
         if len(joins) == side:
             lower[-1][0] = lower[-1][0] + 1  # weight -2 l_4, not a root of D4
         joins.append(tau)
-        return lower, d, upper
+        return lower, upper
 
     monkeypatch.setattr(factorization, "_join_pair", corrupting_join)
     with pytest.raises(InvalidInputError, match="not an ordered product over the given roots"):
@@ -142,13 +174,13 @@ def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
 
 
 def test_read_that_misses_the_tail_raises(monkeypatch):
-    # the closing extraction must also give back the coordinates the reads assumed
+    # the closing extraction must also give back the coordinate the last read assumed
     word = random_reduced_word("B", 3, 11)
     res = forward_map("B", 3, word, generic_pairs(random.Random("kernel/missed"), len(word)))
     read = factorization._tail_coordinate
 
-    def off_by_one(fam, rk, tau, peel, lower):
-        c = read(fam, rk, tau, peel, lower)
+    def off_by_one(fam, rk, tau, lower):
+        c = read(fam, rk, tau, lower)
         return c + 1 if tau == res.taus[0] else c
 
     monkeypatch.setattr(factorization, "_tail_coordinate", off_by_one)
@@ -156,56 +188,61 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
         inverse_map("B", 3, word, res.l, res.u)
 
 
+def test_peel_that_misses_the_tail_raises(monkeypatch):
+    # the last peel, of tau_2, takes l_2 + 1: the last Q L is then
+    # exp(-f_2) exp(c f_1), whose anchor read is still c, so the pairs
+    # come out right, and only the zeros of the closing extraction see it
+    word = random_reduced_word("B", 3, 11)
+    pairs = generic_pairs(random.Random("kernel/missed-peel"), len(word))
+    res = forward_map("B", 3, word, pairs)
+    peel_left = factorization._peel_left
+    peels = []
+
+    def off_by_one(fam, rk, tau, c, lower):
+        peels.append(tau)
+        return peel_left(fam, rk, tau, c + 1 if tau == res.taus[1] else c, lower)
+
+    monkeypatch.setattr(factorization, "_peel_left", off_by_one)
+    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+        inverse_map("B", 3, word, res.l, res.u)
+    assert peels[-2:] == [res.taus[1]] * 2
+    monkeypatch.undo()
+    assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
+
+
 # the short roots of B3 give f_tau^2 entries spanning rows a, ..., N-1-a
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4), ("B", 3)])
 def test_join_pair_on_general_factors(family, rank):
-    # the tails of inverse_map have middle factor I, as every pair product
-    # does; here D is a random torus, so the D L_M D^-1 scaling is checked
+    # a real tail T = L U of a random reduced word takes its next pair
+    # while carried as (X L, U) for an arbitrary unit lower X; the join
+    # must give (X L', U') for L' U' = T exp(z^- f_tau) exp(z^+ e_tau)
     rng = random.Random(f"join/{family}{rank}")
     n = dim(family, rank)
-    for tau in positive_roots(family, rank):
-        lower, upper = identity(n), identity(n)
-        for i in range(n):
-            for j in range(i):
-                lower[i][j] = exact_scalar(rng, 2)
-                upper[j][i] = exact_scalar(rng, 2)
-        d = torus_diag(family, rank, rng)
-        pair = (exact_scalar(rng), exact_scalar(rng))
-        tail = mat_mul(scale_cols(lower, d), upper)
+    taus = ordering_from_word(family, rank, random_reduced_word(family, rank, 5))
+    tail = identity(n)
+    for tau, pair in zip(reversed(taus), reversed(generic_pairs(rng, len(taus)))):
+        lower, d, upper = ldu(tail)
+        x = unit_lower(rng, n)
         tail = exp_e(family, rank, tau, pair[1], exp_f(family, rank, tau, pair[0], tail))
-        try:
-            expected = ldu(tail)
-        except StratumError:
-            continue
-        assert factorization._join_pair(family, rank, tau, (lower, d, upper), pair) == expected
+        lower_next, d_next, upper_next = ldu(tail)
+        assert d == d_next == [ONE] * n
+        out = factorization._join_pair(family, rank, tau, (mat_mul(x, lower), upper), pair)
+        assert out == (mat_mul(x, lower_next), upper_next)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
-def test_join_pair_raises_where_ldu_of_m_does(family, rank):
-    # M = U exp(z^- f_tau) from integer U and z^-, kept where ldu(M) meets
-    # a zero pivot; the join must raise the same StratumError
-    rng = random.Random(f"join-stratum/{family}{rank}")
+def test_join_pair_raises_where_a_pivot_is_not_one(family, rank):
+    # a U carrying the tau-weight entry is no tail's: M = U exp(z^- f_tau)
+    # then has a pivot 1 + (u z^- times an anchor product), zero or not,
+    # other than 1, and the join refuses it
+    rng = random.Random(f"join-pivot/{family}{rank}")
     n = dim(family, rank)
-    indices = set()
     for tau in positive_roots(family, rank):
-        for _ in range(30):
-            lower, upper = identity(n), identity(n)
-            for i in range(n):
-                for j in range(i):
-                    lower[i][j] = exact_scalar(rng, 2)
-                    upper[j][i] = sc(rng.choice((-1, 0, 1)))
-            zm = sc(rng.choice((-2, -1, 1, 2)))
-            try:
-                ldu(exp_f(family, rank, tau, zm, [row[:] for row in upper]))
-                continue
-            except StratumError as err:
-                expected = err
-            factors = (lower, torus_diag(family, rank, rng), upper)
-            with pytest.raises(StratumError) as got:
-                factorization._join_pair(family, rank, tau, factors, (zm, exact_scalar(rng)))
-            assert (got.value.index, str(got.value)) == (expected.index, str(expected))
-            indices.add(expected.index)
-    assert len(indices) > 1
+        for zm, u in ((exact_scalar(rng) + 5, exact_scalar(rng) + 5), (ONE, -ONE), (ONE, ONE)):
+            upper = exp_e(family, rank, tau, u)
+            with pytest.raises(ArithmeticError, match=r"join pivot \d+ is .*, not 1"):
+                factorization._join_pair(family, rank, tau, (unit_lower(rng, n), upper),
+                                         (zm, exact_scalar(rng)))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 8), ("B", 4)])

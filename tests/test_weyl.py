@@ -14,6 +14,7 @@ import pytest
 
 from rootfact import (
     BudgetExceededError,
+    InvalidInputError,
     InvalidWordError,
     WeylElement,
     canonical_ordering,
@@ -124,6 +125,20 @@ def test_enumeration_small():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_reduced_words("A", 4, budget=10)
+
+
+@pytest.mark.parametrize("family,rank,letters", [("A", 44, 990), ("B", 32, 1024), ("A", 7, 28)])
+def test_enumeration_above_the_cap(family, rank, letters):
+    # A44 ran past 30 s in process before the library had a bound of its own
+    with pytest.raises(InvalidInputError) as err:
+        enumerate_reduced_words(family, rank)
+    assert str(err.value) == ("reduced words are enumerated for elements of length at most 25; "
+                              f"this one has length {letters}")
+
+
+def test_enumeration_of_a_short_element_at_a_high_rank():
+    w = word_evaluate("A", 44, (1, 2))
+    assert enumerate_reduced_words("A", 44, w=w) == [(1, 2)]
 
 
 def test_standard_counts():
