@@ -39,12 +39,13 @@ from .errors import ExceptionalSetError, InvalidInputError, StratumError
 from .jets import Jet, jacobian_det
 from .linalg import identity, ldu, mat_mul, mul_right_i_plus, scale_cols, scale_rows
 from .matrices import (
+    anchor_coordinate,
     dim,
     exp_e,
     exp_f,
-    exp_terms,
     extract_lower,
     extract_upper,
+    peel_left,
     root_triple,
     sigma,
     weyl_representative,
@@ -210,10 +211,12 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     inverted factors exp(-c f) and exp(-c e).  The pairs then come out
     downward, k = n, ..., 1, each from the k-th lower coordinate of the
     tail G_n *** G_(k+1) and of the dual tail.  Each tail L U is carried
-    as (Q L, U) and takes one pair per step (``_join_pair``), Q as its
-    known coordinates l_(k+1), ..., l_n are peeled off (``_peel_left``),
-    and coordinate k is read as one entry (``_tail_coordinate``); one
-    full, checked ``extract_lower`` of each last Q L backs the reads.
+    as (Q L, U) and takes one pair per step (``_join_pair``).  The
+    coordinates of its L after k are l_(k+1), ..., l_n, peeled off from
+    the left one per step, so Q L = exp(c_k f_k) *** exp(c_1 f_1), and
+    coordinate k is read as one entry; the peel and the read are those
+    of ``extract_lower``, and one full, checked ``extract_lower`` of
+    each last Q L backs the reads.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -252,9 +255,11 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             tau = taus[k + 1]
             tail = _join_pair(family, rank, tau, tail, zeta[k + 1])
             tail_dual = _join_pair(family, rank, tau, tail_dual, eta[k + 1])
-            _peel_left(family, rank, tau, lcoords[k + 1], tail[0])
-            _peel_left(family, rank, tau, lprime[k + 1], tail_dual[0])
-        read, read_dual = (_tail_coordinate(family, rank, taus[k], t[0]) for t in (tail, tail_dual))
+            t = root_triple(family, rank, tau)
+            peel_left(t.f, t.f2, lcoords[k + 1], tail[0])
+            peel_left(t.f, t.f2, lprime[k + 1], tail_dual[0])
+        anchor = root_triple(family, rank, taus[k]).f
+        read, read_dual = (anchor_coordinate(anchor, side[0]) for side in (tail, tail_dual))
         zm, em = lcoords[k] - read, lprime[k] - read_dual
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
@@ -282,29 +287,6 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             raise ExceptionalSetError("coordinates are outside the image of the factorization "
                                       f"map ({name}_{k + 1} differs)", index=k + 1, value="image")
     return zeta
-
-
-def _peel_left(family: str, rank: int, tau, c, lower):
-    """exp(-c f_tau) Q L from the carried Q L.  Changed rows are replaced,
-    not mutated, so each ``src`` row stays as it was before the peel."""
-    t = root_triple(family, rank, tau)
-    terms = exp_terms(t.f, t.f2, -c)
-    for (r, _, w), src in zip(terms, [lower[col] for _, col, _ in terms]):
-        lower[r] = [a if b.is_zero() else a + w * b for a, b in zip(lower[r], src)]
-
-
-def _tail_coordinate(family: str, rank: int, tau, lower):
-    """Coordinate tau_k of the L of a tail G_n *** G_(k+1), from Q L.
-
-    Its coordinates after k are l_(k+1), ..., l_n, so Q = exp(-l_(k+1)
-    f_(k+1)) *** exp(-l_n f_n) leaves Q L = exp(c_k f_k) *** exp(c_1 f_1).
-    tau_1, ..., tau_(k-1) are the inversions of a prefix of the word, a
-    set closed under root sums, so no product of their root vectors has
-    weight -tau_k and the anchor entry of Q L is c_k times that of f_k.
-    """
-    row, col, a0 = root_triple(family, rank, tau).f[0]
-    c = lower[row][col]
-    return c if c.is_zero() else c / a0  # an exact zero stays undivided
 
 
 def _join_pair(family: str, rank: int, tau, factors, pair):

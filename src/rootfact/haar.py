@@ -26,10 +26,10 @@ from fractions import Fraction
 from .errors import BranchViolationError, InvalidInputError
 from .factorization import WordPlan, forward_coords_jets, word_plan
 from .jets import jacobian_det
-from .scalar import ONE, Scalar, _coerce, power, sc
+from .scalar import ONE, Number, Scalar, _coerce, power, sc
 
 
-class RadicalScalar:
+class RadicalScalar(Number):
     """c * sqrt(q) with Scalar c and positive rational radicand q.
 
     The radicand is normalized to an integer with its largest easily
@@ -68,10 +68,6 @@ class RadicalScalar:
     def is_zero(self) -> bool:
         return self.coeff.is_zero()
 
-    @property
-    def val(self) -> "RadicalScalar":
-        return self
-
     def __mul__(self, other):
         other = _lift(other)
         if other is None:
@@ -91,12 +87,6 @@ class RadicalScalar:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, n: int):
         return power(self, n, RadicalScalar(ONE))
@@ -126,12 +116,6 @@ class RadicalScalar:
             return NotImplemented
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
-        return other.__add__(-self)
-
     def __eq__(self, other):
         other = _lift(other)
         if other is None:
@@ -146,7 +130,10 @@ class RadicalScalar:
         return t.real * t.real * self.radicand == other.radicand
 
     def __hash__(self):
-        return hash((self.coeff, self.radicand))
+        # equal values have equal c^2 q, and with q == 1 equal c, as a Scalar has
+        if self.radicand == 1:
+            return hash(self.coeff)
+        return hash(self.coeff * self.coeff * self.radicand)
 
     def __str__(self):
         if self.radicand == 1:
@@ -165,16 +152,16 @@ def _rational_sqrt(q: Fraction):
 
 
 def _lift(x):
+    """x as a RadicalScalar, None when it is no scalar."""
     if isinstance(x, RadicalScalar):
         return x
     s = _coerce(x)
     return None if s is None else RadicalScalar(s)
 
 
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, RadicalScalar):
-        return x.to_scalar()
-    return sc(x)
+def _radical(x) -> RadicalScalar:
+    """x as a RadicalScalar; what is no scalar raises as in ``sc``."""
+    return x if isinstance(x, RadicalScalar) else RadicalScalar(sc(x))
 
 
 # -- invariant density -------------------------------------------------
@@ -185,16 +172,9 @@ def haar_density(family: str, rank: int, word, pairs) -> Scalar:
     plan = word_plan(family, rank, word)
     out = ONE
     for d, (zm, zp) in zip(plan.deltas, plan.check_pairs(pairs)):
-        s = _as_scalar(ONE + _mulx(zm, zp))
+        s = (ONE + _radical(zm) * _radical(zp)).to_scalar()
         out = out * s.abs2() ** (d - 1)
     return out
-
-
-def _mulx(a, b):
-    # multiply possibly radical-valued coordinates
-    if isinstance(a, RadicalScalar) or isinstance(b, RadicalScalar):
-        return _lift(a) * _lift(b)
-    return sc(a) * sc(b)
 
 
 # -- compact picture ---------------------------------------------------
@@ -208,12 +188,13 @@ def eta_from_zeta(family: str, rank: int, word, pairs):
     """
     plan = word_plan(family, rank, word)
     pairs = plan.check_pairs(pairs)
-    asq = _on_branch((_as_scalar(ONE + _mulx(zm, zp)) for zm, zp in pairs), "1 + z^- z^+")
+    asq = _on_branch(((ONE + _radical(zm) * _radical(zp)).to_scalar() for zm, zp in pairs),
+                     "1 + z^- z^+")
     avals = [RadicalScalar.sqrt_of(s) for s in asq]
     eta = []
     for j, (zm, zp) in enumerate(pairs):
-        em = plan.suffix_mul(j, _lift(zm), avals)
-        ep = plan.suffix_mul(j, _lift(zp), avals, -1) * _lift(asq[j]).inverse()
+        em = plan.suffix_mul(j, _radical(zm), avals)
+        ep = plan.suffix_mul(j, _radical(zp), avals, -1) * _radical(asq[j]).inverse()
         eta.append((_simplify(em), _simplify(ep)))
     return eta, asq
 
@@ -226,7 +207,7 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     diagonal prod_j a_j^(h_tau_j)."""
     plan = word_plan(family, rank, word)
     pairs = plan.check_pairs(eta_pairs)
-    ys = (_as_scalar(ONE - _mulx(em, ep)) for em, ep in pairs)
+    ys = ((ONE - _radical(em) * _radical(ep)).to_scalar() for em, ep in pairs)
     zeta, asq, avals = _compact_chain(plan, [(_lift(em), _lift(ep)) for em, ep in pairs], ys,
                                       RadicalScalar.sqrt_of)
     hshift = plan.torus_power(avals, RadicalScalar(ONE))
@@ -254,10 +235,8 @@ def _on_branch(values, what: str) -> list:
     return out
 
 
-def _simplify(x):
-    if isinstance(x, RadicalScalar) and x.radicand == 1:
-        return x.coeff
-    return x
+def _simplify(x: RadicalScalar):
+    return x.coeff if x.radicand == 1 else x
 
 
 # -- volume pullback of the compact coordinates --------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InvalidInputError
 from .linalg import det_exact
-from .scalar import ONE, ZERO, Scalar, _coerce, power, sc
+from .scalar import ONE, ZERO, Number, Scalar, _coerce, power, sc
 
 _HALF = Scalar(1, 0, 2)
 _MINUS_ONE = Scalar(-1)
@@ -52,9 +52,10 @@ def _scaled(c: Scalar, x: dict) -> dict:
     return x if c.a == 1 else {k: -g for k, g in x.items()}
 
 
-class Jet:
+class Jet(Number):
     """A value with its nonzero partials; ``partials`` may be shared
-    between jets and is never mutated."""
+    between jets and is never mutated.  ``is_zero()`` is an exact zero,
+    a zero value with no partials."""
 
     __slots__ = ("val", "partials", "width")
 
@@ -101,12 +102,6 @@ class Jet:
             return NotImplemented
         return Jet(self.val - other, self.partials, self.width)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(other - self.val, _combine(_MINUS_ONE, self.partials), self.width)
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             v1, v2 = self.val, other.val
@@ -128,12 +123,6 @@ class Jet:
         if other is None:
             return NotImplemented
         return Jet(self.val / other, _combine(other.inverse(), self.partials), self.width)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(other, {}, self.width).__truediv__(self)
 
     def inverse(self) -> "Jet":
         return Jet(ONE, {}, self.width) / self

@@ -1,10 +1,9 @@
 """Exact dense linear algebra over Gaussian rationals and jets.
 
-Matrices are lists of lists.  Entries only need ring operations plus
-a ``val`` attribute whose ``is_zero()`` decides pivot viability, so
-Scalar and Jet matrices share every routine here.  The determinant
-specializes to fraction-free elimination over Gaussian integers when
-all entries are Scalars.
+Matrices are lists of lists of numbers in the sense of
+``scalar.Number``, so Scalar and Jet matrices share every routine here.
+The determinant specializes to fraction-free elimination over Gaussian
+integers when all entries are Scalars.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ def mat_mul(x, y):
             acc = xi[0] * y[0][j]
             for k in range(1, m):
                 c = xi[k]
-                if isinstance(c, Scalar) and c.is_zero():
-                    continue
-                acc = acc + c * y[k][j]
+                if not c.is_zero():
+                    acc = acc + c * y[k][j]
             row.append(acc)
         out.append(row)
     return out
@@ -68,19 +66,14 @@ def mul_right_i_plus(g, terms):
     Mutates and returns g.  Source columns are snapshotted per row, so
     overlapping row/col pairs in M are handled correctly.
     """
-    terms = [
-        (r, col, w)
-        for (r, col, w) in terms
-        if not (isinstance(w, Scalar) and w.is_zero())
-    ]
+    terms = [(r, col, w) for (r, col, w) in terms if not w.is_zero()]
     if not terms:
         return g
     for gi in g:
         src = [gi[r] for (r, _, _) in terms]
         for (_, col, w), v in zip(terms, src):
-            if isinstance(v, Scalar) and v.is_zero():
-                continue
-            gi[col] = gi[col] + v * w
+            if not v.is_zero():
+                gi[col] = gi[col] + v * w
     return g
 
 

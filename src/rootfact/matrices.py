@@ -318,16 +318,13 @@ def extract_upper(family: str, rank: int, taus, g):
 
 
 def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
-    g = mat_copy(g)
-    coeffs = []
-    for tau in taus:
-        t = root_triple(family, rank, tau)
-        row, col, a0 = t.f[0] if use_f else t.e[0]
-        c = g[row][col]
-        c = c if c.is_zero() else c / a0  # an exact zero stays undivided
-        coeffs.append(c)
+    g = g[:]  # the peels replace rows and change none
+    coeffs = [ZERO] * len(taus)
+    for k in range(len(taus) - 1, -1, -1):
+        t = root_triple(family, rank, taus[k])
         entries, squares = (t.f, t.f2) if use_f else (t.e, t.e2)
-        g = mul_right_i_plus(g, exp_terms(entries, squares, -c))
+        coeffs[k] = anchor_coordinate(entries, g)
+        peel_left(entries, squares, coeffs[k], g)
     n = dim(family, rank)
     for i in range(n):
         for j in range(n):
@@ -337,3 +334,24 @@ def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
                     "matrix is not an ordered product over the given roots"
                 )
     return coeffs
+
+
+def anchor_coordinate(entries, g):
+    """c_k of g = exp(c_k x_k) *** exp(c_1 x_1), the x_j all f_tau_j or
+    all e_tau_j, read at the anchor entries[0] of x_k.  tau_1, ...,
+    tau_(k-1) are the inversions of a prefix of a reduced word, a set
+    closed under root sums, so no product of their root vectors has
+    weight -tau_k (+tau_k for e), and that entry of g is c_k times x_k's.
+    """
+    row, col, a0 = entries[0]
+    c = g[row][col]
+    return c if c.is_zero() else c / a0  # an exact zero stays undivided
+
+
+def peel_left(entries, squares, c, g):
+    """g := exp(-c x) g for the root vector x of these entries and this
+    square.  Changed rows are replaced, not mutated, so each ``src`` row
+    stays as it was before the peel."""
+    terms = exp_terms(entries, squares, -c)
+    for (r, _, w), src in zip(terms, [g[col] for _, col, _ in terms]):
+        g[r] = [a if b.is_zero() else a + w * b for a, b in zip(g[r], src)]

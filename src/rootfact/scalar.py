@@ -68,7 +68,24 @@ def power(x, n: int, one):
     return out
 
 
-class Scalar:
+class Number:
+    """The protocol of Scalar, jets.Jet and haar.RadicalScalar: ``is_zero()``
+    (an exact zero), ``inverse()``, negation, ``==``, and ``+``, ``-`` and
+    ``*`` with the type itself, ints, Fractions and Scalars, NotImplemented
+    for an operand it cannot lift; the matrix entries, Scalar and Jet, also
+    have ``val``, the Scalar value a pivot is judged by.  ``other - x`` and
+    ``other / x`` follow from these, here, for all three."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rtruediv__(self, other):
+        return self.inverse().__mul__(other)
+
+
+class Scalar(Number):
     """Immutable exact complex rational."""
 
     __slots__ = ("a", "b", "d")
@@ -179,12 +196,6 @@ class Scalar:
             return _mk(self.a - other.a, self.b - other.b, 1)
         return Scalar(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__sub__(self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
@@ -220,12 +231,6 @@ class Scalar:
             num = self * other.d
             return Scalar(num.a, num.b, num.d * other.a)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__truediv__(self)
 
     def __pow__(self, n: int):
         return power(self, n, ONE)

@@ -19,7 +19,6 @@ from .factorization import (
     transpose_dual,
 )
 from .haar import (
-    _as_scalar,
     eta_from_zeta,
     haar_density,
     lebesgue_pullback_det,
@@ -98,7 +97,7 @@ def _check_compact(family: str, rank: int) -> None:
     pairs = [(Scalar(1, 0, 2), Scalar(1, 0, 3 + k)) for k in range(n)]
     eta, asq = eta_from_zeta(family, rank, word, pairs)
     zeta, _, asq2 = zeta_from_eta(family, rank, word, eta)
-    if [(_as_scalar(a), _as_scalar(b)) for a, b in zeta] != pairs or asq != asq2:
+    if zeta != pairs or asq != asq2:
         raise InvalidInputError(f"compact round trip failed for {family}{rank}")
     dens = haar_density(family, rank, word, pairs)
     if dens != jacobian_det_formula(family, rank, word, pairs).abs2():

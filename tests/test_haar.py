@@ -11,12 +11,14 @@ prod a^(2 delta + 2), unit after dividing by the carried density.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from rootfact import (
     BranchViolationError,
     InvalidInputError,
+    Jet,
     RadicalScalar,
     Scalar,
     delta,
@@ -31,7 +33,7 @@ from rootfact import (
 from rootfact import haar
 from rootfact.scalar import ONE, sc
 
-from conftest import branch_pairs, generic_pairs, pythagorean_pair
+from conftest import branch_pairs, exact_scalar, generic_pairs, pythagorean_pair
 
 A2 = ("A", 2, (1, 2, 1))
 B2 = ("B", 2, (1, 2, 1, 2))
@@ -61,6 +63,40 @@ def test_radical_scalar_arithmetic():
     assert r.inverse() * r == RadicalScalar(ONE)
     with pytest.raises(InvalidInputError):
         RadicalScalar(ONE, 2).to_scalar()
+    # the reflected forms, other - r and other / r, lift the int or Fraction
+    six = RadicalScalar(Scalar(2), 9)
+    assert [str(v) for v in (1 - six, Fraction(1, 2) - six, 0 - r)] == ["-5", "-11/2", "(-1)*sqrt(2)"]
+    assert [str(v) for v in (2 / r, Fraction(1, 3) / r, 3 / RadicalScalar(ONE, 12), 3 / six)] == [
+        "(1)*sqrt(2)", "(1/6)*sqrt(2)", "(1/4)*sqrt(12)", "1/2"]
+    assert all(isinstance(v, RadicalScalar) for v in (1 - six, 3 / six))
+    with pytest.raises(InvalidInputError, match="incompatible radicals"):
+        1 - r
+    with pytest.raises(TypeError):
+        "1" - r
+
+
+def test_equal_radicals_hash_equal():
+    # sqrt(12) = 2 sqrt(3), and a radicand of 1 is the Scalar itself
+    assert len({RadicalScalar(ONE, 12), RadicalScalar(Scalar(2), 3)}) == 1
+    assert len({RadicalScalar(Scalar(2)), Scalar(2)}) == 1
+    assert len({RadicalScalar(ONE, 12), RadicalScalar(Scalar(-2), 3)}) == 2
+
+
+def test_equal_numbers_hash_equal():
+    # seeded Scalars, ints, Fractions, radicals built several ways, and
+    # jets built along different routes: equal values hash alike
+    rng = random.Random("equal-hash")
+    x, y = Jet.variables([Scalar(2), Scalar(1, 1, 3)])
+    pool = [x * y, y * x, (x + y) - y, x, 2 * x - x, x / y * y, y.inverse().inverse()]
+    for _ in range(30):
+        c = exact_scalar(rng, 3)
+        k, q = rng.randint(1, 3), rng.choice((2, 3, 6))
+        pool += [c, RadicalScalar(c), RadicalScalar(c * k, q), RadicalScalar(c, q * k * k),
+                 RadicalScalar(c * k, Fraction(q, k * k)) * k]
+        if c.is_real():
+            pool.append(c.real if c.d > 1 else c.a)
+    assert sum(a == b for a in pool for b in pool) > len(pool) + 50
+    assert [(a, b) for a in pool for b in pool if a == b and hash(a) != hash(b)] == []
 
 
 def test_branch_guards():

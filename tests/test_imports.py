@@ -1,6 +1,8 @@
 """Import hygiene: every name a rootfact module imports from a sibling
 module is used in that module, and every module-level private function
 or class is used somewhere in the package besides its own definition.
+The matrix and coordinate modules also rely on the number protocol
+alone: they test no entry for its number type.
 
 The package ``__init__`` imports names only to export them, so it is
 left out of the first check.
@@ -62,3 +64,25 @@ def test_private_helpers_are_used():
     # a use inside the helper's own body, a recursive call, does not count
     dead = [h.name for h in helpers if used[h.name] <= names_used(h)[h.name]]
     assert dead == []
+
+
+NUMBER_TYPES = {"Number", "Scalar", "Jet", "RadicalScalar"}
+
+
+def isinstance_number_types(path: pathlib.Path) -> list[str]:
+    """The number types named in the isinstance calls of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        for name in names_used(node.args[1])
+        if name in NUMBER_TYPES
+    )
+
+
+def test_core_modules_check_no_number_type():
+    checked = {name: isinstance_number_types(SRC / name)
+               for name in ("linalg.py", "matrices.py", "factorization.py")}
+    assert checked == {name: [] for name in checked}

@@ -2,7 +2,8 @@
 
 inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
 (Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), joins one pair
-per step and reads coordinate k of each tail as one entry of Q L.
+per step and reads coordinate k of each tail as one entry of Q L, with
+the left peel and the anchor read of extract_lower.
 These tests check, at every step, the carried pair against the LDU of
 the explicitly multiplied tails and the reads against full extractions,
 check one join on general Q L against the explicit product and its
@@ -33,6 +34,7 @@ from rootfact import (
     ordering_from_word,
     positive_roots,
     random_reduced_word,
+    root_triple,
 )
 from rootfact import factorization
 from rootfact.linalg import scale_cols
@@ -121,24 +123,26 @@ def test_tail_reads_match_full_extraction(monkeypatch, family, rank):
          [ONE] * len(h))
         for _ in range(12)
     ]
-    read = factorization._tail_coordinate
+    read = factorization.anchor_coordinate
     reads = []
 
-    # the tail and the dual tail are read alternately; Q L has no
-    # coordinates after k, and is Q times the tail's L, whose coordinates
-    # after k are the given l (the dual's: those of sigma(h g_0^-1))
-    def checked_read(fam, rk, tau, lower):
-        k = taus.index(tau)
-        coords = extract_lower(fam, rk, taus, lower)
+    # the tail and the dual tail are read alternately, k = n, ..., 1; Q L
+    # has no coordinates after k, and is Q times the tail's L, whose
+    # coordinates after k are the given l (the dual's: those of
+    # sigma(h g_0^-1))
+    def checked_read(entries, lower):
+        k = len(taus) - 1 - len(reads) // 2
+        assert entries == root_triple(family, rank, taus[k]).f
+        coords = extract_lower(family, rank, taus, lower)
         assert coords[k + 1:] == [ZERO] * (len(taus) - k - 1)
         side = given[len(reads) % 2]
-        tail_lower = assemble_lower(fam, rk, taus, coords[:k + 1] + side[k + 1:])
-        assert lower == mat_mul(peel(fam, rk, taus, side, k), tail_lower)
-        reads.append(read(fam, rk, tau, lower))
+        tail_lower = assemble_lower(family, rank, taus, coords[:k + 1] + side[k + 1:])
+        assert lower == mat_mul(peel(family, rank, taus, side, k), tail_lower)
+        reads.append(read(entries, lower))
         assert reads[-1] == coords[k]
         return reads[-1]
 
-    monkeypatch.setattr(factorization, "_tail_coordinate", checked_read)
+    monkeypatch.setattr(factorization, "anchor_coordinate", checked_read)
     counts = []
     for l, u, hd in points:
         given = (l, dual_lower_coords(family, rank, taus, l, u, hd))
@@ -177,13 +181,14 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
     # the closing extraction must also give back the coordinate the last read assumed
     word = random_reduced_word("B", 3, 11)
     res = forward_map("B", 3, word, generic_pairs(random.Random("kernel/missed"), len(word)))
-    read = factorization._tail_coordinate
+    read = factorization.anchor_coordinate
+    first = root_triple("B", 3, res.taus[0]).f
 
-    def off_by_one(fam, rk, tau, lower):
-        c = read(fam, rk, tau, lower)
-        return c + 1 if tau == res.taus[0] else c
+    def off_by_one(entries, lower):
+        c = read(entries, lower)
+        return c + 1 if entries == first else c
 
-    monkeypatch.setattr(factorization, "_tail_coordinate", off_by_one)
+    monkeypatch.setattr(factorization, "anchor_coordinate", off_by_one)
     with pytest.raises(ArithmeticError, match="read differs from its extraction"):
         inverse_map("B", 3, word, res.l, res.u)
 
@@ -195,17 +200,18 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
     word = random_reduced_word("B", 3, 11)
     pairs = generic_pairs(random.Random("kernel/missed-peel"), len(word))
     res = forward_map("B", 3, word, pairs)
-    peel_left = factorization._peel_left
+    peel_left = factorization.peel_left
+    second = root_triple("B", 3, res.taus[1]).f
     peels = []
 
-    def off_by_one(fam, rk, tau, c, lower):
-        peels.append(tau)
-        return peel_left(fam, rk, tau, c + 1 if tau == res.taus[1] else c, lower)
+    def off_by_one(entries, squares, c, lower):
+        peels.append(entries)
+        return peel_left(entries, squares, c + 1 if entries == second else c, lower)
 
-    monkeypatch.setattr(factorization, "_peel_left", off_by_one)
+    monkeypatch.setattr(factorization, "peel_left", off_by_one)
     with pytest.raises(ArithmeticError, match="read differs from its extraction"):
         inverse_map("B", 3, word, res.l, res.u)
-    assert peels[-2:] == [res.taus[1]] * 2
+    assert peels[-2:] == [second] * 2
     monkeypatch.undo()
     assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
 
