@@ -5,6 +5,9 @@ keys, compact separators, trailing newline) to stdout.  Coordinate
 and matrix data arrives as a JSON object through --input PATH, with
 "-" meaning stdin; small parameters travel as flags.  Scalars are
 canonical strings like "1/2-3/4*i"; plain integers are also accepted.
+Each handler returns the library's own values, and main prints them
+through serialization.dumps_canonical inside its error handling, so a
+value the encoder refuses is still answered with one error object.
 
 Exit codes: 0 on success; 2 for malformed requests (invalid-input,
 invalid-word, budget-exceeded, branch-violation), malformed or unknown
@@ -22,7 +25,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidInputError, LibError, echo
+from .errors import ExceptionalSetError, InvalidInputError, LibError, StratumError, echo
 from .factorization import (
     forward_map,
     forward_map_stratum,
@@ -37,15 +40,10 @@ from .rootsystem import positive_roots
 from .scalar import digit_limit_error
 from .serialization import (
     diag_from_json,
-    diag_to_json,
     dumps_canonical,
     matrix_from_json,
-    matrix_to_json,
     pairs_from_json,
-    pairs_to_json,
     roots_from_json,
-    roots_to_json,
-    word_to_json,
 )
 from .weyl import (
     COUNT_WORDS_CAP,
@@ -63,15 +61,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
-
-_EXIT_BY_KIND = {
-    "invalid-input": EXIT_INVALID,
-    "invalid-word": EXIT_INVALID,
-    "budget-exceeded": EXIT_INVALID,
-    "branch-violation": EXIT_INVALID,
-    "exceptional-set": EXIT_DEGENERATE,
-    "stratum-failure": EXIT_DEGENERATE,
-}
 
 
 def _parse_word_flag(text: str) -> tuple:
@@ -127,22 +116,12 @@ def cmd_forward(args) -> dict:
             raise InvalidInputError("give either --word or --stratum-word, not both")
         w = word_evaluate(args.family, args.rank, _parse_word_flag(args.stratum_word))
         res = forward_map_stratum(args.family, args.rank, w, pairs, h=h)
-        return {
-            "gammas": word_to_json(res.gammas),
-            "matrix": matrix_to_json(res.matrix),
-            "taus": roots_to_json(res.taus),
-        }
+        return {"gammas": res.gammas, "matrix": res.matrix, "taus": res.taus}
     if args.word is None:
         raise InvalidInputError("forward needs --word or --stratum-word")
     res = forward_map(args.family, args.rank, _parse_word_flag(args.word), pairs, h=h)
-    return {
-        "h": diag_to_json(res.h),
-        "l": diag_to_json(res.l),
-        "matrix": matrix_to_json(res.matrix),
-        "s": diag_to_json(res.s),
-        "taus": roots_to_json(res.taus),
-        "u": diag_to_json(res.u),
-    }
+    return {"h": res.h, "l": res.l, "matrix": res.matrix, "s": res.s, "taus": res.taus,
+            "u": res.u}
 
 
 def cmd_invert(args) -> dict:
@@ -157,7 +136,7 @@ def cmd_invert(args) -> dict:
         diag_from_json(obj["u"]),
         h=_optional_diag(obj),
     )
-    return {"pairs": pairs_to_json(pairs)}
+    return {"pairs": pairs}
 
 
 def cmd_dual(args) -> dict:
@@ -169,7 +148,7 @@ def cmd_dual(args) -> dict:
         pairs_from_json(obj.get("pairs", [])),
         h=_optional_diag(obj),
     )
-    return {"h_dual": diag_to_json(hdual), "pairs": pairs_to_json(pairs)}
+    return {"h_dual": hdual, "pairs": pairs}
 
 
 def cmd_ldu(args) -> dict:
@@ -178,21 +157,15 @@ def cmd_ldu(args) -> dict:
         raise InvalidInputError('ldu needs a "matrix"')
     g = matrix_from_json(obj["matrix"])
     lower, d, upper = ldu(g)
-    out = {
-        "d": diag_to_json(d),
-        "lower": matrix_to_json(lower),
-        "upper": matrix_to_json(upper),
-    }
+    out = {"d": d, "lower": lower, "upper": upper}
     if args.minors:
-        out["minors"] = diag_to_json(
-            principal_minor(g, k) for k in range(1, len(g) + 1)
-        )
+        out["minors"] = [principal_minor(g, k) for k in range(1, len(g) + 1)]
     return out
 
 
 def cmd_ordering(args) -> dict:
     taus = ordering_from_word(args.family, args.rank, _parse_word_flag(args.word))
-    return {"ordering": roots_to_json(taus)}
+    return {"ordering": taus}
 
 
 def cmd_validate_ordering(args) -> dict:
@@ -202,14 +175,12 @@ def cmd_validate_ordering(args) -> dict:
     word = validate_ordering(
         args.family, args.rank, roots_from_json(obj["ordering"])
     )
-    return {"word": word_to_json(word)}
+    return {"word": word}
 
 
 def cmd_canonical_word(args) -> dict:
-    return {
-        "ordering": roots_to_json(canonical_ordering(args.family, args.rank)),
-        "word": word_to_json(canonical_word(args.family, args.rank)),
-    }
+    return {"ordering": canonical_ordering(args.family, args.rank),
+            "word": canonical_word(args.family, args.rank)}
 
 
 def cmd_count_words(args) -> dict:
@@ -232,11 +203,9 @@ def cmd_jacobian(args) -> dict:
     word = _parse_word_flag(args.word)
     pairs = pairs_from_json(obj.get("pairs", []))
     return {
-        "ad": str(jacobian_det_ad(args.family, args.rank, word, pairs)),
-        "double_product": str(
-            jacobian_det_double_product(args.family, args.rank, word, pairs)
-        ),
-        "formula": str(jacobian_det_formula(args.family, args.rank, word, pairs)),
+        "ad": jacobian_det_ad(args.family, args.rank, word, pairs),
+        "double_product": jacobian_det_double_product(args.family, args.rank, word, pairs),
+        "formula": jacobian_det_formula(args.family, args.rank, word, pairs),
     }
 
 
@@ -247,7 +216,7 @@ def cmd_haar_density(args) -> dict:
     density = haar_density(
         args.family, args.rank, _parse_word_flag(args.word), pairs_from_json(obj.get("pairs", []))
     )
-    return {"density": str(density)}
+    return {"density": density}
 
 
 def cmd_self_check(args) -> dict:
@@ -320,10 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload = args.func(args)
+        text = dumps_canonical(args.func(args))
     except LibError as err:
         sys.stdout.write(dumps_canonical({"error": err.payload()}))
-        return _EXIT_BY_KIND.get(err.kind, EXIT_INVALID)
+        degenerate = isinstance(err, (ExceptionalSetError, StratumError))
+        return EXIT_DEGENERATE if degenerate else EXIT_INVALID
     except Exception as err:  # the last resort: keep the one-object contract
         import traceback
 
@@ -332,7 +302,7 @@ def main(argv=None) -> int:
         sys.stdout.write(dumps_canonical({"error": {
             "kind": "internal-error", "message": f"{type(err).__name__} at {where}: {err}"}}))
         return EXIT_INTERNAL
-    sys.stdout.write(dumps_canonical(payload))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -50,15 +50,13 @@ from .matrices import (
     sigma,
     weyl_representative,
 )
-from .rootsystem import delta, is_positive_root, norm2, simple_roots
+from .rootsystem import delta, norm2
 from .scalar import ONE, ZERO, Scalar, sc
 from .weyl import (
     WeylElement,
     check_word,
-    identity_element,
-    longest_element,
+    climb_to_top,
     ordering_from_word,
-    simple_reflection,
 )
 
 
@@ -183,7 +181,7 @@ def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
     g = _product_matrix(family, rank, taus, pairs, hd)
     lower, d, upper = ldu(g)
     if d != hd:
-        raise InvalidInputError("internal: middle factor differs from the torus input")
+        raise ArithmeticError("middle factor differs from the torus input")
     return ForwardResult(
         family=family,
         rank=rank,
@@ -399,22 +397,8 @@ def stratum_data(family: str, rank: int, w: WeylElement):
     taus lists the positive roots kept positive by w, in the order the
     factorization consumes them.
     """
-    simples = simple_roots(family, rank)
-    gammas = []
-    taus = []
-    v = w
-    p = identity_element(family, rank)
-    w0 = longest_element(family, rank)
-    while v != w0:
-        i = next((i for i, a in enumerate(simples, start=1)
-                  if is_positive_root(family, rank, v.act_root(a))), None)
-        if i is None:
-            raise InvalidInputError("stratum construction failed to reach the top")
-        gammas.append(i)
-        taus.append(p.act_root(simples[i - 1]))
-        v = v * simple_reflection(family, rank, i)
-        p = p * simple_reflection(family, rank, i)
-    return tuple(gammas), tuple(taus)
+    gammas = climb_to_top(w)[0]
+    return gammas, ordering_from_word(family, rank, gammas)
 
 
 @dataclass

@@ -32,9 +32,12 @@ from .scalar import ONE, Number, Scalar, _coerce, power, sc
 class RadicalScalar(Number):
     """c * sqrt(q) with Scalar c and positive rational radicand q.
 
-    The radicand is normalized to an integer with its largest easily
-    found square factor pulled into c; values with q == 1 collapse to
-    plain scalars via ``to_scalar``.
+    The radicand a/b becomes the integer a*b, with 1/b moved into c.
+    Only an integer that is a whole perfect square collapses, into c
+    with radicand 1; no other square factor is pulled out, so equal
+    values can print differently ((1)*sqrt(12) and (2)*sqrt(3)), and a
+    zero c keeps its radicand.  Values with q == 1 collapse to plain
+    scalars via ``to_scalar``.
     """
 
     __slots__ = ("coeff", "radicand")

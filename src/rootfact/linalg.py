@@ -37,12 +37,6 @@ def mat_mul(x, y):
     return out
 
 
-def mat_eq(x, y) -> bool:
-    return len(x) == len(y) and all(
-        len(r) == len(s) and all(a == b for a, b in zip(r, s)) for r, s in zip(x, y)
-    )
-
-
 def mat_transpose(x):
     return [list(col) for col in zip(*x)]
 

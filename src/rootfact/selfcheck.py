@@ -25,7 +25,7 @@ from .haar import (
     unit_jacobian_check,
     zeta_from_eta,
 )
-from .linalg import mat_eq, mat_inverse, mat_mul, scale_cols
+from .linalg import mat_inverse, mat_mul, scale_cols
 from .matrices import e_matrix, f_matrix, form_matrix, h_matrix, sigma
 from .rootsystem import delta, positive_roots
 from .scalar import ONE, Scalar
@@ -46,9 +46,9 @@ def _check_triples(family: str, rank: int) -> None:
         ef = mat_mul(e, f)
         fe = mat_mul(f, e)
         br = [[u - v for u, v in zip(ru, rv)] for ru, rv in zip(ef, fe)]
-        if not mat_eq(br, h):
+        if br != h:
             raise InvalidInputError(f"[e, f] != h for {family}{rank} root {root}")
-        if not mat_eq(sigma(family, rank, e), f):
+        if sigma(family, rank, e) != f:
             raise InvalidInputError(f"sigma(e) != f for {family}{rank} root {root}")
         if j is not None:
             for x in (e, f):
@@ -77,7 +77,7 @@ def _check_dual(family: str, rank: int) -> None:
     dual_res = forward_map(family, rank, word, eta)
     lhs = scale_cols(dual_res.matrix, hdual)
     rhs = sigma(family, rank, mat_inverse(res.matrix))
-    if not mat_eq(lhs, rhs):
+    if lhs != rhs:
         raise InvalidInputError(f"dual identity failed for {family}{rank}")
 
 

@@ -1,10 +1,13 @@
-"""Canonical JSON forms for scalars, words, roots, and matrices.
+"""Canonical JSON: the one encoder of every CLI payload, and the readers
+of its inputs.
 
-Payloads are emitted with sorted keys, compact separators, and one
-trailing newline, so equal data always serializes to equal bytes.
-Scalars travel as canonical strings ("p/q+r/s*i"); plain JSON
-integers are accepted on input.  Floats are rejected everywhere:
-this package has no inexact numbers.
+``dumps_canonical`` prints any payload built from dicts, lists, tuples,
+strings, ints, None, booleans and Scalars: sorted keys, compact
+separators, one trailing newline, so equal data always serializes to
+equal bytes.  A Scalar prints as its canonical string ("p/q+r/s*i"), a
+tuple as a list; any other value is a TypeError.  Plain JSON integers
+are accepted on input.  Floats are rejected everywhere: this package
+has no inexact numbers.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from .errors import InvalidInputError, echo
 from .scalar import Scalar
 
 
+def _scalar(x) -> str:
+    if isinstance(x, Scalar):
+        return str(x)
+    raise TypeError(f"cannot encode {type(x).__name__} as canonical JSON")
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def scalar_to_json(x) -> str:
-    return str(x)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_scalar) + "\n"
 
 
 def scalar_from_json(v) -> Scalar:
@@ -33,18 +38,10 @@ def scalar_from_json(v) -> Scalar:
     raise InvalidInputError(f"not a scalar: {echo(v)}")
 
 
-def diag_to_json(entries) -> list:
-    return [scalar_to_json(x) for x in entries]
-
-
 def diag_from_json(v) -> list:
     if not isinstance(v, list):
         raise InvalidInputError("a diagonal must be a list of scalars")
     return [scalar_from_json(x) for x in v]
-
-
-def matrix_to_json(m) -> list:
-    return [[scalar_to_json(x) for x in row] for row in m]
 
 
 def matrix_from_json(v) -> list:
@@ -57,28 +54,12 @@ def matrix_from_json(v) -> list:
     return [[scalar_from_json(x) for x in row] for row in v]
 
 
-def pairs_to_json(pairs) -> list:
-    return [[scalar_to_json(a), scalar_to_json(b)] for a, b in pairs]
-
-
 def pairs_from_json(v) -> list:
     if not isinstance(v, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in v
     ):
         raise InvalidInputError("pairs must be a list of [minus, plus] scalar pairs")
     return [(scalar_from_json(p[0]), scalar_from_json(p[1])) for p in v]
-
-
-def word_to_json(word) -> list:
-    return [int(i) for i in word]
-
-
-def root_to_json(root) -> list:
-    return [int(c) for c in root]
-
-
-def roots_to_json(roots) -> list:
-    return [root_to_json(r) for r in roots]
 
 
 def roots_from_json(v) -> list:

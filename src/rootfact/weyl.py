@@ -152,17 +152,25 @@ def right_descents(w: WeylElement) -> list[int]:
     ]
 
 
+def climb_to_top(w: WeylElement) -> tuple[Word, WeylElement]:
+    """(letters, w0): w followed by the letters is the longest element w0,
+    each letter the smallest right ascent of the element reached so far;
+    w0 is the one element with none."""
+    family, rank = w.family, w.rank
+    simples = simple_roots(family, rank)
+    letters = []
+    while True:
+        i = next((i for i, a in enumerate(simples, start=1)
+                  if is_positive_root(family, rank, w.act_root(a))), None)
+        if i is None:
+            return tuple(letters), w
+        letters.append(i)
+        w = w * simple_reflection(family, rank, i)
+
+
 @lru_cache(maxsize=None)
 def longest_element(family: str, rank: int) -> WeylElement:
-    w = identity_element(family, rank)
-    simples = simple_roots(family, rank)
-    while True:
-        for i, a in enumerate(simples, start=1):
-            if is_positive_root(family, rank, w.act_root(a)):
-                w = w * simple_reflection(family, rank, i)
-                break
-        else:
-            return w
+    return climb_to_top(identity_element(family, rank))[1]
 
 
 def deterministic_reduced_word(w: WeylElement) -> Word:

@@ -26,7 +26,7 @@ import random
 from pathlib import Path
 
 from rootfact import LibError, forward_map, inverse_map, random_reduced_word
-from rootfact.serialization import dumps_canonical, pairs_to_json
+from rootfact.serialization import dumps_canonical
 
 from conftest import exact_scalar, generic_pairs, torus_diag
 
@@ -69,7 +69,7 @@ def cases(family: str, rank: int):
 def outcome(family: str, rank: int, word, l, u, h) -> str:
     """Canonical JSON of the pairs, or of the error payload."""
     try:
-        return dumps_canonical({"pairs": pairs_to_json(inverse_map(family, rank, word, l, u, h=h))})
+        return dumps_canonical({"pairs": inverse_map(family, rank, word, l, u, h=h)})
     except LibError as err:
         return dumps_canonical({"error": err.payload()})
 

@@ -11,14 +11,25 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfact import cli, dim, enumerate_reduced_words, ordering_from_word, positive_roots
+from rootfact import (
+    Jet,
+    LibError,
+    cli,
+    dim,
+    enumerate_reduced_words,
+    factorization,
+    ordering_from_word,
+    positive_roots,
+)
 from rootfact.cli import main
 
 IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
@@ -394,6 +405,59 @@ def test_exit_4_internal_error(capsys, monkeypatch):
     assert error["message"].startswith("ZeroDivisionError at test_cli.py:")
     assert error["message"].endswith(": division by zero")
     assert capsys.readouterr().err == ""
+
+
+def _readme_exit_codes() -> dict:
+    """kind -> exit code, read off the README's exit-code table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| Code | Meaning |"):]
+    return {kind: int(code)
+            for code, row in re.findall(r"^\| (\d) \|(.*)$", table, flags=re.M)
+            for kind in re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row)}
+
+
+@pytest.mark.parametrize("error", [cls("stub") for cls in LibError.__subclasses__()]
+                         + [RuntimeError("stub")], ids=lambda err: type(err).__name__)
+def test_exit_code_of_every_error_kind(capsys, monkeypatch, error):
+    # every LibError kind, and any other exception, exits as the README's table says
+    def handler(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "self-check", (handler, "stub", ()))
+    code, payload, _ = run_cli(capsys, ["self-check"])
+    kind = payload["error"]["kind"]
+    assert kind == getattr(error, "kind", "internal-error")
+    assert code == _readme_exit_codes()[kind]
+
+
+def test_a_value_the_encoder_refuses_is_an_internal_error(capsys, monkeypatch):
+    # a jet that leaks into a payload is a fault of the library
+    jet = Jet.constant(1, 1)
+    monkeypatch.setitem(cli._COMMANDS, "self-check", (lambda args: {"value": [jet]}, "stub", ()))
+    code, payload, raw = run_cli(capsys, ["self-check"])
+    assert code == 4
+    assert raw == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert payload["error"]["kind"] == "internal-error"
+    assert payload["error"]["message"].startswith("TypeError at serialization.py:")
+
+
+def test_a_wrong_middle_factor_is_an_internal_error(capsys, monkeypatch):
+    # the forward map checks that its LDU middle factor is the torus; a
+    # failing check is a fault of the library, not of the request
+    ldu = factorization.ldu
+
+    def wrong_middle(g):
+        lower, d, upper = ldu(g)
+        return lower, [x + 1 for x in d], upper
+
+    monkeypatch.setattr(factorization, "ldu", wrong_middle)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"pairs": [[1, 2]] * 3})))
+    code, payload, _ = run_cli(
+        capsys, ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"])
+    assert code == 4
+    assert payload["error"]["kind"] == "internal-error"
+    assert payload["error"]["message"].startswith("ArithmeticError at factorization.py:")
+    assert payload["error"]["message"].endswith(": middle factor differs from the torus input")
 
 
 # -- the contract on random requests -------------------------------------
