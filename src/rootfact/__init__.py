@@ -85,6 +85,7 @@ from .weyl import (
     WeylElement,
     canonical_ordering,
     canonical_word,
+    count_reduced_words,
     deterministic_reduced_word,
     enumerate_reduced_words,
     identity_element,

@@ -9,13 +9,17 @@ Each handler returns the library's own values, and main prints them
 through serialization.dumps_canonical inside its error handling, so a
 value the encoder refuses is still answered with one error object.
 
+count-words counts the reduced words of the longest element without
+listing them; past weyl.MAX_COUNTED_ELEMENTS group elements it answers
+invalid-input.
+
 Exit codes: 0 on success; 2 for malformed requests (invalid-input,
-invalid-word, budget-exceeded, branch-violation), malformed or unknown
-flags included; 3 when a well-formed point lies where the requested
-map is undefined (exceptional-set, stratum-failure); 4 for any other
-exception, a fault of this program rather than of the request, reported
-as kind internal-error without a traceback.  Only --help prints usage
-text.
+invalid-word, and budget-exceeded and branch-violation, which no
+subcommand raises), malformed or unknown flags included; 3 when a
+well-formed point lies where the requested map is undefined
+(exceptional-set, stratum-failure); 4 for any other exception, a fault
+of this program rather than of the request, reported as kind
+internal-error without a traceback.  Only --help prints usage text.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
+from operator import mul
 
 from .errors import ExceptionalSetError, InvalidInputError, LibError, StratumError, echo
 from .factorization import (
@@ -35,8 +41,7 @@ from .factorization import (
     jacobian_det_formula,
     transpose_dual,
 )
-from .linalg import ldu, principal_minor
-from .rootsystem import positive_roots
+from .linalg import ldu
 from .scalar import digit_limit_error
 from .serialization import (
     diag_from_json,
@@ -46,10 +51,10 @@ from .serialization import (
     roots_from_json,
 )
 from .weyl import (
-    COUNT_WORDS_CAP,
     canonical_ordering,
     canonical_word,
-    enumerate_reduced_words,
+    count_reduced_words,
+    longest_element,
     ordering_from_word,
     printed_count_bc,
     standard_count_a,
@@ -158,8 +163,8 @@ def cmd_ldu(args) -> dict:
     g = matrix_from_json(obj["matrix"])
     lower, d, upper = ldu(g)
     out = {"d": d, "lower": lower, "upper": upper}
-    if args.minors:
-        out["minors"] = [principal_minor(g, k) for k in range(1, len(g) + 1)]
+    if args.minors:  # the k-th leading principal minor is d_1 ... d_k
+        out["minors"] = list(accumulate(d, mul))
     return out
 
 
@@ -184,11 +189,7 @@ def cmd_canonical_word(args) -> dict:
 
 
 def cmd_count_words(args) -> dict:
-    length = len(positive_roots(args.family, args.rank))
-    if length > COUNT_WORDS_CAP:
-        raise InvalidInputError(f"count-words takes longest words of at most {COUNT_WORDS_CAP}"
-                                f" letters; that of {args.family}{args.rank} has {length}")
-    count = len(enumerate_reduced_words(args.family, args.rank, budget=args.budget))
+    count = count_reduced_words(longest_element(args.family, args.rank))
     if args.family == "A":
         formula = str(standard_count_a(args.rank + 1))
     elif args.family in ("B", "C"):
@@ -239,7 +240,6 @@ _OPTIONS = {
         default=None, help="word for the stratum element w; replaces --word"))],
     "input": [("--input", dict(default=None, help="JSON input path, - for stdin"))],
     "minors": [("--minors", dict(action="store_true", help="also print principal minors"))],
-    "budget": [("--budget", dict(type=int, default=500000))],
 }
 
 # subcommand: (handler, help, its options in order)
@@ -255,7 +255,7 @@ _COMMANDS = {
     "canonical-word": (cmd_canonical_word, "the fixed per-family word and ordering",
                        ("family",)),
     "count-words": (cmd_count_words, "count reduced words of the longest element",
-                    ("family", "budget")),
+                    ("family",)),
     "jacobian": (cmd_jacobian, "Jacobian determinant, three exact ways",
                  ("family", "word", "input")),
     "haar-density": (cmd_haar_density, "invariant density at a coordinate point",

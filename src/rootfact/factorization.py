@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, StratumError
 from .jets import Jet, jacobian_det
-from .linalg import identity, ldu, mat_mul, mul_right_i_plus, scale_cols, scale_rows
+from .linalg import identity, ldu, mat_mul, mul_right_i_plus, scale_cols
 from .matrices import (
     anchor_coordinate,
     dim,
@@ -47,7 +47,6 @@ from .matrices import (
     extract_upper,
     peel_left,
     root_triple,
-    sigma,
     weyl_representative,
 )
 from .rootsystem import delta, norm2
@@ -205,16 +204,16 @@ def forward_coords_jets(plan: WordPlan, pairs):
 def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     """Recover the coordinate pairs from (l, u, h).
 
-    The dual element sigma(g_0^{-1}), g_0 = L h U, is built from the
-    inverted factors exp(-c f) and exp(-c e).  The pairs then come out
-    downward, k = n, ..., 1, each from the k-th lower coordinate of the
-    tail G_n *** G_(k+1) and of the dual tail.  Each tail L U is carried
-    as (Q L, U) and takes one pair per step (``_join_pair``).  The
-    coordinates of its L after k are l_(k+1), ..., l_n, peeled off from
-    the left one per step, so Q L = exp(c_k f_k) *** exp(c_1 f_1), and
-    coordinate k is read as one entry; the peel and the read are those
-    of ``extract_lower``, and one full, checked ``extract_lower`` of
-    each last Q L backs the reads.
+    The dual element sigma(g_0^{-1}), g_0 = L h U, is built directly as
+    a product of factors exp(-c e), exp(-c f) and the torus.  The pairs
+    then come out downward, k = n, ..., 1, each from the k-th lower
+    coordinate of the tail G_n *** G_(k+1) and of the dual tail.  Each
+    tail L U is carried as (Q L, U) and takes one pair per step
+    (``_join_pair``).  The coordinates of its L after k are l_(k+1), ...,
+    l_n, peeled off from the left one per step, so Q L = exp(c_k f_k)
+    *** exp(c_1 f_1), and coordinate k is read as one entry; the peel
+    and the read are those of ``extract_lower``, and one full, checked
+    ``extract_lower`` of each last Q L backs the reads.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -229,14 +228,15 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     hd = plan.check_torus(h)
     size = len(hd)
 
-    # dual element: sigma(h g_0^{-1}) with g_0^{-1} = U^{-1} h^{-1} L^{-1}
-    ginv = identity(size)
-    for tau, c in zip(taus, ucoords):
-        ginv = exp_e(family, rank, tau, -c, ginv)
-    ginv = scale_cols(ginv, [ONE / v for v in hd])
-    for tau, c in zip(taus, lcoords):
-        ginv = exp_f(family, rank, tau, -c, ginv)
-    ghat = sigma(family, rank, scale_rows(hd, ginv))
+    # dual element sigma(h g_0^{-1}), g_0 = L h U, as the product it is:
+    # exp(-l_n e_n) *** exp(-l_1 e_1) h^{-1} exp(-u_n f_n) *** exp(-u_1 f_1) h
+    ghat = identity(size)
+    for tau, c in zip(reversed(taus), reversed(lcoords)):
+        ghat = exp_e(family, rank, tau, -c, ghat)
+    ghat = scale_cols(ghat, [ONE / v for v in hd])
+    for tau, c in zip(reversed(taus), reversed(ucoords)):
+        ghat = exp_f(family, rank, tau, -c, ghat)
+    ghat = scale_cols(ghat, hd)
     try:
         lprime = extract_lower(family, rank, taus, ldu(ghat)[0])
     except StratumError as err:

@@ -50,10 +50,6 @@ def scale_cols(x, diag):
     return [[v * diag[j] for j, v in enumerate(row)] for row in x]
 
 
-def scale_rows(diag, x):
-    return [[diag[i] * v for v in row] for i, row in enumerate(x)]
-
-
 def mul_right_i_plus(g, terms):
     """g @ (I + M) for sparse M given as [(row, col, weight), ...].
 

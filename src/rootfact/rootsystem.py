@@ -49,7 +49,7 @@ def ambient_dim(family: str, rank: int) -> int:
     return rank + 1 if family == "A" else rank
 
 
-def _vector(m: int, *entries) -> Root:
+def root_vector(m: int, *entries) -> Root:
     """The length-m integer vector with the given (index, value) entries."""
     out = [0] * m
     for k, c in entries:
@@ -61,21 +61,22 @@ def _vector(m: int, *entries) -> Root:
 def simple_roots(family: str, rank: int) -> tuple[Root, ...]:
     m = ambient_dim(family, rank)
     if family == "A":
-        return tuple(_vector(m, (k, 1), (k + 1, -1)) for k in range(rank))
+        return tuple(root_vector(m, (k, 1), (k + 1, -1)) for k in range(rank))
     first = {"B": ((0, 1),), "C": ((0, 2),), "D": ((0, 1), (1, 1))}[family]
-    return (_vector(m, *first), *(_vector(m, (k, 1), (k - 1, -1)) for k in range(1, rank)))
+    return (root_vector(m, *first),
+            *(root_vector(m, (k, 1), (k - 1, -1)) for k in range(1, rank)))
 
 
 @lru_cache(maxsize=None)
 def positive_roots(family: str, rank: int) -> tuple[Root, ...]:
     m = ambient_dim(family, rank)
     if family == "A":
-        roots = [_vector(m, (i, 1), (j, -1)) for i in range(m) for j in range(i + 1, m)]
+        roots = [root_vector(m, (i, 1), (j, -1)) for i in range(m) for j in range(i + 1, m)]
     else:
-        roots = [_vector(m, (i, sign), (j, 1))
+        roots = [root_vector(m, (i, sign), (j, 1))
                  for j in range(m) for i in range(j) for sign in (1, -1)]
         if family != "D":
-            roots += [_vector(m, (k, 1 if family == "B" else 2)) for k in range(m)]
+            roots += [root_vector(m, (k, 1 if family == "B" else 2)) for k in range(m)]
     roots.sort(key=lambda r: (height(family, rank, r), r))
     return tuple(roots)
 

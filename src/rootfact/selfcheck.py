@@ -29,7 +29,13 @@ from .linalg import mat_inverse, mat_mul, scale_cols
 from .matrices import e_matrix, f_matrix, form_matrix, h_matrix, sigma
 from .rootsystem import delta, positive_roots
 from .scalar import ONE, Scalar
-from .weyl import canonical_word, enumerate_reduced_words, ordering_from_word, standard_count_a
+from .weyl import (
+    canonical_word,
+    count_reduced_words,
+    longest_element,
+    ordering_from_word,
+    standard_count_a,
+)
 
 
 def _point(n: int):
@@ -124,8 +130,7 @@ def _check_pullback(family: str, rank: int) -> None:
 
 
 def _check_counts(family: str, rank: int) -> None:
-    words = enumerate_reduced_words(family, rank)
-    if len(words) != standard_count_a(rank + 1):
+    if count_reduced_words(longest_element(family, rank)) != standard_count_a(rank + 1):
         raise InvalidInputError(f"reduced word count mismatch for {family}{rank}")
 
 

@@ -13,8 +13,10 @@ j-th simple root under the composite of the first j-1 reflections in
 application order.  Orderings determine their word uniquely, which
 validate_ordering recovers.
 
-enumerate_reduced_words lists the reduced words of elements of length at
-most COUNT_WORDS_CAP = 25 and refuses a longer one with invalid-input.
+count_reduced_words counts the reduced words of an element without
+listing them, and enumerate_reduced_words lists them once that count is
+within its budget; both refuse an element whose words reach more than
+MAX_COUNTED_ELEMENTS group elements with invalid-input.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .rootsystem import (
     ambient_dim,
     check_family_rank,
     is_positive_root,
+    pairing,
     positive_roots,
     simple_roots,
+    root_vector,
 )
 
 Word = tuple
@@ -41,12 +45,6 @@ class WeylElement:
     family: str
     rank: int
     images: tuple[int, ...]
-
-    def act_index(self, k: int) -> int:
-        """Signed image of basis index k (1-based)."""
-        if k > 0:
-            return self.images[k - 1]
-        return -self.images[-k - 1]
 
     def act_root(self, root: tuple) -> tuple:
         out = [0] * len(root)
@@ -67,11 +65,9 @@ class WeylElement:
         """Composition self o other (other acts first)."""
         if (self.family, self.rank) != (other.family, other.rank):
             raise InvalidInputError("cannot compose elements of different groups")
-        return WeylElement(
-            self.family,
-            self.rank,
-            tuple(self.act_index(v) for v in other.images),
-        )
+        x = self.images
+        return WeylElement(self.family, self.rank,
+                           tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in other.images))
 
     def inverse(self) -> "WeylElement":
         out = [0] * len(self.images)
@@ -90,25 +86,18 @@ def identity_element(family: str, rank: int) -> WeylElement:
 
 @lru_cache(maxsize=None)
 def simple_reflection(family: str, rank: int, i: int) -> WeylElement:
+    """s_i from a = a_i by s_a(l_k) = l_k - (2 (l_k, a) / (a, a)) a, which
+    moves only the l_k with a_k nonzero."""
     check_family_rank(family, rank)
     if not 1 <= i <= rank:
         raise InvalidWordError(f"letter {i} outside 1..{rank}", index=None)
-    m = ambient_dim(family, rank)
-    images = list(range(1, m + 1))
-    if family == "A":
-        images[i - 1], images[i] = images[i], images[i - 1]
-    elif family in ("B", "C"):
-        if i == 1:
-            images[0] = -1
-        else:
-            images[i - 1], images[i - 2] = images[i - 2], images[i - 1]
-    else:
-        if i == 1:
-            images[0], images[1] = -2, -1
-        elif i == 2:
-            images[0], images[1] = 2, 1
-        else:
-            images[i - 1], images[i - 2] = images[i - 2], images[i - 1]
+    a = simple_roots(family, rank)[i - 1]
+    images = list(range(1, len(a) + 1))
+    for k in (k for k, c in enumerate(a) if c):
+        p = pairing(root_vector(len(a), (k, 1)), a)
+        image = [int(j == k) - p * c for j, c in enumerate(a)]
+        j = next(j for j, v in enumerate(image) if v)
+        images[k] = (j + 1) * image[j]
     return WeylElement(family, rank, tuple(images))
 
 
@@ -144,12 +133,16 @@ def is_reduced(family: str, rank: int, word: Word) -> bool:
 
 
 def right_descents(w: WeylElement) -> list[int]:
-    simples = simple_roots(w.family, w.rank)
-    return [
-        i + 1
-        for i, a in enumerate(simples)
-        if not is_positive_root(w.family, w.rank, w.act_root(a))
-    ]
+    """The letters i with w(a_i) negative, in closed form over the signed
+    images x (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2005,
+    sections 1.5, 8.1 and 8.2): x_i > x_(i+1) for A, and y_i < y_(i-1)
+    over y = (y_0, x_1, ..., x_r) for B, C and D, y_0 = -x_2 for D and 0
+    otherwise."""
+    x = w.images
+    if w.family == "A":
+        return [i for i in range(1, w.rank + 1) if x[i - 1] > x[i]]
+    y = (-x[1] if w.family == "D" else 0,) + x
+    return [i for i in range(1, w.rank + 1) if y[i] < y[i - 1]]
 
 
 def climb_to_top(w: WeylElement) -> tuple[Word, WeylElement]:
@@ -170,68 +163,84 @@ def climb_to_top(w: WeylElement) -> tuple[Word, WeylElement]:
 
 @lru_cache(maxsize=None)
 def longest_element(family: str, rank: int) -> WeylElement:
-    return climb_to_top(identity_element(family, rank))[1]
+    """w0 in closed form (Bourbaki, Plates I-IV): the reversal of l_1, ...,
+    l_(r+1) for A, and -1 for B, C and even-rank D; for odd-rank D, -1
+    except on l_1."""
+    m = ambient_dim(family, rank)
+    if family == "A":
+        return WeylElement(family, rank, tuple(range(m, 0, -1)))
+    keep = family == "D" and rank % 2
+    return WeylElement(family, rank, tuple(1 if k == 1 and keep else -k for k in range(1, m + 1)))
+
+
+def _walk_down(w: WeylElement, pick) -> Word:
+    """A reduced word of w, each letter pick(right descents) of what is left."""
+    out = []
+    while not w.is_identity():
+        out.append(pick(right_descents(w)))
+        w = w * simple_reflection(w.family, w.rank, out[-1])
+    return tuple(out)
 
 
 def deterministic_reduced_word(w: WeylElement) -> Word:
     """Reduced word of w picking the smallest right descent at each step."""
-    out = []
-    v = w
-    while not v.is_identity():
-        i = right_descents(v)[0]
-        out.append(i)
-        v = v * simple_reflection(v.family, v.rank, i)
-    return tuple(out)
+    return _walk_down(w, min)
 
 
 def random_reduced_word(family: str, rank: int, seed: int, w: WeylElement | None = None) -> Word:
-    if w is None:
-        w = longest_element(family, rank)
-    rng = random.Random(seed)
-    out = []
-    v = w
-    while not v.is_identity():
-        i = rng.choice(right_descents(v))
-        out.append(i)
-        v = v * simple_reflection(family, rank, i)
-    return tuple(out)
+    return _walk_down(longest_element(family, rank) if w is None else w,
+                      random.Random(seed).choice)
 
 
-# the longest element enumerated has this many letters: the reduced words of
-# w_0 at A6 to C5 (21-25 letters) reach the default budget in about 10 s, at
-# A10 in 19 s, at A40 in over 60 s, and A44 and B32 ran out of recursion depth
-COUNT_WORDS_CAP = 25
+# the most group elements a count meets: w0 at A7, B6, C6 and D6 (at most 46,080
+# elements) counts in 0.15-0.4 s, and the groups past them, D7, A8 and up to rank
+# 100, are refused in 0.3-0.9 s (Python 3.11, one core of a 2-CPU x86-64 machine)
+MAX_COUNTED_ELEMENTS = 50000
+
+
+def _fold_down(w: WeylElement, start, extend):
+    """Fold over the reduced words of w, a length at a time from w down to
+    the identity: each level maps an element v to the value of the words
+    from w to v, and v s_i, for each right descent i of v, gets
+    extend(value, i), the values of every v reaching it added up.  Raises
+    InvalidInputError once more than MAX_COUNTED_ELEMENTS elements have
+    been met."""
+    family, rank = w.family, w.rank
+    top = identity_element(family, rank)
+    level, met = {w: start}, 1
+    while top not in level:
+        below = {}
+        for v, value in level.items():
+            for i in right_descents(v):
+                child, step = v * simple_reflection(family, rank, i), extend(value, i)
+                met += child not in below
+                below[child] = below[child] + step if child in below else step
+            if met > MAX_COUNTED_ELEMENTS:
+                raise InvalidInputError(f"counting the reduced words of this {family}{rank} element"
+                                        f" meets more than {MAX_COUNTED_ELEMENTS} group elements")
+        level = below
+    return level[top]
+
+
+def count_reduced_words(w: WeylElement) -> int:
+    """The number of reduced words of w, as count(w) = sum over the right
+    descents s of w of count(w s) (Stanley 1984; Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, 2005, section 3)."""
+    return _fold_down(w, 1, lambda value, i: value)
 
 
 def enumerate_reduced_words(
     family: str, rank: int, w: WeylElement | None = None, budget: int = 500000
 ) -> list[Word]:
     """All reduced words of w (default: the longest element), in
-    lexicographic order.  Raises InvalidInputError, before any
-    enumeration, when w is longer than COUNT_WORDS_CAP letters, and
-    BudgetExceededError when the output would exceed ``budget`` words."""
+    lexicographic order.  Raises BudgetExceededError, before any word
+    is listed, when w has more than ``budget`` of them."""
     if w is None:
         w = longest_element(family, rank)
-    letters = length(w)
-    if letters > COUNT_WORDS_CAP:
-        raise InvalidInputError(f"reduced words are enumerated for elements of length at most "
-                                f"{COUNT_WORDS_CAP}; this one has length {letters}")
-    count = 0
-
-    def rec(v: WeylElement) -> list[Word]:
-        nonlocal count
-        if v.is_identity():
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(f"more than {budget} reduced words")
-            return [()]
-        out = []
-        for i in right_descents(v):
-            tail = rec(v * simple_reflection(family, rank, i))
-            out.extend((i,) + t for t in tail)
-        return out
-
-    return rec(w)
+    count = count_reduced_words(w)
+    if count > budget:
+        raise BudgetExceededError(f"{count} reduced words, more than {budget}")
+    return sorted(_fold_down(w, [()], lambda words, i: [word + (i,) for word in words]))
 
 
 def _taus_if_reduced(family: str, rank: int, word: Word) -> tuple[tuple, ...] | None:
@@ -289,13 +298,6 @@ def validate_ordering(family: str, rank: int, roots) -> Word:
 # -- canonical words and orderings -----------------------------------
 
 
-def _basis_root(m: int, entries: dict) -> tuple:
-    root = [0] * m
-    for k, c in entries.items():
-        root[k - 1] = c
-    return tuple(root)
-
-
 @lru_cache(maxsize=None)
 def canonical_ordering(family: str, rank: int) -> tuple[tuple, ...]:
     """The lexicographic-by-level root ordering fixed per family."""
@@ -303,21 +305,21 @@ def canonical_ordering(family: str, rank: int) -> tuple[tuple, ...]:
     m = ambient_dim(family, rank)
     taus = []
     if family == "A":
-        for j in range(2, m + 1):
-            for i in range(1, j):
-                taus.append(_basis_root(m, {i: 1, j: -1}))
+        for j in range(1, m):
+            for i in range(j):
+                taus.append(root_vector(m, (i, 1), (j, -1)))
         return tuple(taus)
-    for k in range(1, rank + 1):
-        if family == "D" and k == 1:
+    for k in range(rank):
+        if family == "D" and k == 0:
             continue
-        for mm in range(k - 1, 0, -1):
-            taus.append(_basis_root(m, {k: 1, mm: 1}))
+        for mm in range(k - 1, -1, -1):
+            taus.append(root_vector(m, (k, 1), (mm, 1)))
         if family == "B":
-            taus.append(_basis_root(m, {k: 1}))
+            taus.append(root_vector(m, (k, 1)))
         elif family == "C":
-            taus.append(_basis_root(m, {k: 2}))
-        for mm in range(1, k):
-            taus.append(_basis_root(m, {k: 1, mm: -1}))
+            taus.append(root_vector(m, (k, 2)))
+        for mm in range(k):
+            taus.append(root_vector(m, (k, 1), (mm, -1)))
     return tuple(taus)
 
 
@@ -334,11 +336,8 @@ def standard_count_a(n: int) -> int:
     symbols: C(n,2)! / (1^(n-1) 3^(n-2) ... (2n-3)^1)."""
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    num = math.factorial(n * (n - 1) // 2)
-    den = 1
-    for k in range(1, n):
-        den *= (2 * k - 1) ** (n - k)
-    return num // den
+    return math.factorial(n * (n - 1) // 2) // math.prod((2 * k - 1) ** (n - k)
+                                                         for k in range(1, n))
 
 
 def printed_count_bc(rank: int):
@@ -351,12 +350,7 @@ def printed_count_bc(rank: int):
     from fractions import Fraction
 
     n = rank
-    num = math.factorial(n * n)
-    den = 1
-    for i in range(1, n + 1):
-        den *= (2 * i - 1) ** (n - i)
-    for j in range(0, n - 2):
-        for k in range(1, n - j - 1):
-            den *= 2 * (j + 2 * k)
-    q = Fraction(num, den)
+    den = math.prod((2 * i - 1) ** (n - i) for i in range(1, n + 1))
+    den *= math.prod(2 * (j + 2 * k) for j in range(n - 2) for k in range(1, n - j - 1))
+    q = Fraction(math.factorial(n * n), den)
     return int(q) if q.denominator == 1 else q

@@ -7,8 +7,9 @@ and the faults it can answer: malformed flags, a missing ``--input``,
 an absent file, broken JSON, an input that is not an object,
 missing keys, floats and overlong numbers where scalars belong, a
 result past the interpreter's digit limit, invalid words and
-orderings, an exhausted budget, points on the exceptional set
-(denominator and pivot) and a matrix off the open stratum.  The group
+orderings, the removed ``--budget`` flag and groups too large to count,
+points on the exceptional set (denominator and pivot) and a matrix off
+the open stratum.  The group
 "no-command" holds the requests that name no known subcommand.
 
 A case's outcome is its exit code and stdout, and the battery keeps

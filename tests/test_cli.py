@@ -14,6 +14,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,12 @@ from rootfact import (
     dim,
     enumerate_reduced_words,
     factorization,
+    linalg,
     ordering_from_word,
     positive_roots,
 )
 from rootfact.cli import main
+from rootfact.weyl import MAX_COUNTED_ELEMENTS
 
 IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
 
@@ -122,32 +125,71 @@ def test_count_words(capsys):
 
 
 def test_count_words_budget(capsys):
+    # the count meets group elements, not words, so a word budget has no
+    # place on the command line: --budget is an unknown flag
     code, payload, _ = run_cli(
         capsys, ["count-words", "--family", "A", "--rank", "4", "--budget", "10"]
     )
     assert code == 2
-    assert payload["error"]["kind"] == "budget-exceeded"
+    assert payload == {"error": {"kind": "invalid-input",
+                                 "message": "unrecognized arguments: --budget 10"}}
 
 
 @pytest.mark.parametrize("family,rank,length", [("A", 44, 990), ("B", 32, 1024), ("A", 40, 820),
-                                                ("A", 7, 28)])
+                                                ("A", 7, 28), ("D", 7, 42), ("A", 8, 36),
+                                                ("B", 100, 10000)])
 def test_count_words_above_the_cap(capsys, family, rank, length):
-    # A44 and B32 ran out of recursion depth and A40 ran past a minute
+    # longest words past the old 25-letter cap: A44 and B32 ran out of
+    # recursion depth and A40 ran past a minute; the one bound now is on the
+    # group elements the count meets, so A7 (8! of them) gets its count and
+    # the groups past the bound are refused, each within two seconds
+    assert len(positive_roots(family, rank)) == length > 25
+    started = time.monotonic()
     code, payload, _ = run_cli(capsys, ["count-words", "--family", family, "--rank", str(rank)])
-    assert code == 2
-    assert payload == {"error": {"kind": "invalid-input", "message": (
-        f"count-words takes longest words of at most 25 letters; that of {family}{rank} "
-        f"has {length}")}}
+    assert time.monotonic() - started < 2.0
+    if (family, rank) == ("A", 7):
+        assert (code, payload) == (0, {"count": 48608795688960, "formula": "48608795688960"})
+    else:
+        assert code == 2
+        assert payload == {"error": {"kind": "invalid-input", "message": (
+            f"counting the reduced words of this {family}{rank} element meets more than "
+            f"{MAX_COUNTED_ELEMENTS} group elements")}}
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("family,rank", [("B", 5), ("C", 5), ("A", 6)])
+@pytest.mark.parametrize("family,rank", [("B", 5), ("C", 5), ("A", 6), ("B", 6), ("C", 6),
+                                         ("D", 6)])
 def test_count_words_at_the_cap_enumerates(capsys, family, rank):
-    # the longest words of 25 letters or fewer reach the enumeration
-    code, payload, _ = run_cli(
-        capsys, ["count-words", "--family", family, "--rank", str(rank), "--budget", "10"])
-    assert code == 2
-    assert payload["error"]["kind"] == "budget-exceeded"
+    # the longest words of 25 letters or fewer, which reached the word
+    # budget when they were enumerated, and the largest groups under the
+    # element bound are counted without listing, each within two seconds
+    started = time.monotonic()
+    code, payload, _ = run_cli(capsys, ["count-words", "--family", family, "--rank", str(rank)])
+    assert time.monotonic() - started < 2.0
+    assert code == 0
+    assert payload["count"] == {
+        "B5": 701149020, "C5": 701149020, "A6": 1100742656, "B6": 1671643033734960,
+        "C6": 1671643033734960, "D6": 4814069133600}[f"{family}{rank}"]
+
+
+def test_ldu_minors_run_no_determinant(capsys, tmp_path, monkeypatch):
+    # the leading principal minors are the prefix products of d
+    def refuse(*args):
+        raise AssertionError("a determinant was run")
+
+    monkeypatch.setattr(linalg, "det_exact", refuse)
+    matrix = [["2", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]]
+    src = write_json(tmp_path, "m.json", {"matrix": matrix})
+    code, payload, _ = run_cli(capsys, ["ldu", "--minors", "--input", src])
+    assert code == 0
+    assert payload["d"] == ["2", "3/2", "4/3"]
+    assert payload["minors"] == ["2", "3", "4"]
+
+
+def test_every_option_has_a_command():
+    # a flag whose last subcommand went away must go with it
+    used = {option for _, _, options in cli._COMMANDS.values() for option in options}
+    assert set(cli._OPTIONS) <= used
 
 
 def test_invert_forward_round_trip(capsys, tmp_path):
@@ -510,10 +552,12 @@ def _requests(draw):
                      draw(st.lists(st.lists(st.integers(-2, 2), max_size=4), max_size=9))),
     }
     flags = {"family": ["--family", family, "--rank", str(rank)], "input": ["--input", "-"],
-             "minors": ["--minors"], "budget": ["--budget", "100000"]}
+             "minors": ["--minors"]}
     flags[which] = ["--" + which, ",".join(map(str, word))]
-    text = None
+    text, extra = None, []
     for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        if fault in ("family", "rank") and "family" not in flags:
+            continue  # a "flag" fault took the flags away
         if fault == "family":
             flags["family"][1] = "E"
         elif fault == "rank":
@@ -524,8 +568,8 @@ def _requests(draw):
             text = draw(st.sampled_from(["", "{", "[1]", "1/0"]))
         elif fault == "body":
             body = draw(_JSON)
-        elif fault == "budget":
-            flags["budget"] = ["--budget", draw(st.sampled_from(["1", "0", "y"]))]
+        elif fault == "budget":  # a flag no subcommand takes any more
+            extra = ["--budget", draw(st.sampled_from(["1", "0", "y", "100000"]))]
         elif isinstance(body, dict) and body:
             key = draw(st.sampled_from(sorted(body)))
             if fault == "key":
@@ -538,7 +582,7 @@ def _requests(draw):
                 elif body[key]:
                     body[key][draw(st.integers(0, len(body[key]) - 1))] = draw(_BAD)
     options = [option.removeprefix("optional-") for option in cli._COMMANDS[name][2]]
-    argv = [name] + [a for option in options for a in flags.get(option, [])]
+    argv = [name] + [a for option in options for a in flags.get(option, [])] + extra
     return argv, json.dumps(body) if text is None else text
 
 

@@ -19,21 +19,27 @@ from rootfact import (
     WeylElement,
     canonical_ordering,
     canonical_word,
+    count_reduced_words,
     deterministic_reduced_word,
     enumerate_reduced_words,
     identity_element,
+    is_positive_root,
     is_reduced,
     length,
     longest_element,
     ordering_from_word,
+    pairing,
     positive_roots,
     random_reduced_word,
+    right_descents,
     simple_reflection,
+    simple_roots,
     standard_count_a,
     printed_count_bc,
     validate_ordering,
     word_evaluate,
 )
+from rootfact.weyl import MAX_COUNTED_ELEMENTS, climb_to_top
 
 A2_ORDERING = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
 A3_ORDERING = ((1, -1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0),
@@ -125,15 +131,26 @@ def test_enumeration_small():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_reduced_words("A", 4, budget=10)
+    assert len(enumerate_reduced_words("A", 3, budget=16)) == 16
+    with pytest.raises(BudgetExceededError):
+        enumerate_reduced_words("A", 3, budget=15)
 
 
 @pytest.mark.parametrize("family,rank,letters", [("A", 44, 990), ("B", 32, 1024), ("A", 7, 28)])
 def test_enumeration_above_the_cap(family, rank, letters):
-    # A44 ran past 30 s in process before the library had a bound of its own
+    # A44 ran past 30 s in process before the library had a bound of its
+    # own; past the old 25-letter cap the element bound refuses A44 and B32,
+    # and the count refuses the 48,608,795,688,960 words of A7 up front
+    assert length(longest_element(family, rank)) == letters > 25
+    if (family, rank) == ("A", 7):
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_reduced_words(family, rank)
+        assert str(err.value) == "48608795688960 reduced words, more than 500000"
+        return
     with pytest.raises(InvalidInputError) as err:
         enumerate_reduced_words(family, rank)
-    assert str(err.value) == ("reduced words are enumerated for elements of length at most 25; "
-                              f"this one has length {letters}")
+    assert str(err.value) == (f"counting the reduced words of this {family}{rank} element meets "
+                              f"more than {MAX_COUNTED_ELEMENTS} group elements")
 
 
 def test_enumeration_of_a_short_element_at_a_high_rank():
@@ -146,6 +163,79 @@ def test_standard_counts():
     assert standard_count_a(3) == 2
     assert standard_count_a(4) == 16
     assert standard_count_a(5) == 768
+
+
+def group(family: str, rank: int) -> list[WeylElement]:
+    """Every element of the Weyl group, by closing the identity under the
+    simple reflections."""
+    seen = {identity_element(family, rank)}
+    todo = list(seen)
+    while todo:
+        w = todo.pop()
+        for i in range(1, rank + 1):
+            v = w * simple_reflection(family, rank, i)
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return sorted(seen, key=lambda w: w.images)
+
+
+@pytest.mark.parametrize("family,rank,order", [("A", 3, 24), ("B", 3, 48), ("C", 3, 48),
+                                               ("D", 4, 192)])
+def test_count_equals_the_enumeration_on_every_element(family, rank, order):
+    elements = group(family, rank)
+    assert len(elements) == order
+    for w in elements:
+        words = enumerate_reduced_words(family, rank, w=w)
+        assert len(set(words)) == len(words) == count_reduced_words(w)
+        assert all(len(word) == length(w) and word_evaluate(family, rank, word) == w
+                   for word in words)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_right_descents_are_the_simple_roots_sent_negative(family, rank):
+    simples = simple_roots(family, rank)
+    for w in group(family, rank):
+        assert right_descents(w) == [i for i, a in enumerate(simples, start=1)
+                                     if not is_positive_root(family, rank, w.act_root(a))]
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_count_of_the_longest_element_a(rank):
+    assert count_reduced_words(longest_element("A", rank)) == standard_count_a(rank + 1)
+
+
+@pytest.mark.parametrize("family,rank,count", [
+    ("B", 5, 701149020), ("C", 5, 701149020), ("D", 5, 12985968), ("D", 6, 4814069133600),
+    ("B", 6, 1671643033734960), ("C", 6, 1671643033734960)])
+def test_count_of_the_longest_element_bcd(family, rank, count):
+    assert count_reduced_words(longest_element(family, rank)) == count
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_simple_reflections_act_by_the_cartan_matrix(family):
+    # s_i(a_j) = a_j - a_j(h_i) a_i on every simple root
+    for rank in range(2 if family == "D" else 1, 13):
+        simples = simple_roots(family, rank)
+        for i, a in enumerate(simples, start=1):
+            s = simple_reflection(family, rank, i)
+            for b in simples:
+                assert s.act_root(b) == tuple(x - pairing(b, a) * y for x, y in zip(b, a))
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_longest_element_closed_form_is_the_top_of_the_climb(family):
+    for rank in range(2 if family == "D" else 1, 13):
+        assert longest_element(family, rank) == climb_to_top(identity_element(family, rank))[1]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 44), ("A", 100), ("D", 99)])
+def test_count_refuses_large_groups(family, rank):
+    # the count walks a length at a time, so no recursion depth grows with
+    # the rank; the element bound refuses before the walk gets long
+    with pytest.raises(InvalidInputError) as err:
+        count_reduced_words(longest_element(family, rank))
+    assert str(err.value).endswith(f"more than {MAX_COUNTED_ELEMENTS} group elements")
 
 
 def test_bc_share_words_but_not_orderings():
