@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, StratumError
 from .jets import Jet, jacobian_det
-from .linalg import identity, ldu, mat_mul, mul_right_i_plus, scale_cols
+from .linalg import identity, ldu, mul_right_i_plus, scale_cols
 from .matrices import (
     anchor_coordinate,
     dim,
@@ -54,7 +54,8 @@ from .scalar import ONE, ZERO, Scalar, sc
 from .weyl import (
     WeylElement,
     check_word,
-    climb_to_top,
+    deterministic_reduced_word,
+    longest_element,
     ordering_from_word,
 )
 
@@ -158,8 +159,10 @@ class ForwardResult:
     s: list  # s_j = 1 + z_j^- z_j^+
 
 
-def _product_matrix(family: str, rank: int, taus, pairs, h=None):
-    g = identity(dim(family, rank))
+def _product_matrix(family: str, rank: int, taus, pairs, h=None, g=None):
+    """g (default I) times the pair product over taus, times the torus h."""
+    if g is None:
+        g = identity(dim(family, rank))
     for tau, (zm, zp) in zip(reversed(taus), reversed(pairs)):
         g = exp_f(family, rank, tau, zm, g)
         g = exp_e(family, rank, tau, zp, g)
@@ -228,15 +231,14 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     hd = plan.check_torus(h)
     size = len(hd)
 
-    # dual element sigma(h g_0^{-1}), g_0 = L h U, as the product it is:
-    # exp(-l_n e_n) *** exp(-l_1 e_1) h^{-1} exp(-u_n f_n) *** exp(-u_1 f_1) h
+    # dual element sigma(g_0^{-1}), g_0 = L h U, as the product it is:
+    # exp(-l_n e_n) *** exp(-l_1 e_1) h^{-1} exp(-u_n f_n) *** exp(-u_1 f_1)
     ghat = identity(size)
     for tau, c in zip(reversed(taus), reversed(lcoords)):
         ghat = exp_e(family, rank, tau, -c, ghat)
     ghat = scale_cols(ghat, [ONE / v for v in hd])
     for tau, c in zip(reversed(taus), reversed(ucoords)):
         ghat = exp_f(family, rank, tau, -c, ghat)
-    ghat = scale_cols(ghat, hd)
     try:
         lprime = extract_lower(family, rank, taus, ldu(ghat)[0])
     except StratumError as err:
@@ -393,12 +395,13 @@ def delta_identity_check(family: str, rank: int, word) -> bool:
 def stratum_data(family: str, rank: int, w: WeylElement):
     """Deterministic root sequence for the stratum of w.
 
-    Returns (gammas, taus): gammas is a word evaluating to w0 * w,
-    taus lists the positive roots kept positive by w, in the order the
-    factorization consumes them.
+    Returns (gammas, taus): gammas is the deterministic reduced word of
+    w0 * w, whose letters are the smallest right ascents that take w up
+    to w0; taus lists the positive roots kept positive by w, in the
+    order the factorization consumes them.
     """
-    gammas = climb_to_top(w)[0]
-    return gammas, ordering_from_word(family, rank, gammas)
+    gammas = deterministic_reduced_word(longest_element(family, rank) * w)
+    return gammas, word_plan(family, rank, gammas).taus
 
 
 @dataclass
@@ -415,13 +418,12 @@ def forward_map_stratum(family: str, rank: int, w: WeylElement, pairs, h=None) -
     """Factorization product for the Bruhat stratum of w: the fixed
     representative of w times the pair product over the stratum roots
     times the torus element."""
-    gammas, taus = stratum_data(family, rank, w)
-    plan = word_plan(family, rank, gammas)  # its taus are the stratum roots
+    gammas = stratum_data(family, rank, w)[0]
+    plan = word_plan(family, rank, gammas)  # the plan stratum_data built
     pairs = plan.scalar_pairs(pairs)
     hd = plan.check_torus(h)
-    g = _product_matrix(family, rank, taus, pairs, hd)
     wmat = weyl_representative(family, rank, w)
-    g = mat_mul(wmat, g)
+    g = _product_matrix(family, rank, plan.taus, pairs, hd, wmat)
     return StratumResult(
-        family=family, rank=rank, w=w, gammas=gammas, taus=taus, matrix=g
+        family=family, rank=rank, w=w, gammas=gammas, taus=plan.taus, matrix=g
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .linalg import identity, mat_copy, mat_inverse, mat_mul, mul_right_i_plus
+from .linalg import identity, mat_copy, mat_inverse, mul_right_i_plus
 from .rootsystem import ambient_dim, check_family_rank, pairing, positive_roots
 from .scalar import I as IMAG
 from .scalar import ONE, ZERO, Scalar, sc
@@ -102,7 +102,6 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
         i = root.index(1)
         j = root.index(-1)
         e = ((i, j, ONE),)
-        f = ((j, i, ONE),)
     else:
         r = rank
 
@@ -115,25 +114,21 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
             if c == 1:  # short root of B
                 z = r
                 e = ((a, z, ONE), (z, mir(a), -ONE))
-                f = ((z, a, TWO), (mir(a), z, -TWO))
             else:  # long root of C
                 e = ((a, mir(a), ONE),)
-                f = ((mir(a), a, ONE),)
         else:
             (m_idx, cm), (k_idx, ck) = nz
             ak, am = row(k_idx), row(m_idx)
             if cm == -1:  # l_k - l_m
                 e = ((ak, am, ONE), (mir(am), mir(ak), -ONE))
-                f = ((am, ak, ONE), (mir(ak), mir(am), -ONE))
             elif family == "B":  # l_k + l_m
                 e = ((ak, mir(am), HALF), (am, mir(ak), -HALF))
-                f = ((mir(am), ak, TWO), (mir(ak), am, -TWO))
             elif family == "C":
                 e = ((ak, mir(am), ONE), (am, mir(ak), ONE))
-                f = ((mir(am), ak, ONE), (mir(ak), am, ONE))
             else:
                 e = ((ak, mir(am), ONE), (am, mir(ak), -ONE))
-                f = ((mir(am), ak, ONE), (mir(ak), am, -ONE))
+    s = sigma_diag(family, rank)
+    f = [(y, x, s[y] * v / s[x]) for x, y, v in e]  # f = sigma(e) = S e^T S^{-1}
     h = tuple(coroot_diag(family, rank, root))
     return RootTriple(
         root=root,
@@ -272,17 +267,15 @@ def r_root(family: str, rank: int, root: tuple):
     return exp_e(family, rank, root, IMAG, g)
 
 
-@lru_cache(maxsize=None)
-def _r_simple(family: str, rank: int, i: int):
-    return r_root(family, rank, simple_roots(family, rank)[i - 1])
-
-
 def weyl_representative(family: str, rank: int, w: WeylElement):
-    """Product of simple-root representatives along the deterministic
-    reduced word of w (first letter rightmost in the product)."""
+    """Product of the simple-root representatives r_root along the
+    deterministic reduced word of w (first letter rightmost), each put on
+    the right as its sparse factors exp(i e) exp(i f) exp(i e)."""
     g = identity(dim(family, rank))
-    for i in deterministic_reduced_word(w):
-        g = mat_mul(_r_simple(family, rank, i), g)
+    simples = simple_roots(family, rank)
+    for i in reversed(deterministic_reduced_word(w)):
+        for exp in (exp_e, exp_f, exp_e):
+            g = exp(family, rank, simples[i - 1], IMAG, g)
     return g
 
 

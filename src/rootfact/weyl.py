@@ -13,6 +13,10 @@ j-th simple root under the composite of the first j-1 reflections in
 application order.  Orderings determine their word uniquely, which
 validate_ordering recovers.
 
+One walk down by right descents gives single words: the smallest at each
+step for deterministic_reduced_word and length, a seeded choice for
+random_reduced_word.  A stratum word walks from w0 w, whose descents are w's ascents.
+
 count_reduced_words counts the reduced words of an element without
 listing them, and enumerate_reduced_words lists them once that count is
 within its budget; both refuse an element whose words reach more than
@@ -32,7 +36,6 @@ from .rootsystem import (
     check_family_rank,
     is_positive_root,
     pairing,
-    positive_roots,
     simple_roots,
     root_vector,
 )
@@ -68,15 +71,6 @@ class WeylElement:
         x = self.images
         return WeylElement(self.family, self.rank,
                            tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in other.images))
-
-    def inverse(self) -> "WeylElement":
-        out = [0] * len(self.images)
-        for k, v in enumerate(self.images):
-            if v > 0:
-                out[v - 1] = k + 1
-            else:
-                out[-v - 1] = -(k + 1)
-        return WeylElement(self.family, self.rank, tuple(out))
 
 
 def identity_element(family: str, rank: int) -> WeylElement:
@@ -122,10 +116,7 @@ def word_evaluate(family: str, rank: int, word: Word) -> WeylElement:
 
 
 def length(w: WeylElement) -> int:
-    return sum(
-        0 if is_positive_root(w.family, w.rank, w.act_root(b)) else 1
-        for b in positive_roots(w.family, w.rank)
-    )
+    return len(deterministic_reduced_word(w))
 
 
 def is_reduced(family: str, rank: int, word: Word) -> bool:
@@ -143,22 +134,6 @@ def right_descents(w: WeylElement) -> list[int]:
         return [i for i in range(1, w.rank + 1) if x[i - 1] > x[i]]
     y = (-x[1] if w.family == "D" else 0,) + x
     return [i for i in range(1, w.rank + 1) if y[i] < y[i - 1]]
-
-
-def climb_to_top(w: WeylElement) -> tuple[Word, WeylElement]:
-    """(letters, w0): w followed by the letters is the longest element w0,
-    each letter the smallest right ascent of the element reached so far;
-    w0 is the one element with none."""
-    family, rank = w.family, w.rank
-    simples = simple_roots(family, rank)
-    letters = []
-    while True:
-        i = next((i for i, a in enumerate(simples, start=1)
-                  if is_positive_root(family, rank, w.act_root(a))), None)
-        if i is None:
-            return tuple(letters), w
-        letters.append(i)
-        w = w * simple_reflection(family, rank, i)
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +168,11 @@ def random_reduced_word(family: str, rank: int, seed: int, w: WeylElement | None
 
 
 # the most group elements a count meets: w0 at A7, B6, C6 and D6 (at most 46,080
-# elements) counts in 0.15-0.4 s, and the groups past them, D7, A8 and up to rank
-# 100, are refused in 0.3-0.9 s (Python 3.11, one core of a 2-CPU x86-64 machine)
+# elements) counts in 0.12-0.4 s, and the groups past them, D7, A8 and up to rank
+# 100, are refused in 0.25-0.75 s (Python 3.11, one core of a 2-CPU x86-64 machine)
 MAX_COUNTED_ELEMENTS = 50000
+# the most reduced words enumerate_reduced_words lists
+WORD_BUDGET = 500000
 
 
 def _fold_down(w: WeylElement, start, extend):
@@ -206,15 +183,22 @@ def _fold_down(w: WeylElement, start, extend):
     InvalidInputError once more than MAX_COUNTED_ELEMENTS elements have
     been met."""
     family, rank = w.family, w.rank
-    top = identity_element(family, rank)
-    level, met = {w: start}, 1
+    # (k, u) for each l_k that s_i moves, u its signed image, as in __mul__
+    moves = {i: [(k, u) for k, u in enumerate(simple_reflection(family, rank, i).images)
+                 if u != k + 1] for i in range(1, rank + 1)}
+    # levels are keyed by the images: tuples hash faster than the dataclass
+    top = identity_element(family, rank).images
+    level, met = {w.images: start}, 1
     while top not in level:
         below = {}
-        for v, value in level.items():
-            for i in right_descents(v):
-                child, step = v * simple_reflection(family, rank, i), extend(value, i)
-                met += child not in below
-                below[child] = below[child] + step if child in below else step
+        for x, value in level.items():
+            for i in right_descents(WeylElement(family, rank, x)):
+                y = list(x)
+                for k, u in moves[i]:
+                    y[k] = x[u - 1] if u > 0 else -x[-u - 1]
+                y, step = tuple(y), extend(value, i)
+                met += y not in below
+                below[y] = below[y] + step if y in below else step
             if met > MAX_COUNTED_ELEMENTS:
                 raise InvalidInputError(f"counting the reduced words of this {family}{rank} element"
                                         f" meets more than {MAX_COUNTED_ELEMENTS} group elements")
@@ -229,17 +213,15 @@ def count_reduced_words(w: WeylElement) -> int:
     return _fold_down(w, 1, lambda value, i: value)
 
 
-def enumerate_reduced_words(
-    family: str, rank: int, w: WeylElement | None = None, budget: int = 500000
-) -> list[Word]:
+def enumerate_reduced_words(family: str, rank: int, w: WeylElement | None = None) -> list[Word]:
     """All reduced words of w (default: the longest element), in
     lexicographic order.  Raises BudgetExceededError, before any word
-    is listed, when w has more than ``budget`` of them."""
+    is listed, when w has more than WORD_BUDGET of them."""
     if w is None:
         w = longest_element(family, rank)
     count = count_reduced_words(w)
-    if count > budget:
-        raise BudgetExceededError(f"{count} reduced words, more than {budget}")
+    if count > WORD_BUDGET:
+        raise BudgetExceededError(f"{count} reduced words, more than {WORD_BUDGET}")
     return sorted(_fold_down(w, [()], lambda words, i: [word + (i,) for word in words]))
 
 

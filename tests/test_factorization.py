@@ -502,18 +502,25 @@ def test_stratum_map_detection():
     assert len(res.taus) == 2
     with pytest.raises(InvalidInputError):
         forward_map_stratum("A", 2, w, generic_pairs(rng, 3))
-    # every element of A3, reached by a search from the identity, lands
-    # in its own stratum at a generic point
-    seen = [identity_element("A", 3)]
-    for v in seen:
-        for i in (1, 2, 3):
-            u = v * simple_reflection("A", 3, i)
-            if u not in seen:
-                seen.append(u)
-    assert len(seen) == 24
-    for w in seen:
-        pairs = generic_pairs(rng, len(stratum_data("A", 3, w)[1]))
-        assert stratum_permutation(forward_map_stratum("A", 3, w, pairs).matrix) == w.images
+    # every element of A3, B3, C3 and D4, reached by a search from the
+    # identity, lands at a generic point in the stratum of its
+    # representative (for A, w itself), and distinct elements in distinct ones
+    for family, rank, order in (("A", 3, 24), ("B", 3, 48), ("C", 3, 48), ("D", 4, 192)):
+        seen = [identity_element(family, rank)]
+        for v in seen:
+            for i in range(1, rank + 1):
+                u = v * simple_reflection(family, rank, i)
+                if u not in seen:
+                    seen.append(u)
+        assert len(seen) == order
+        perms = set()
+        for w in seen:
+            pairs = generic_pairs(rng, len(stratum_data(family, rank, w)[1]))
+            perm = stratum_permutation(forward_map_stratum(family, rank, w, pairs).matrix)
+            assert perm == stratum_permutation(weyl_representative(family, rank, w))
+            assert family != "A" or perm == w.images
+            perms.add(perm)
+        assert len(perms) == order
 
 
 def test_stratum_permutation_generic():

@@ -1,11 +1,12 @@
 """Import hygiene: every name a rootfact module imports from a sibling
-module is used in that module, and every module-level private function
-or class is used somewhere in the package besides its own definition.
+module is used in that module, every module-level private function or
+class is used somewhere in the package besides its own definition, and
+every public one somewhere in the sources, the tests or the benchmark.
 The matrix and coordinate modules also rely on the number protocol
 alone: they test no entry for its number type.
 
 The package ``__init__`` imports names only to export them, so it is
-left out of the first check.
+left out of the first and the last of these checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import ast
 import collections
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rootfact"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rootfact"
 
 
 def unused_relative_imports(path: pathlib.Path) -> list[str]:
@@ -64,6 +66,24 @@ def test_private_helpers_are_used():
     # a use inside the helper's own body, a recursive call, does not count
     dead = [h.name for h in helpers if used[h.name] <= names_used(h)[h.name]]
     assert dead == []
+
+
+def test_public_names_are_used():
+    # a re-export from __init__ does not count as a use, so a deletion that
+    # leaves a public helper orphaned fails here
+    files = [p for top in ("src", "tests", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))
+             if p != SRC / "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    used = sum((names_used(tree) for tree in trees.values()), collections.Counter())
+    public = [
+        node
+        for p, tree in trees.items() if p.parent == SRC
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert public
+    orphans = [node.name for node in public if used[node.name] <= names_used(node)[node.name]]
+    assert orphans == []
 
 
 NUMBER_TYPES = {"Number", "Scalar", "Jet", "RadicalScalar"}
