@@ -11,17 +11,17 @@ LDU middle factor of g is exactly h, and the unipotent factors are
 ordered exponentials whose coefficient lists (l, u) are the other
 coordinate system this module converts to and from.
 
-The inverse direction recovers z from (l, u, h) through the dual
-element sigma(g_0^{-1}) and a downward recursion over the tails
-G_n *** G_(k+1) and their duals.  Each tail L U (a pair product has
-middle factor I) is carried as (Q L, U), Q undoing its known lower
-coordinates, takes one pair per step by a Gauss update of only the
-rows its root vector reaches (Bennett 1965), and gives its k-th lower
-coordinate as one entry of Q L (Humphreys, Linear Algebraic Groups,
-28.1).  Points where the recursion degenerates form the
-exceptional set and raise ExceptionalSetError.  Pushing jets through the
-forward map gives the exact Jacobian determinant, which also has two
-closed product forms.
+A pure pair product G_n *** G_1 has middle factor I at every point,
+and its L U takes one pair at a time by a Gauss update of only the rows
+the pair's root vector reaches (Bennett 1965).  Jets pushed through
+these joins give the exact Jacobian determinant, which also has two
+closed product forms.  The inverse recovers z from (l, u, h) through
+the dual element sigma(g_0^{-1}) and a downward recursion over the
+tails G_n *** G_(k+1) and their duals, each carried as (Q L, U), Q
+undoing its known lower coordinates: a tail takes one pair per step by
+the same join and gives its k-th lower coordinate as one entry of Q L
+(Humphreys, Linear Algebraic Groups, 28.1).  Points where the recursion
+degenerates form the exceptional set and raise ExceptionalSetError.
 
 Every map here and in the compact picture reads one cached WordPlan
 per (family, rank, word): the checked word and its taus, the pairing
@@ -159,16 +159,14 @@ class ForwardResult:
     s: list  # s_j = 1 + z_j^- z_j^+
 
 
-def _product_matrix(family: str, rank: int, taus, pairs, h=None, g=None):
+def _product_matrix(family: str, rank: int, taus, pairs, h, g=None):
     """g (default I) times the pair product over taus, times the torus h."""
     if g is None:
         g = identity(dim(family, rank))
     for tau, (zm, zp) in zip(reversed(taus), reversed(pairs)):
         g = exp_f(family, rank, tau, zm, g)
         g = exp_e(family, rank, tau, zp, g)
-    if h is not None:
-        g = [[v * h[j] for j, v in enumerate(row)] for row in g]
-    return g
+    return [[v * h[j] for j, v in enumerate(row)] for row in g]
 
 
 def forward_map(family: str, rank: int, word, pairs, h=None) -> ForwardResult:
@@ -198,10 +196,13 @@ def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
 
 
 def forward_coords_jets(plan: WordPlan, pairs):
-    """(l, u) of the pure pair product; entries may be jets."""
-    lower, d, upper = ldu(_product_matrix(plan.family, plan.rank, plan.taus, pairs))
-    return (extract_lower(plan.family, plan.rank, plan.taus, lower),
-            extract_upper(plan.family, plan.rank, plan.taus, upper))
+    """(l, u) of the pure pair product, whose middle factor is I at every
+    point: (L, U) = (I, I) takes the pairs n, ..., 1 by ``_join_pair``."""
+    family, rank, taus = plan.family, plan.rank, plan.taus
+    factors = [identity(dim(family, rank)) for _ in range(2)]
+    for tau, pair in zip(reversed(taus), reversed(pairs)):
+        factors = _join_pair(family, rank, tau, factors, pair)
+    return extract_lower(family, rank, taus, factors[0]), extract_upper(family, rank, taus, factors[1])
 
 
 def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
@@ -291,7 +292,7 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
 
 def _join_pair(family: str, rank: int, tau, factors, pair):
     """(P L_M, U_M exp(z^+ e_tau)) from (P, U) of a tail T = L U, P = L
-    or Q L; it consumes both.
+    (the jet forward) or Q L (the inverse); it consumes both.
 
     M = U exp(z^- f_tau) = L_M U_M is factored in place of U (Bennett
     1965) with every pivot 1: T exp(z^- f_tau) is the forward product of
@@ -301,7 +302,9 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
     ..., r an entry (r, c) of f_tau reaches (f_tau^2 lies inside them),
     so only those are eliminated, at the pivots min c, ..., max r, and
     only P's rows from the first move; U_M moves up to row max c, as
-    e_tau has f_tau's pattern transposed.
+    e_tau has f_tau's pattern transposed.  A pivot is compared with the
+    Scalar ONE, which no Jet equals, even of value 1; over jets the
+    diagonal of M stays that exact ONE, as the join tests pin.
     """
     (lower, upper), (zm, zp) = factors, pair
     f = root_triple(family, rank, tau).f

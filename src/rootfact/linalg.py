@@ -240,7 +240,7 @@ def ldu(g):
         d.append(p)
         ak = a[k]
         # an exact zero stays as it is, undivided, and its row needs no
-        # update; a jet of value zero can still carry derivatives
+        # update (the library hands ldu Scalars; a Jet of value 0 may carry partials)
         for j in range(k + 1, n):
             upper[k][j] = ak[j] if ak[j].is_zero() else ak[j] / p
         for i in range(k + 1, n):

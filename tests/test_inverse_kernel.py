@@ -1,15 +1,18 @@
-"""The inverse map's tail kernel against explicit products.
+"""The join kernel of the inverse map and the jet forward against
+explicit products.
 
 inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
 (Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), joins one pair
 per step and reads coordinate k of each tail as one entry of Q L, with
-the left peel and the anchor read of extract_lower.
+the left peel and the anchor read of extract_lower.  The jet forward
+joins all n pairs from (I, I) and extracts (l, u) from L and U.
 These tests check, at every step, the carried pair against the LDU of
 the explicitly multiplied tails and the reads against full extractions,
-check one join on general Q L against the explicit product and its
-unit-pivot guard, check that the closing extraction still rejects a
-faulty tail, and pin the exceptional-set payloads of non-generic
-integer points.
+check one join on general Q L, over Scalars and over jets, against the
+explicit product and its unit-pivot guard, check the jet forward
+against the dense product and LDU it replaced, check that the closing
+extraction still rejects a faulty tail, and pin the exceptional-set
+payloads of non-generic integer points.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import pytest
 from rootfact import (
     ExceptionalSetError,
     InvalidInputError,
+    Jet,
     StratumError,
+    canonical_word,
     dim,
     exp_e,
     exp_f,
@@ -29,19 +34,31 @@ from rootfact import (
     identity,
     inverse_dual,
     inverse_map,
+    jacobian_det_ad,
+    jacobian_det_formula,
+    lebesgue_pullback_det,
     ldu,
     mat_mul,
     ordering_from_word,
     positive_roots,
     random_reduced_word,
     root_triple,
+    word_plan,
+    zeta_from_eta,
 )
-from rootfact import factorization
+from rootfact import factorization, haar
 from rootfact.linalg import scale_cols
-from rootfact.matrices import assemble_lower, assemble_upper, extract_lower
+from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
 from rootfact.scalar import ONE, ZERO, Scalar, sc
 
-from conftest import exact_scalar, generic_pairs, pairs_equal, torus_diag
+from conftest import (
+    branch_pairs,
+    exact_scalar,
+    generic_pairs,
+    pairs_equal,
+    pairs_with_s_zero,
+    torus_diag,
+)
 
 
 def dual_lower_coords(family, rank, taus, l, u, h):
@@ -216,24 +233,90 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
     assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
 
 
+def lifted(x, width):
+    """x with every entry a Jet, so that == compares values and partials
+    whichever type an exact constant entry happens to have."""
+    if isinstance(x, (list, tuple)):
+        return [lifted(v, width) for v in x]
+    return x if isinstance(x, Jet) else Jet.constant(x, width)
+
+
 # the short roots of B3 give f_tau^2 entries spanning rows a, ..., N-1-a
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 4), ("B", 3)])
 def test_join_pair_on_general_factors(family, rank):
     # a real tail T = L U of a random reduced word takes its next pair
     # while carried as (X L, U) for an arbitrary unit lower X; the join
-    # must give (X L', U') for L' U' = T exp(z^- f_tau) exp(z^+ e_tau)
+    # must give (X L', U') for L' U' = T exp(z^- f_tau) exp(z^+ e_tau),
+    # with the pairs as Scalars and then as jet variables
     rng = random.Random(f"join/{family}{rank}")
     n = dim(family, rank)
     taus = ordering_from_word(family, rank, random_reduced_word(family, rank, 5))
-    tail = identity(n)
-    for tau, pair in zip(reversed(taus), reversed(generic_pairs(rng, len(taus)))):
-        lower, d, upper = ldu(tail)
-        x = unit_lower(rng, n)
-        tail = exp_e(family, rank, tau, pair[1], exp_f(family, rank, tau, pair[0], tail))
-        lower_next, d_next, upper_next = ldu(tail)
-        assert d == d_next == [ONE] * n
-        out = factorization._join_pair(family, rank, tau, (mat_mul(x, lower), upper), pair)
-        assert out == (mat_mul(x, lower_next), upper_next)
+    pairs = generic_pairs(rng, len(taus))
+    width = 2 * len(pairs)
+    jets = Jet.variables([v for pair in pairs for v in pair])
+    for case in (pairs, list(zip(jets[::2], jets[1::2]))):
+        tail = identity(n)
+        for tau, pair in zip(reversed(taus), reversed(case)):
+            lower, d, upper = ldu(tail)
+            x = unit_lower(rng, n)
+            tail = exp_e(family, rank, tau, pair[1], exp_f(family, rank, tau, pair[0], tail))
+            lower_next, d_next, upper_next = ldu(tail)
+            assert lifted(d, width) == lifted(d_next, width) == lifted([ONE] * n, width)
+            out = factorization._join_pair(family, rank, tau, (mat_mul(x, lower), upper), pair)
+            assert lifted(out, width) == lifted((mat_mul(x, lower_next), upper_next), width)
+            # the pivot guard compares with the Scalar ONE, which no Jet
+            # equals; the join answers over jets only because the diagonal
+            # it hands on stays that exact ONE
+            assert all(type(row[i]) is Scalar and row[i] == ONE for i, row in enumerate(out[1]))
+    assert Jet.constant(ONE, width) != ONE
+
+
+def dense_jet_forward(plan, pairs):
+    """The jet forward the joins replaced: the dense product over jets,
+    its dense ldu, whose middle factor is I, and the two extractions."""
+    family, rank, taus = plan.family, plan.rank, plan.taus
+    unit = [ONE] * dim(family, rank)
+    lower, d, upper = ldu(factorization._product_matrix(family, rank, taus, pairs, unit))
+    assert lifted(d, 2 * len(pairs)) == lifted(unit, 2 * len(pairs))
+    return extract_lower(family, rank, taus, lower), extract_upper(family, rank, taus, upper)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_jet_forward_matches_the_dense_path(family, rank):
+    # the canonical word and two random ones, each at a generic point, at
+    # the all-zero point and at a point where one 1 + z^- z^+ vanishes;
+    # == on jets compares the values and every partial
+    rng = random.Random(f"jet-forward/{family}{rank}")
+    for word in [canonical_word(family, rank)] + [random_reduced_word(family, rank, s) for s in (1, 2)]:
+        plan = word_plan(family, rank, word)
+        n = len(word)
+        points = [generic_pairs(rng, n), [(ZERO, ZERO)] * n,
+                  pairs_with_s_zero(rng, n, {rng.randint(1, n)})]
+        for pairs in points:
+            jets = plan.jet_pairs(pairs)
+            assert factorization.forward_coords_jets(plan, jets) == dense_jet_forward(plan, jets)
+
+
+def test_jacobian_runs_no_dense_ldu(monkeypatch):
+    # the jet forward joins its pairs; with ldu refusing every call, the
+    # Jacobian at A8 and B4 and the compact pullback at B3 still answer
+    word = random_reduced_word("B", 3, 11)
+    eta = branch_pairs(random.Random("kernel/no-ldu/pullback"), len(word))
+    expected = ONE
+    for d, asq in zip(word_plan("B", 3, word).deltas, zeta_from_eta("B", 3, word, eta)[2]):
+        expected = expected * asq ** (d + 1)
+
+    def no_ldu(g):
+        raise AssertionError("a dense ldu ran")
+
+    monkeypatch.setattr(factorization, "ldu", no_ldu)
+    monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+    assert lebesgue_pullback_det("B", 3, word, eta) == expected
+    for family, rank in (("A", 8), ("B", 4)):
+        word = random_reduced_word(family, rank, 11)
+        pairs = generic_pairs(random.Random(f"kernel/no-ldu/{family}{rank}"), len(word))
+        assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det_formula(
+            family, rank, word, pairs)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])

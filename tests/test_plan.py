@@ -39,6 +39,7 @@ from rootfact import (
     stratum_data,
     transpose_dual,
     unit_jacobian_check,
+    validate_ordering,
     word_evaluate,
     word_plan,
     zeta_from_eta,
@@ -99,11 +100,17 @@ def test_plan_cache_is_bounded():
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("C", 3), ("D", 3)])
 def test_stratum_roots_are_the_plan_of_the_gammas(family, rank):
+    # the taus are the positive roots w keeps positive, each once, and
+    # their order is the ordering of the gammas, whose word
+    # validate_ordering recovers from the roots alone
+    positive = set(positive_roots(family, rank))
     w0_word = random_reduced_word(family, rank, seed=5)
     for cut in range(len(w0_word) + 1):
         w = word_evaluate(family, rank, w0_word[:cut])
         gammas, taus = stratum_data(family, rank, w)
-        assert word_plan(family, rank, gammas).taus == taus
+        assert len(set(taus)) == len(taus)
+        assert set(taus) == {t for t in positive if w.act_root(t) in positive}
+        assert validate_ordering(family, rank, taus) == gammas
 
 
 @pytest.mark.parametrize("family,rank", WIDE)
