@@ -61,22 +61,18 @@ from .matrices import (
     form_matrix,
     h_matrix,
     inverse_dual,
-    iota,
-    r_root,
     root_triple,
     row_weight,
     sigma,
     weyl_representative,
 )
 from .rootsystem import (
-    coroot,
     delta,
     height,
     is_positive_root,
     norm2,
     pairing,
     positive_roots,
-    simple_coroot_coordinates,
     simple_root_coordinates,
     simple_roots,
 )
@@ -90,12 +86,10 @@ from .weyl import (
     enumerate_reduced_words,
     identity_element,
     is_reduced,
-    length,
     longest_element,
     ordering_from_word,
     printed_count_bc,
     random_reduced_word,
-    right_descents,
     simple_reflection,
     standard_count_a,
     validate_ordering,

@@ -80,6 +80,9 @@ class WordPlan:
     def check_pairs(self, pairs) -> list[tuple]:
         if len(pairs) != len(self.taus):
             raise InvalidInputError(f"expected {len(self.taus)} coordinate pairs, got {len(pairs)}")
+        for k, p in enumerate(pairs, start=1):
+            if len(p) != 2:
+                raise InvalidInputError(f"coordinate pair {k} has {len(p)} entries, not 2")
         return [(p[0], p[1]) for p in pairs]
 
     def scalar_pairs(self, pairs) -> list[tuple]:

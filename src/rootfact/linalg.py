@@ -37,10 +37,6 @@ def mat_mul(x, y):
     return out
 
 
-def mat_transpose(x):
-    return [list(col) for col in zip(*x)]
-
-
 def mat_copy(x):
     return [row[:] for row in x]
 

@@ -10,7 +10,8 @@ Every positive root tau gets one canonical triple (e, f, h) with
 [e, f] = h, tau(h) = 2, and sigma(e) = f for the anti-automorphism
 sigma(X) = S X^T S^{-1} whose diagonal S is the identity except in
 family B.  The triples drive ordered exponential products, their
-coordinate extraction, sl2 embeddings, and Weyl representatives.
+coordinate extraction, and the Weyl representatives, products of
+exp(i e) exp(i f) exp(i e) over simple roots.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .linalg import identity, mat_copy, mat_inverse, mul_right_i_plus
+from .linalg import identity, mat_inverse, mul_right_i_plus
 from .rootsystem import ambient_dim, check_family_rank, pairing, positive_roots
 from .scalar import I as IMAG
 from .scalar import ONE, ZERO, Scalar, sc
@@ -173,18 +174,14 @@ def exp_terms(triple_entries, square_entries, c):
     return terms
 
 
-def exp_f(family: str, rank: int, root: tuple, c, g=None):
-    """Multiply g (default I) on the right by exp(c * f_root)."""
+def exp_f(family: str, rank: int, root: tuple, c, g):
+    """Multiply g on the right by exp(c * f_root)."""
     t = root_triple(family, rank, root)
-    if g is None:
-        g = identity(dim(family, rank))
     return mul_right_i_plus(g, exp_terms(t.f, t.f2, c))
 
 
-def exp_e(family: str, rank: int, root: tuple, c, g=None):
+def exp_e(family: str, rank: int, root: tuple, c, g):
     t = root_triple(family, rank, root)
-    if g is None:
-        g = identity(dim(family, rank))
     return mul_right_i_plus(g, exp_terms(t.e, t.e2, c))
 
 
@@ -236,41 +233,13 @@ def form_matrix(family: str, rank: int):
     return out
 
 
-# -- sl2 embeddings and Weyl representatives -------------------------
-
-
-def iota(family: str, rank: int, root: tuple, m):
-    """Embed an exact SL(2) matrix along the root's sl2 triple."""
-    a, b = sc(m[0][0]), sc(m[0][1])
-    c, d = sc(m[1][0]), sc(m[1][1])
-    if a * d - b * c != ONE:
-        raise InvalidInputError("iota needs a determinant-one matrix")
-    t = root_triple(family, rank, root)
-    n = dim(family, rank)
-    if not a.is_zero():
-        g = exp_f(family, rank, root, c / a)
-        g = [[v * a ** t.h[j] for j, v in enumerate(row)] for row in g]
-        return mul_right_i_plus(g, exp_terms(t.e, t.e2, b / a))
-    alpha = -IMAG * c
-    beta = -IMAG * d
-    g = mat_copy(r_root(family, rank, root))
-    g = [[v * alpha ** t.h[j] for j, v in enumerate(row)] for row in g]
-    return mul_right_i_plus(g, exp_terms(t.e, t.e2, beta / alpha))
-
-
-@lru_cache(maxsize=None)
-def r_root(family: str, rank: int, root: tuple):
-    """The fixed representative exp(i e) exp(i f) exp(i e) of the
-    reflection in ``root``."""
-    g = exp_e(family, rank, root, IMAG)
-    g = exp_f(family, rank, root, IMAG, g)
-    return exp_e(family, rank, root, IMAG, g)
+# -- Weyl representatives ---------------------------------------------
 
 
 def weyl_representative(family: str, rank: int, w: WeylElement):
-    """Product of the simple-root representatives r_root along the
-    deterministic reduced word of w (first letter rightmost), each put on
-    the right as its sparse factors exp(i e) exp(i f) exp(i e)."""
+    """Product of the representatives exp(i e) exp(i f) exp(i e) of the
+    simple reflections along the deterministic reduced word of w (first
+    letter rightmost), each put on the right factor by factor."""
     g = identity(dim(family, rank))
     simples = simple_roots(family, rank)
     for i in reversed(deterministic_reduced_word(w)):

@@ -13,9 +13,8 @@ Positive roots have a positive leading coordinate: the first nonzero
 coordinate for family A, the last nonzero coordinate for B, C, D.
 
 The exponent delta(root) = rho(h_root) has the closed form
-(2 rho, root) / (root, root), 2 rho being the sum of the positive roots;
-the coefficients of simple_coroot_coordinates sum to it.  Those and the
-simple-root coefficients are closed forms too (see _coefficients).
+(2 rho, root) / (root, root), 2 rho being the sum of the positive roots,
+and the simple-root coefficients are closed forms too (see _coefficients).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ Root = tuple  # integer coordinate tuple
 def check_family_rank(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}")
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise InvalidInputError(f"rank must be a positive integer, got {rank!r}")
     if rank > MAX_RANK:
         raise InvalidInputError(f"rank must be at most {MAX_RANK}, got {echo(rank)}")
@@ -155,21 +154,6 @@ def _coroot_norm2(root: Root) -> int:
     if not n:
         raise InvalidInputError("the zero vector has no coroot")
     return n
-
-
-def coroot(root: Root) -> tuple[Fraction, ...]:
-    n = _coroot_norm2(root)
-    return tuple(Fraction(2 * c, n) for c in root)
-
-
-def simple_coroot_coordinates(family: str, rank: int, root: Root) -> tuple[int, ...]:
-    """Coefficients of the coroot of ``root`` over the simple coroots:
-    root = sum c_i a_i gives root^vee = sum c_i (|a_i|^2 / |root|^2) a_i^vee."""
-    coeffs = _coefficients(family, rank, root)
-    n = _coroot_norm2(root)
-    simples = simple_roots(family, rank)
-    return _integral([Fraction(c * norm2(a), n) for c, a in zip(coeffs, simples)],
-                     f"coroot of {root!r} is outside the coroot lattice")
 
 
 @lru_cache(maxsize=None)

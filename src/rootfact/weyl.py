@@ -13,8 +13,9 @@ j-th simple root under the composite of the first j-1 reflections in
 application order.  Orderings determine their word uniquely, which
 validate_ordering recovers.
 
+Every walk that steps from w to w s_i rewrites only the images s_i moves.
 One walk down by right descents gives single words: the smallest at each
-step for deterministic_reduced_word and length, a seeded choice for
+step for deterministic_reduced_word, a seeded choice for
 random_reduced_word.  A stratum word walks from w0 w, whose descents are w's ascents.
 
 count_reduced_words counts the reduced words of an element without
@@ -61,9 +62,6 @@ class WeylElement:
                 out[-v - 1] -= c
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return all(v == k + 1 for k, v in enumerate(self.images))
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Composition self o other (other acts first)."""
         if (self.family, self.rank) != (other.family, other.rank):
@@ -95,11 +93,27 @@ def simple_reflection(family: str, rank: int, i: int) -> WeylElement:
     return WeylElement(family, rank, tuple(images))
 
 
+@lru_cache(maxsize=None)
+def _moves(family: str, rank: int, i: int) -> tuple:
+    """(k, u) for each l_k that s_i moves, u its signed image."""
+    return tuple((k, u) for k, u in enumerate(simple_reflection(family, rank, i).images)
+                 if u != k + 1)
+
+
+def _step(family: str, rank: int, x: tuple, i: int) -> tuple:
+    """The images of w s_i from the images x of w: as in __mul__, but only
+    the l_k that s_i moves change."""
+    y = list(x)
+    for k, u in _moves(family, rank, i):
+        y[k] = x[u - 1] if u > 0 else -x[-u - 1]
+    return tuple(y)
+
+
 def check_word(family: str, rank: int, word: Word) -> tuple[int, ...]:
     check_family_rank(family, rank)
     out = []
     for pos, i in enumerate(word, start=1):
-        if not isinstance(i, int) or not 1 <= i <= rank:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rank:
             raise InvalidWordError(
                 f"letter {i!r} at position {pos} outside 1..{rank}", index=pos
             )
@@ -108,32 +122,27 @@ def check_word(family: str, rank: int, word: Word) -> tuple[int, ...]:
 
 
 def word_evaluate(family: str, rank: int, word: Word) -> WeylElement:
-    word = check_word(family, rank, word)
-    w = identity_element(family, rank)
-    for i in word:
-        w = simple_reflection(family, rank, i) * w
-    return w
-
-
-def length(w: WeylElement) -> int:
-    return len(deterministic_reduced_word(w))
+    """s_iN o ... o s_i1 as ((1 s_iN) ...) s_i1."""
+    x = identity_element(family, rank).images
+    for i in reversed(check_word(family, rank, word)):
+        x = _step(family, rank, x, i)
+    return WeylElement(family, rank, x)
 
 
 def is_reduced(family: str, rank: int, word: Word) -> bool:
     return _taus_if_reduced(family, rank, check_word(family, rank, word)) is not None
 
 
-def right_descents(w: WeylElement) -> list[int]:
-    """The letters i with w(a_i) negative, in closed form over the signed
-    images x (Bjorner and Brenti, Combinatorics of Coxeter Groups, 2005,
-    sections 1.5, 8.1 and 8.2): x_i > x_(i+1) for A, and y_i < y_(i-1)
-    over y = (y_0, x_1, ..., x_r) for B, C and D, y_0 = -x_2 for D and 0
-    otherwise."""
-    x = w.images
-    if w.family == "A":
-        return [i for i in range(1, w.rank + 1) if x[i - 1] > x[i]]
-    y = (-x[1] if w.family == "D" else 0,) + x
-    return [i for i in range(1, w.rank + 1) if y[i] < y[i - 1]]
+def _descents(family: str, rank: int, x: tuple) -> list[int]:
+    """The right descents of w, the letters i with w(a_i) negative, in
+    closed form over its signed images x (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, 2005, sections 1.5, 8.1 and 8.2):
+    x_i > x_(i+1) for A, and y_i < y_(i-1) over y = (y_0, x_1, ..., x_r)
+    for B, C and D, y_0 = -x_2 for D and 0 otherwise."""
+    if family == "A":
+        return [i for i in range(1, rank + 1) if x[i - 1] > x[i]]
+    y = (-x[1] if family == "D" else 0,) + x
+    return [i for i in range(1, rank + 1) if y[i] < y[i - 1]]
 
 
 @lru_cache(maxsize=None)
@@ -150,10 +159,12 @@ def longest_element(family: str, rank: int) -> WeylElement:
 
 def _walk_down(w: WeylElement, pick) -> Word:
     """A reduced word of w, each letter pick(right descents) of what is left."""
+    family, rank, x = w.family, w.rank, w.images
+    top = identity_element(family, rank).images
     out = []
-    while not w.is_identity():
-        out.append(pick(right_descents(w)))
-        w = w * simple_reflection(w.family, w.rank, out[-1])
+    while x != top:
+        out.append(pick(_descents(family, rank, x)))
+        x = _step(family, rank, x, out[-1])
     return tuple(out)
 
 
@@ -162,9 +173,8 @@ def deterministic_reduced_word(w: WeylElement) -> Word:
     return _walk_down(w, min)
 
 
-def random_reduced_word(family: str, rank: int, seed: int, w: WeylElement | None = None) -> Word:
-    return _walk_down(longest_element(family, rank) if w is None else w,
-                      random.Random(seed).choice)
+def random_reduced_word(family: str, rank: int, seed: int) -> Word:
+    return _walk_down(longest_element(family, rank), random.Random(seed).choice)
 
 
 # the most group elements a count meets: w0 at A7, B6, C6 and D6 (at most 46,080
@@ -183,20 +193,14 @@ def _fold_down(w: WeylElement, start, extend):
     InvalidInputError once more than MAX_COUNTED_ELEMENTS elements have
     been met."""
     family, rank = w.family, w.rank
-    # (k, u) for each l_k that s_i moves, u its signed image, as in __mul__
-    moves = {i: [(k, u) for k, u in enumerate(simple_reflection(family, rank, i).images)
-                 if u != k + 1] for i in range(1, rank + 1)}
     # levels are keyed by the images: tuples hash faster than the dataclass
     top = identity_element(family, rank).images
     level, met = {w.images: start}, 1
     while top not in level:
         below = {}
         for x, value in level.items():
-            for i in right_descents(WeylElement(family, rank, x)):
-                y = list(x)
-                for k, u in moves[i]:
-                    y[k] = x[u - 1] if u > 0 else -x[-u - 1]
-                y, step = tuple(y), extend(value, i)
+            for i in _descents(family, rank, x):
+                y, step = _step(family, rank, x, i), extend(value, i)
                 met += y not in below
                 below[y] = below[y] + step if y in below else step
             if met > MAX_COUNTED_ELEMENTS:
@@ -237,7 +241,7 @@ def _taus_if_reduced(family: str, rank: int, word: Word) -> tuple[tuple, ...] | 
         if not is_positive_root(family, rank, tau):
             return None
         taus.append(tau)
-        p = p * simple_reflection(family, rank, i)
+        p = WeylElement(family, rank, _step(family, rank, p.images, i))
     return tuple(taus)
 
 

@@ -26,6 +26,7 @@ from rootfact import (
     exp_f,
     forward_map,
     forward_map_stratum,
+    haar_density,
     identity,
     identity_element,
     inverse_map,
@@ -46,11 +47,11 @@ from rootfact import (
     weyl_representative,
 )
 from rootfact import linalg
-from rootfact.linalg import mat_transpose
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
 from rootfact.scalar import ONE, ZERO, sc
 
 from conftest import exact_scalar, generic_pairs, pairs_equal
+from helpers import mat_transpose
 
 
 def matrix_rank(x) -> int:
@@ -417,7 +418,7 @@ def test_extraction_edge_cases():
     taus = ordering_from_word("A", 2, word)
     assert extract_lower("A", 2, taus, identity(3)) == [ZERO, ZERO, ZERO]
     z = Scalar(4, 1, 3)
-    g = exp_f("A", 2, taus[1], z)
+    g = exp_f("A", 2, taus[1], z, identity(3))
     assert extract_lower("A", 2, taus, g) == [ZERO, z, ZERO]
     with pytest.raises(InvalidInputError):
         extract_lower("A", 2, taus, [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
@@ -444,6 +445,14 @@ def test_forward_validates_input():
         forward_map("A", 2, (1, 2, 1), [(1, 1)])
     with pytest.raises(InvalidWordError):
         forward_map("A", 2, (1, 1, 2), [(0, 0), (0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3)])
+@pytest.mark.parametrize("call", [forward_map, transpose_dual, jacobian_det_ad, haar_density])
+def test_pairs_need_exactly_two_entries(call, bad):
+    # neither a bare IndexError for a short pair nor a long one read as its first two
+    with pytest.raises(InvalidInputError, match=f"coordinate pair 2 has {len(bad)} entries, not 2"):
+        call("A", 2, (1, 2, 1), [(1, 1), bad, (0, 0)])
 
 
 def test_inverse_exceptional_point():

@@ -113,7 +113,8 @@ def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
         k = taus.index(tau)
         tail = explicit[len(joins) % 2]
         assert carried(tail, k) == factors
-        step = exp_e(fam, rk, tau, pair[1], exp_f(fam, rk, tau, pair[0]))
+        step = exp_f(fam, rk, tau, pair[0], identity(dim(fam, rk)))
+        step = exp_e(fam, rk, tau, pair[1], step)
         tail = explicit[len(joins) % 2] = mat_mul(tail, step)
         out = join(fam, rk, tau, factors, pair)
         assert carried(tail, k) == out
@@ -328,7 +329,7 @@ def test_join_pair_raises_where_a_pivot_is_not_one(family, rank):
     n = dim(family, rank)
     for tau in positive_roots(family, rank):
         for zm, u in ((exact_scalar(rng) + 5, exact_scalar(rng) + 5), (ONE, -ONE), (ONE, ONE)):
-            upper = exp_e(family, rank, tau, u)
+            upper = exp_e(family, rank, tau, u, identity(n))
             with pytest.raises(ArithmeticError, match=r"join pivot \d+ is .*, not 1"):
                 factorization._join_pair(family, rank, tau, (unit_lower(rng, n), upper),
                                          (zm, exact_scalar(rng)))

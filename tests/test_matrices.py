@@ -12,7 +12,6 @@ import random
 import pytest
 
 from rootfact import (
-    InvalidInputError,
     Scalar,
     coroot_diag,
     dim,
@@ -23,20 +22,19 @@ from rootfact import (
     form_matrix,
     h_matrix,
     identity,
-    iota,
     longest_element,
     mat_inverse,
     mat_mul,
     pairing,
     positive_roots,
-    r_root,
+    simple_reflection,
     simple_roots,
     weyl_representative,
 )
-from rootfact.linalg import mat_transpose
 from rootfact.scalar import I, ONE, ZERO, sc
 
 from conftest import exact_scalar
+from helpers import mat_transpose
 
 REALIZATIONS = [("A", 2), ("A", 3), ("B", 1), ("B", 2), ("C", 2), ("D", 3)]
 
@@ -106,61 +104,28 @@ def test_triangularity_and_coroot_diagonal(family, rank):
 @pytest.mark.parametrize("family,rank", [("B", 1), ("B", 2), ("C", 2), ("D", 3)])
 def test_form_preservation(family, rank):
     J = form_matrix(family, rank)
+    n = dim(family, rank)
     rng = random.Random(11)
     for alpha in positive_roots(family, rank):
-        for g in (exp_e(family, rank, alpha, exact_scalar(rng)),
-                  exp_f(family, rank, alpha, exact_scalar(rng)),
-                  r_root(family, rank, alpha)):
+        # exp(i e) exp(i f) exp(i e) represents the reflection in alpha
+        r = exp_e(family, rank, alpha, I,
+                  exp_f(family, rank, alpha, I, exp_e(family, rank, alpha, I, identity(n))))
+        for g in (exp_e(family, rank, alpha, exact_scalar(rng), identity(n)),
+                  exp_f(family, rank, alpha, exact_scalar(rng), identity(n)),
+                  r):
             assert mat_mul(mat_transpose(g), mat_mul(J, g)) == J
 
 
 def test_b1_frozen_values():
     gamma = (1,)
-    assert r_root("B", 1, gamma) == [
+    assert weyl_representative("B", 1, simple_reflection("B", 1, 1)) == [
         [ZERO, ZERO, Scalar(1, 0, 2)],
         [ZERO, -ONE, ZERO],
         [Scalar(2), ZERO, ZERO],
     ]
     J = form_matrix("B", 1)
-    g = exp_e("B", 1, gamma, Scalar(3))
+    g = exp_e("B", 1, gamma, Scalar(3), identity(3))
     assert mat_mul(mat_transpose(g), mat_mul(J, g)) == J
-
-
-def test_iota_basics():
-    gamma = simple_roots("A", 2)[0]
-    ident2 = [[ONE, ZERO], [ZERO, ONE]]
-    assert iota("A", 2, gamma, ident2) == identity(3)
-    z = Scalar(5, 2, 3)
-    lower = [[ONE, ZERO], [z, ONE]]
-    assert iota("A", 2, gamma, lower) == exp_f("A", 2, gamma, z)
-    upper = [[ONE, z], [ZERO, ONE]]
-    assert iota("A", 2, gamma, upper) == exp_e("A", 2, gamma, z)
-    flip = [[ZERO, I], [I, ZERO]]
-    assert iota("A", 2, gamma, flip) == r_root("A", 2, gamma)
-    with pytest.raises(InvalidInputError):
-        iota("A", 2, gamma, [[Scalar(2), ZERO], [ZERO, Scalar(2)]])
-
-
-@pytest.mark.parametrize("family,rank", REALIZATIONS)
-def test_iota_homomorphism(family, rank):
-    rng = random.Random(23)
-    for gamma in simple_roots(family, rank):
-        for _ in range(6):
-            # det-1 factor products keep the inputs in SL(2)
-            def sl2(rng=rng):
-                a, b = exact_scalar(rng), exact_scalar(rng)
-                while True:
-                    d = exact_scalar(rng)
-                    if not d.is_zero():
-                        break
-                lo = [[ONE, ZERO], [a, ONE]]
-                up = [[ONE, b], [ZERO, ONE]]
-                dg = [[d, ZERO], [ZERO, d.inverse()]]
-                return mat_mul(lo, mat_mul(up, dg))
-
-            m1, m2 = sl2(), sl2()
-            assert iota(family, rank, gamma, mat_mul(m1, m2)) == mat_mul(
-                iota(family, rank, gamma, m1), iota(family, rank, gamma, m2))
 
 
 def test_representative_normalizes_torus():

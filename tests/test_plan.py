@@ -14,6 +14,7 @@ import random
 import pytest
 
 from rootfact import (
+    InvalidInputError,
     InvalidWordError,
     coroot_diag,
     delta,
@@ -29,13 +30,11 @@ from rootfact import (
     jacobian_det_double_product,
     jacobian_det_formula,
     lebesgue_pullback_det,
-    length,
     longest_element,
     ordering_from_word,
     pairing,
     positive_roots,
     random_reduced_word,
-    simple_coroot_coordinates,
     stratum_data,
     transpose_dual,
     unit_jacobian_check,
@@ -45,9 +44,11 @@ from rootfact import (
     zeta_from_eta,
 )
 from rootfact.factorization import _word_plan
+from rootfact.serialization import dumps_canonical
 from rootfact.scalar import ONE, Scalar, sc
 
 from conftest import branch_pairs, generic_pairs, pairs_equal, torus_diag
+from helpers import length, simple_coroot_coordinates
 
 WIDE = [("B", 3), ("C", 3), ("D", 4), ("D", 5)]
 COMPACT = [("B", 3), ("C", 3), ("D", 4)]
@@ -187,6 +188,25 @@ def test_non_reduced_word_same_payload_everywhere(family, rank, word):
         with pytest.raises(InvalidWordError) as info:
             call()
         assert info.value.payload() == expected
+
+
+def test_bool_letters_and_ranks_are_refused():
+    # True == 1 with the same hash, so a bool word let into the plan cache
+    # would answer the int word after it with its own letters
+    _word_plan.cache_clear()
+    pairs = [(ONE, ONE)] * 3
+    with pytest.raises(InvalidWordError) as info:
+        forward_map("A", 2, (True, 2, 1), pairs)
+    assert info.value.index == 1
+    word = forward_map("A", 2, (1, 2, 1), pairs).word
+    assert [type(i) for i in word] == [int] * 3
+    assert dumps_canonical({"word": word}) == '{"word":[1,2,1]}\n'
+    with pytest.raises(InvalidWordError) as info:
+        word_evaluate("B", 2, (2, True))
+    assert info.value.index == 2
+    for rank in (True, False):
+        with pytest.raises(InvalidInputError, match=f"rank must be a positive integer, got {rank}"):
+            forward_map("A", rank, (), [])
 
 
 @pytest.mark.parametrize("family,rank", EVERY_FAMILY)

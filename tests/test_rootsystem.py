@@ -14,16 +14,16 @@ import pytest
 
 from rootfact import (
     InvalidInputError,
-    coroot,
     delta,
     height,
     pairing,
     positive_roots,
-    simple_coroot_coordinates,
     simple_root_coordinates,
     simple_roots,
 )
 from rootfact.rootsystem import MAX_RANK, check_family_rank
+
+from helpers import coroot, simple_coroot_coordinates
 
 FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("A", 4),
             ("B", 1), ("B", 2), ("B", 3),
