@@ -8,6 +8,9 @@ canonical strings like "1/2-3/4*i"; plain integers are also accepted.
 Each handler returns the library's own values, and main prints them
 through serialization.dumps_canonical inside its error handling, so a
 value the encoder refuses is still answered with one error object.
+A handler imports the library modules it runs when it is dispatched,
+so a request loads only those: ordering, validate-ordering,
+canonical-word and count-words never load the matrix code.
 
 count-words counts the reduced words of the longest element without
 listing them; past weyl.MAX_COUNTED_ELEMENTS group elements it answers
@@ -32,16 +35,6 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import ExceptionalSetError, InvalidInputError, LibError, StratumError, echo
-from .factorization import (
-    forward_map,
-    forward_map_stratum,
-    inverse_map,
-    jacobian_det_ad,
-    jacobian_det_double_product,
-    jacobian_det_formula,
-    transpose_dual,
-)
-from .linalg import ldu
 from .scalar import digit_limit_error
 from .serialization import (
     diag_from_json,
@@ -113,6 +106,8 @@ def _optional_diag(obj: dict):
 
 
 def cmd_forward(args) -> dict:
+    from .factorization import forward_map, forward_map_stratum
+
     obj = _read_input(args)
     pairs = pairs_from_json(obj.get("pairs", []))
     h = _optional_diag(obj)
@@ -130,6 +125,8 @@ def cmd_forward(args) -> dict:
 
 
 def cmd_invert(args) -> dict:
+    from .factorization import inverse_map
+
     obj = _read_input(args)
     if "l" not in obj or "u" not in obj:
         raise InvalidInputError('invert needs "l" and "u" coordinate lists')
@@ -145,6 +142,8 @@ def cmd_invert(args) -> dict:
 
 
 def cmd_dual(args) -> dict:
+    from .factorization import transpose_dual
+
     obj = _read_input(args)
     pairs, hdual = transpose_dual(
         args.family,
@@ -157,6 +156,8 @@ def cmd_dual(args) -> dict:
 
 
 def cmd_ldu(args) -> dict:
+    from .linalg import ldu
+
     obj = _read_input(args)
     if "matrix" not in obj:
         raise InvalidInputError('ldu needs a "matrix"')
@@ -200,6 +201,8 @@ def cmd_count_words(args) -> dict:
 
 
 def cmd_jacobian(args) -> dict:
+    from .factorization import jacobian_det_ad, jacobian_det_double_product, jacobian_det_formula
+
     obj = _read_input(args)
     word = _parse_word_flag(args.word)
     pairs = pairs_from_json(obj.get("pairs", []))

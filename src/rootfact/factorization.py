@@ -32,7 +32,7 @@ products prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, StratumError
@@ -60,8 +60,7 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class WordPlan:
+class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags")):
     """What every coordinate map reads off one reduced word.
 
     ``taus`` is the ordering of the word, ``table[k][j]`` the pairing
@@ -69,13 +68,7 @@ class WordPlan:
     delta(h_tau_j) and ``diags`` the diagonals of the coroots h_tau_j.
     """
 
-    family: str
-    rank: int
-    word: tuple
-    taus: tuple
-    table: tuple
-    deltas: tuple
-    diags: tuple
+    __slots__ = ()
 
     def check_pairs(self, pairs) -> list[tuple]:
         if len(pairs) != len(self.taus):
@@ -149,17 +142,8 @@ def _word_plan(family: str, rank: int, word: tuple) -> WordPlan:
     return WordPlan(family, rank, word, taus, table, deltas, diags)
 
 
-@dataclass
-class ForwardResult:
-    family: str
-    rank: int
-    word: tuple
-    taus: tuple
-    matrix: list
-    l: list
-    u: list
-    h: list
-    s: list  # s_j = 1 + z_j^- z_j^+
+# s lists s_j = 1 + z_j^- z_j^+
+ForwardResult = namedtuple("ForwardResult", "family rank word taus matrix l u h s")
 
 
 def _product_matrix(family: str, rank: int, taus, pairs, h, g=None):
@@ -410,14 +394,7 @@ def stratum_data(family: str, rank: int, w: WeylElement):
     return gammas, word_plan(family, rank, gammas).taus
 
 
-@dataclass
-class StratumResult:
-    family: str
-    rank: int
-    w: WeylElement
-    gammas: tuple
-    taus: tuple
-    matrix: list
+StratumResult = namedtuple("StratumResult", "family rank w gammas taus matrix")
 
 
 def forward_map_stratum(family: str, rank: int, w: WeylElement, pairs, h=None) -> StratumResult:

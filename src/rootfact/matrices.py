@@ -16,7 +16,7 @@ exp(i e) exp(i f) exp(i e) over simple roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidInputError
@@ -65,18 +65,11 @@ def coroot_diag(family: str, rank: int, root: tuple) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class RootTriple:
-    """Sparse canonical (e, f, h) data for one positive root."""
-
-    root: tuple
-    # ((row, col, Scalar), ...) sorted by (row, col); the first entry is
-    # the anchor that coordinate extraction reads
-    e: tuple
-    f: tuple
-    h: tuple  # diagonal ints
-    e2: tuple  # sparse square of e
-    f2: tuple
+# Sparse canonical (e, f, h) data for one positive root: e and f are
+# ((row, col, Scalar), ...) sorted by (row, col), whose first entry is the
+# anchor that coordinate extraction reads; h is the diagonal as ints, and
+# e2 and f2 are the sparse squares of e and f.
+RootTriple = namedtuple("RootTriple", "root e f h e2 f2")
 
 
 def _sparse_square(entries):
@@ -89,7 +82,7 @@ def _sparse_square(entries):
     return tuple((r, c, v) for (r, c), v in sorted(acc.items()) if not v.is_zero())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
     if root not in set(positive_roots(family, rank)):
         raise InvalidInputError(f"not a positive root of {family}{rank}: {root!r}")
@@ -188,7 +181,7 @@ def exp_e(family: str, rank: int, root: tuple, c, g):
 # -- structural maps --------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sigma_diag(family: str, rank: int) -> tuple:
     n = dim(family, rank)
     if family != "B":
@@ -217,7 +210,7 @@ def inverse_dual(family: str, rank: int, g):
     return sigma(family, rank, mat_inverse(g))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def form_matrix(family: str, rank: int):
     """Invariant bilinear form; None for family A."""
     if family == "A":

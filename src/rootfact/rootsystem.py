@@ -56,7 +56,7 @@ def root_vector(m: int, *entries) -> Root:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def simple_roots(family: str, rank: int) -> tuple[Root, ...]:
     m = ambient_dim(family, rank)
     if family == "A":
@@ -66,7 +66,7 @@ def simple_roots(family: str, rank: int) -> tuple[Root, ...]:
             *(root_vector(m, (k, 1), (k - 1, -1)) for k in range(1, rank)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def positive_roots(family: str, rank: int) -> tuple[Root, ...]:
     m = ambient_dim(family, rank)
     if family == "A":

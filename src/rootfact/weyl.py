@@ -27,8 +27,7 @@ MAX_COUNTED_ELEMENTS group elements with invalid-input.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidWordError
@@ -44,11 +43,8 @@ from .rootsystem import (
 Word = tuple
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    family: str
-    rank: int
-    images: tuple[int, ...]
+class WeylElement(namedtuple("WeylElement", "family rank images")):
+    __slots__ = ()
 
     def act_root(self, root: tuple) -> tuple:
         out = [0] * len(root)
@@ -76,13 +72,13 @@ def identity_element(family: str, rank: int) -> WeylElement:
     return WeylElement(family, rank, tuple(range(1, m + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def simple_reflection(family: str, rank: int, i: int) -> WeylElement:
     """s_i from a = a_i by s_a(l_k) = l_k - (2 (l_k, a) / (a, a)) a, which
     moves only the l_k with a_k nonzero."""
     check_family_rank(family, rank)
-    if not 1 <= i <= rank:
-        raise InvalidWordError(f"letter {i} outside 1..{rank}", index=None)
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rank:
+        raise InvalidWordError(f"letter {i!r} outside 1..{rank}", index=None)
     a = simple_roots(family, rank)[i - 1]
     images = list(range(1, len(a) + 1))
     for k in (k for k, c in enumerate(a) if c):
@@ -145,7 +141,7 @@ def _descents(family: str, rank: int, x: tuple) -> list[int]:
     return [i for i in range(1, rank + 1) if y[i] < y[i - 1]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def longest_element(family: str, rank: int) -> WeylElement:
     """w0 in closed form (Bourbaki, Plates I-IV): the reversal of l_1, ...,
     l_(r+1) for A, and -1 for B, C and even-rank D; for odd-rank D, -1
@@ -174,6 +170,8 @@ def deterministic_reduced_word(w: WeylElement) -> Word:
 
 
 def random_reduced_word(family: str, rank: int, seed: int) -> Word:
+    import random
+
     return _walk_down(longest_element(family, rank), random.Random(seed).choice)
 
 
@@ -193,7 +191,7 @@ def _fold_down(w: WeylElement, start, extend):
     InvalidInputError once more than MAX_COUNTED_ELEMENTS elements have
     been met."""
     family, rank = w.family, w.rank
-    # levels are keyed by the images: tuples hash faster than the dataclass
+    # levels are keyed by the images alone: they hash faster than the element
     top = identity_element(family, rank).images
     level, met = {w.images: start}, 1
     while top not in level:
@@ -284,7 +282,7 @@ def validate_ordering(family: str, rank: int, roots) -> Word:
 # -- canonical words and orderings -----------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_ordering(family: str, rank: int) -> tuple[tuple, ...]:
     """The lexicographic-by-level root ordering fixed per family."""
     check_family_rank(family, rank)
@@ -309,7 +307,7 @@ def canonical_ordering(family: str, rank: int) -> tuple[tuple, ...]:
     return tuple(taus)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_word(family: str, rank: int) -> Word:
     return validate_ordering(family, rank, canonical_ordering(family, rank))
 

@@ -16,10 +16,13 @@ import pytest
 from rootfact import (
     InvalidInputError,
     InvalidWordError,
+    canonical_ordering,
+    canonical_word,
     coroot_diag,
     delta,
     delta_identity_check,
     eta_change_jacobian_det,
+    form_matrix,
     eta_from_zeta,
     forward_map,
     haar_density,
@@ -35,6 +38,9 @@ from rootfact import (
     pairing,
     positive_roots,
     random_reduced_word,
+    root_triple,
+    simple_reflection,
+    simple_roots,
     stratum_data,
     transpose_dual,
     unit_jacobian_check,
@@ -44,6 +50,7 @@ from rootfact import (
     zeta_from_eta,
 )
 from rootfact.factorization import _word_plan
+from rootfact.matrices import sigma_diag
 from rootfact.serialization import dumps_canonical
 from rootfact.scalar import ONE, Scalar, sc
 
@@ -207,6 +214,33 @@ def test_bool_letters_and_ranks_are_refused():
     for rank in (True, False):
         with pytest.raises(InvalidInputError, match=f"rank must be a positive integer, got {rank}"):
             forward_map("A", rank, (), [])
+
+
+# each cached public entry point with an int argument, the same call with
+# True in its place, and the error that call raises: the int call runs
+# first, so a cache keyed by value alone would answer the bool call with
+# the int call's result
+CACHED_CALLS = {
+    "simple_reflection-letter": (simple_reflection, ("A", 2, 1), ("A", 2, True),
+                                 InvalidWordError),
+    "simple_reflection-rank": (simple_reflection, ("B", 1, 1), ("B", True, 1),
+                               InvalidInputError),
+    "simple_roots": (simple_roots, ("C", 1), ("C", True), InvalidInputError),
+    "positive_roots": (positive_roots, ("A", 1), ("A", True), InvalidInputError),
+    "longest_element": (longest_element, ("B", 1), ("B", True), InvalidInputError),
+    "canonical_ordering": (canonical_ordering, ("A", 1), ("A", True), InvalidInputError),
+    "canonical_word": (canonical_word, ("C", 1), ("C", True), InvalidInputError),
+    "root_triple": (root_triple, ("A", 1, (1, -1)), ("A", True, (1, -1)), InvalidInputError),
+    "sigma_diag": (sigma_diag, ("B", 1), ("B", True), InvalidInputError),
+    "form_matrix": (form_matrix, ("C", 1), ("C", True), InvalidInputError),
+}
+
+
+@pytest.mark.parametrize("call,args,bool_args,error", CACHED_CALLS.values(), ids=CACHED_CALLS)
+def test_bool_is_refused_after_the_int_is_cached(call, args, bool_args, error):
+    call(*args)
+    with pytest.raises(error):
+        call(*bool_args)
 
 
 @pytest.mark.parametrize("family,rank", EVERY_FAMILY)
