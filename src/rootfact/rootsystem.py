@@ -80,7 +80,7 @@ def positive_roots(family: str, rank: int) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _positive_set(family: str, rank: int) -> frozenset:
     return frozenset(positive_roots(family, rank))
 
@@ -156,7 +156,7 @@ def _coroot_norm2(root: Root) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _two_rho(family: str, rank: int) -> Root:
     return tuple(map(sum, zip(*positive_roots(family, rank))))
 

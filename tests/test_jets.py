@@ -7,14 +7,20 @@ so results never leave the Gaussian rationals.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from rootfact import InvalidInputError, Jet, Scalar
+from rootfact import (InvalidInputError, Jet, Scalar, jacobian_det_ad, jacobian_det_formula,
+                      lebesgue_pullback_det, random_reduced_word, zeta_from_eta)
+from rootfact import haar
+from rootfact.factorization import word_plan
 from rootfact.jets import jacobian_det
 from rootfact.linalg import det_exact
 from rootfact.scalar import ONE, ZERO, sc
+
+from conftest import branch_pairs, generic_pairs
 
 
 def test_variable_seeding():
@@ -197,14 +203,24 @@ OPS = [
     ("cancel-partial", lambda x, y, c, n: x * y - y.val * x),
 ]
 
-CONSTANTS = [0, 1, -1, 2, ZERO, ONE, Scalar(-3, 1, 2), Scalar(0, 2, 5)]
+# with denominators that differ, so that merges take an lcm
+CONSTANTS = [0, 1, -1, 2, ZERO, ONE, Scalar(-3, 1, 2), Scalar(0, 2, 5),
+             Scalar(1, 0, 2), Scalar(2, 0, 3), Scalar(5, 0, 6), Scalar(0, 1, 7)]
+
+
+def assert_reduced(jet):
+    """The stored gradient is in its one form: a positive denominator,
+    coprime to the numerators taken together, and no zero numerator."""
+    assert jet.den > 0 and math.gcd(jet.den, *[t for ab in jet.nums.values() for t in ab]) == 1
+    assert (0, 0) not in jet.nums.values()
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_sparse_jet_matches_dense_reference(seed):
     rng = random.Random(f"jets/{seed}")
     width = 1 + seed % 5
-    values = [rng.choice([ZERO, ONE, sc(-2), Scalar(1, 0, 3), Scalar(2, -1, 3)])
+    values = [rng.choice([ZERO, ONE, sc(-2), Scalar(1, 0, 3), Scalar(2, -1, 3), Scalar(1, 0, 2),
+                          Scalar(2, 0, 3), Scalar(5, 0, 6), Scalar(0, 1, 7)])
               for _ in range(width)]
     pool = list(zip(Jet.variables(values),
                     (DenseJet(v, [ONE if j == k else ZERO for j in range(width)])
@@ -220,6 +236,7 @@ def test_sparse_jet_matches_dense_reference(seed):
             continue
         assert (got.val, got.grad) == (want.val, want.grad), name
         assert got.width == width and not any(g.is_zero() for g in got.partials.values())
+        assert_reduced(got)
         # keep the numbers small and the seeds: a derived entry gives way
         if got.partials and max(v.d.bit_length() for v in (got.val,) + got.grad) < 64:
             if len(pool) < width + 9:
@@ -228,3 +245,40 @@ def test_sparse_jet_matches_dense_reference(seed):
                 pool[rng.randrange(width + 1, len(pool))] = (got, want)
     jets, dense = zip(*pool[-width:])
     assert jacobian_det(jets, width) == det_exact([list(d.grad) for d in dense])
+
+
+def test_equal_jets_hash_alike_at_mixed_denominators():
+    a, b, c = Jet.variables([Scalar(1, 0, 2), Scalar(2, 0, 3), Scalar(0, 1, 7)])
+    x = a * b + c / 2 - Scalar(5, 0, 6)
+    y = (b - a) / 7 * c + Scalar(1, 0, 3) * a
+    k = Scalar(5, 1, 6)
+    for left, right in ((x * y, y * x), ((x + y) - y, x), ((x / k) * k, x), ((y / k) * k, y)):
+        assert left == right and hash(left) == hash(right)
+        assert_reduced(left)
+        assert len({left, right}) == 1
+    assert x.den > 1 and y.den > 1 and x.den != y.den
+    assert x * y != y * x + a
+
+
+def test_no_library_path_builds_a_scalar_per_partial(monkeypatch):
+    # the jet forward, the compact chain and jacobian_det read the stored
+    # numerators; with the Scalar views refusing every read, the Jacobian
+    # at B4 and A8 and the compact pullback at B3 still answer
+    word = random_reduced_word("B", 3, 12)
+    eta = branch_pairs(random.Random("jets/no-views/pullback"), len(word))
+    expected = ONE
+    for d, asq in zip(word_plan("B", 3, word).deltas, zeta_from_eta("B", 3, word, eta)[2]):
+        expected = expected * asq ** (d + 1)
+
+    def refuse(jet):
+        raise AssertionError("a Scalar view of the partials was read")
+
+    monkeypatch.setattr(Jet, "partials", property(refuse))
+    monkeypatch.setattr(Jet, "grad", property(refuse))
+    monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+    assert lebesgue_pullback_det("B", 3, word, eta) == expected
+    for family, rank in (("B", 4), ("A", 8)):
+        word = random_reduced_word(family, rank, 12)
+        pairs = generic_pairs(random.Random(f"jets/no-views/{family}{rank}"), len(word))
+        assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det_formula(
+            family, rank, word, pairs)

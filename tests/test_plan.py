@@ -28,6 +28,7 @@ from rootfact import (
     haar_density,
     inverse_dual,
     inverse_map,
+    is_positive_root,
     is_reduced,
     jacobian_det_ad,
     jacobian_det_double_product,
@@ -216,10 +217,10 @@ def test_bool_letters_and_ranks_are_refused():
             forward_map("A", rank, (), [])
 
 
-# each cached public entry point with an int argument, the same call with
-# True in its place, and the error that call raises: the int call runs
-# first, so a cache keyed by value alone would answer the bool call with
-# the int call's result
+# each public entry point that is or reads a cache, with an int argument,
+# the same call with True in its place, and the error that call raises:
+# the int call runs first, so a cache keyed by value alone would answer
+# the bool call with the int call's result
 CACHED_CALLS = {
     "simple_reflection-letter": (simple_reflection, ("A", 2, 1), ("A", 2, True),
                                  InvalidWordError),
@@ -233,6 +234,9 @@ CACHED_CALLS = {
     "root_triple": (root_triple, ("A", 1, (1, -1)), ("A", True, (1, -1)), InvalidInputError),
     "sigma_diag": (sigma_diag, ("B", 1), ("B", True), InvalidInputError),
     "form_matrix": (form_matrix, ("C", 1), ("C", True), InvalidInputError),
+    "is_positive_root": (is_positive_root, ("A", 1, (1, -1)), ("A", True, (1, -1)),
+                         InvalidInputError),
+    "delta": (delta, ("A", 1, (1, -1)), ("A", True, (1, -1)), InvalidInputError),
 }
 
 
