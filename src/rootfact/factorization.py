@@ -109,7 +109,8 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags"
         """x * prod_{j > k} vals[j] ** (sign * tau_k(h_tau_j)), factor by factor."""
         row = self.table[k]
         for j in range(k + 1, len(row)):
-            x = x * vals[j] ** (sign * row[j])
+            if row[j]:
+                x = x * vals[j] ** (sign * row[j])
         return x
 
     def torus_power(self, vals, one) -> list:

@@ -1,14 +1,14 @@
 """Forward-mode dual numbers over exact scalars, with sparse gradients.
 
-A Jet carries a Scalar value and its partial derivatives with respect
-to a fixed list of ``width`` variables.  Only the nonzero partials are
-stored, as a dict from variable index to a Gaussian-integer numerator
-(a, b) over one denominator the whole gradient shares, coprime to the
-numerators taken together.  Every operation forms its gradient as
-a*x + b*y over the lcm of the two denominators, drops the pairs that
-cancel and takes one gcd, so a partial costs no Scalar of its own and
-an entry that depends on few coordinates costs only as much as those
-coordinates.  ``partials`` and ``grad`` are read-only Scalar views.
+A Jet is three slots: a Scalar value ``val``, its nonzero partial
+derivatives ``nums``, a dict from variable index to a Gaussian-integer
+numerator (a, b), and one denominator ``den`` the whole gradient shares,
+coprime to the numerators taken together.  Every operation forms its
+gradient as a*x + b*y over the lcm of the two denominators, drops the
+pairs that cancel and takes one gcd, so a partial costs no Scalar of its
+own and an entry that depends on few coordinates costs only as much as
+those coordinates.  A jet does not know how many variables there are:
+``jacobian_det`` is told the width and reads the numerators directly.
 """
 
 from __future__ import annotations
@@ -67,63 +67,47 @@ class Jet(Number):
     between jets and is never mutated.  ``is_zero()`` is an exact zero, a
     zero value with no partials."""
 
-    __slots__ = ("val", "nums", "den", "width")
+    __slots__ = ("val", "nums", "den")
 
-    def __init__(self, val: Scalar, nums: dict, den: int, width: int):
+    def __init__(self, val: Scalar, nums: dict, den: int):
         self.val = val
         self.nums = nums
         self.den = den
-        self.width = width
 
     @classmethod
     def variables(cls, values) -> list["Jet"]:
         """Lift scalars to jets seeded with unit gradients."""
-        vals = [sc(v) for v in values]
-        return [cls(v, {k: (1, 0)}, 1, len(vals)) for k, v in enumerate(vals)]
-
-    @classmethod
-    def constant(cls, value, m: int) -> "Jet":
-        return cls(sc(value), {}, 1, m)
-
-    @property
-    def partials(self) -> dict:
-        """The nonzero partials as Scalars, by variable index."""
-        return {k: Scalar(a, b, self.den) for k, (a, b) in self.nums.items()}
-
-    @property
-    def grad(self) -> tuple[Scalar, ...]:
-        """The dense gradient row."""
-        return tuple(Scalar(*self.nums.get(k, (0, 0)), self.den) for k in range(self.width))
+        return [cls(sc(v), {k: (1, 0)}, 1) for k, v in enumerate(values)]
 
     def is_zero(self) -> bool:
         return self.val.is_zero() and not self.nums
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, *_combine(ONE, self, ONE, other), self.width)
+            return Jet(self.val + other.val, *_combine(ONE, self, ONE, other))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val + other, self.nums, self.den, self.width)
+        return Jet(self.val + other, self.nums, self.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, *_combine(ONE, self, _MINUS_ONE, other), self.width)
+            return Jet(self.val - other.val, *_combine(ONE, self, _MINUS_ONE, other))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val - other, self.nums, self.den, self.width)
+        return Jet(self.val - other, self.nums, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             v1, v2 = self.val, other.val
-            return Jet(v1 * v2, *_combine(v2, self, v1, other), self.width)
+            return Jet(v1 * v2, *_combine(v2, self, v1, other))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val * other, *_combine(other, self), self.width)
+        return Jet(self.val * other, *_combine(other, self))
 
     __rmul__ = __mul__
 
@@ -132,26 +116,25 @@ class Jet(Number):
             r = other.val.inverse()
             q = self.val * r
             # (g1 - q g2) / v2 = r g1 - q r g2
-            return Jet(q, *_combine(r, self, -(q * r), other), self.width)
+            return Jet(q, *_combine(r, self, -(q * r), other))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val / other, *_combine(other.inverse(), self), self.width)
+        return Jet(self.val / other, *_combine(other.inverse(), self))
 
     def inverse(self) -> "Jet":
-        return Jet(ONE, {}, 1, self.width) / self
+        return _ONE / self
 
     def __pow__(self, n: int):
-        return power(self, n, Jet(ONE, {}, 1, self.width))
+        return power(self, n, _ONE)
 
     def __neg__(self):
-        return Jet(-self.val, *_combine(_MINUS_ONE, self), self.width)
+        return Jet(-self.val, *_combine(_MINUS_ONE, self))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return (self.val == other.val and self.width == other.width
-                and self.den == other.den and self.nums == other.nums)
+        return self.val == other.val and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         return hash((self.val, self.den, frozenset(self.nums.items())))
@@ -161,10 +144,13 @@ class Jet(Number):
         r = self.val.sqrt_exact()
         if r.is_zero():
             raise InvalidInputError("jet sqrt at zero is singular")
-        return Jet(r, *_combine(_HALF / r, self), self.width)
+        return Jet(r, *_combine(_HALF / r, self))
 
     def __repr__(self):
-        return f"Jet({self.val}; {','.join(map(str, self.grad))})"
+        return f"Jet({self.val}; {self.nums}/{self.den})"
+
+
+_ONE = Jet(ONE, {}, 1)
 
 
 def jacobian_det(outputs, width: int) -> Scalar:

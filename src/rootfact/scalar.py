@@ -148,14 +148,8 @@ class Scalar(Number):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_real(self) -> bool:
-        return self.b == 0
-
     def is_positive_real(self) -> bool:
         return self.b == 0 and self.a > 0
-
-    def conjugate(self) -> "Scalar":
-        return _mk(self.a, -self.b, self.d)
 
     def abs2(self) -> "Scalar":
         """|z|^2, exact."""

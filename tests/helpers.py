@@ -1,14 +1,18 @@
 """Oracles that only the tests call: coroots and their coefficients over
-the simple coroots, the length of a Weyl element, and the matrix
-transpose.  The library computes none of these on its own paths, so they
-live here, built on its closed forms.
+the simple coroots, the length of a Weyl element, the matrix transpose,
+the Scalar views of a jet's partials, constant jets, and the real part
+test and conjugate of a Scalar.  The library computes none of these on
+its own paths, so they live here, built on its closed forms and stored
+forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from rootfact.jets import Jet
 from rootfact.rootsystem import _coefficients, _coroot_norm2, _integral, norm2, simple_roots
+from rootfact.scalar import Scalar, sc
 from rootfact.weyl import deterministic_reduced_word
 
 
@@ -33,3 +37,26 @@ def length(w) -> int:
 
 def mat_transpose(x):
     return [list(col) for col in zip(*x)]
+
+
+def partials(jet: Jet) -> dict:
+    """The nonzero partials of a jet as Scalars, by variable index."""
+    return {k: Scalar(a, b, jet.den) for k, (a, b) in jet.nums.items()}
+
+
+def grad(jet: Jet, width: int) -> tuple[Scalar, ...]:
+    """The dense gradient row of a jet in ``width`` variables."""
+    return tuple(Scalar(*jet.nums.get(k, (0, 0)), jet.den) for k in range(width))
+
+
+def constant(value) -> Jet:
+    """A jet with the value and no partials."""
+    return Jet(sc(value), {}, 1)
+
+
+def is_real(x: Scalar) -> bool:
+    return x.b == 0
+
+
+def conjugate(x: Scalar) -> Scalar:
+    return Scalar(x.a, -x.b, x.d)

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfact import (
-    Jet,
     LibError,
     cli,
     dim,
@@ -34,6 +33,8 @@ from rootfact import (
 )
 from rootfact.cli import main
 from rootfact.weyl import MAX_COUNTED_ELEMENTS
+
+from helpers import constant
 
 IDENTITY4 = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
 
@@ -474,7 +475,7 @@ def test_exit_code_of_every_error_kind(capsys, monkeypatch, error):
 
 def test_a_value_the_encoder_refuses_is_an_internal_error(capsys, monkeypatch):
     # a jet that leaks into a payload is a fault of the library
-    jet = Jet.constant(1, 1)
+    jet = constant(1)
     monkeypatch.setitem(cli._COMMANDS, "self-check", (lambda args: {"value": [jet]}, "stub", ()))
     code, payload, raw = run_cli(capsys, ["self-check"])
     assert code == 4

@@ -34,6 +34,7 @@ from rootfact import haar
 from rootfact.scalar import ONE, sc
 
 from conftest import branch_pairs, exact_scalar, generic_pairs, pythagorean_pair
+from helpers import is_real
 
 A2 = ("A", 2, (1, 2, 1))
 B2 = ("B", 2, (1, 2, 1, 2))
@@ -93,7 +94,7 @@ def test_equal_numbers_hash_equal():
         k, q = rng.randint(1, 3), rng.choice((2, 3, 6))
         pool += [c, RadicalScalar(c), RadicalScalar(c * k, q), RadicalScalar(c, q * k * k),
                  RadicalScalar(c * k, Fraction(q, k * k)) * k]
-        if c.is_real():
+        if is_real(c):
             pool.append(c.real if c.d > 1 else c.a)
     assert sum(a == b for a in pool for b in pool) > len(pool) + 50
     assert [(a, b) for a in pool for b in pool if a == b and hash(a) != hash(b)] == []

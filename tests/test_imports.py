@@ -1,8 +1,8 @@
 """Import hygiene: every name a rootfact module imports from a sibling
 module is used in that module, every module-level private function or
 class is used somewhere in the package besides its own definition, and
-every public one somewhere in the sources, the benchmark or the
-acceptance battery.
+every public one, and every public method or property of a class,
+somewhere in the sources, the benchmark or the acceptance battery.
 The matrix and coordinate modules also rely on the number protocol
 alone: they test no entry for its number type.
 
@@ -69,14 +69,19 @@ def test_private_helpers_are_used():
     assert dead == []
 
 
-def test_public_names_are_used():
-    # only the sources, the benchmark and the acceptance battery count as
-    # callers: a name that only the other tests call belongs in the tests,
-    # and a re-export from __init__ is no use either
+def callers() -> tuple[dict, collections.Counter]:
+    """The trees of the files whose reads count as uses of a public name,
+    and the names they read: only the sources, the benchmark and the
+    acceptance battery, since a name that only the other tests call
+    belongs in the tests, and a re-export from __init__ is no use either."""
     files = [p for top in ("src", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))
              if p != SRC / "__init__.py"] + [ROOT / "tests" / "test_acceptance.py"]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
-    used = sum((names_used(tree) for tree in trees.values()), collections.Counter())
+    return trees, sum((names_used(tree) for tree in trees.values()), collections.Counter())
+
+
+def test_public_names_are_used():
+    trees, used = callers()
     public = [
         node
         for p, tree in trees.items() if p.parent == SRC
@@ -85,6 +90,24 @@ def test_public_names_are_used():
     ]
     assert public
     orphans = [node.name for node in public if used[node.name] <= names_used(node)[node.name]]
+    assert orphans == []
+
+
+def test_public_members_are_used():
+    # the public methods, classmethods and properties of every public
+    # class, counted by attribute name: a use inside the member's own body
+    # does not count, and a private class overrides what its base calls
+    trees, used = callers()
+    members = [
+        (cls.name, node)
+        for p, tree in trees.items() if p.parent == SRC
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert members
+    orphans = [f"{owner}.{node.name}" for owner, node in members
+               if used[node.name] <= names_used(node)[node.name]]
     assert orphans == []
 
 

@@ -100,6 +100,35 @@ def test_plan_suffix_mul_and_torus_power():
         assert torus[a] == expected
 
 
+class Unused:
+    """A suffix factor that no product may touch."""
+
+    def __pow__(self, n):
+        raise AssertionError(f"a factor with exponent {n} was used")
+
+    __mul__ = __rmul__ = __pow__
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
+def test_suffix_mul_skips_zero_exponents(family, rank):
+    # a factor whose pairing is 0 contributes the identity, so it is never
+    # raised to the power 0 nor multiplied in
+    plan = word_plan(family, rank, random_reduced_word(family, rank, seed=5))
+    rng = random.Random(f"suffix/{family}{rank}")
+    n = len(plan.taus)
+    skipped = 0
+    for k in range(n):
+        row = plan.table[k]
+        vals = [sc(rng.randint(2, 9)) if row[j] else Unused() for j in range(n)]
+        skipped += sum(1 for j in range(k + 1, n) if not row[j])
+        expected = Scalar(3)
+        for j in range(k + 1, n):
+            if row[j]:
+                expected = expected * vals[j] ** -row[j]
+        assert plan.suffix_mul(k, Scalar(3), vals, -1) == expected
+    assert skipped
+
+
 def test_plan_cache_is_bounded():
     assert 0 < _word_plan.cache_info().maxsize <= 16
     for seed in range(40):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootfact import InvalidInputError, Jet, RadicalScalar, Scalar
+from rootfact import InvalidInputError, RadicalScalar, Scalar
 from rootfact.cli import _parse_word_flag
 from rootfact.serialization import (
     diag_from_json,
@@ -27,6 +27,7 @@ from rootfact.serialization import (
 )
 
 from conftest import exact_scalar
+from helpers import constant
 
 
 def wire(value):
@@ -115,7 +116,7 @@ def test_dumps_canonical_prints_library_values():
     assert dumps_canonical(payload) == '{"l":["1/2-3/4*i","0"],"taus":[[1,-1,0]],"word":[2,1]}\n'
 
 
-@pytest.mark.parametrize("value", [Jet.constant(1, 1), RadicalScalar(Scalar(1), 2),
+@pytest.mark.parametrize("value", [constant(1), RadicalScalar(Scalar(1), 2),
                                    Fraction(1, 2), object()],
                          ids=["jet", "radical", "fraction", "object"])
 def test_dumps_canonical_refuses_other_values(value):
