@@ -81,9 +81,9 @@ class ExceptionalSetError(LibError):
     """A coordinate point lies on the exceptional set of an inverse map.
 
     ``index`` is the 1-based recurrence or pivot position where the
-    reconstruction degenerated, or for the tag "image" the position of
-    the first coordinate that the closing forward check does not give
-    back (l before u); ``value`` is a short origin tag.
+    reconstruction degenerated, or for the tag "image" the position k
+    of the first upper coordinate u_k that the answer's completed tail
+    does not give back; ``value`` is a short origin tag.
     """
 
     kind = "exceptional-set"

@@ -204,8 +204,12 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     (``_join_pair``).  The coordinates of its L after k are l_(k+1), ...,
     l_n, peeled off from the left one per step, so Q L = exp(c_k f_k)
     *** exp(c_1 f_1), and coordinate k is read as one entry; the peel
-    and the read are those of ``extract_lower``, and one full, checked
-    ``extract_lower`` of each last Q L backs the reads.
+    and the read are those of ``extract_lower``.  The primal tail then
+    takes pair 1 and the peel of l_1, leaving Q L = I, and the last dual
+    Q L is exp(c f_tau_1), c its last read; full, checked extractions
+    must agree, or a fault raises ArithmeticError.  The completed tail
+    is L U = G_n *** G_1, and forward(zeta, h) = L h (h^{-1} U h), so the
+    u of the answer are those of U, each times a torus character.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -247,8 +251,8 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             t = root_triple(family, rank, tau)
             peel_left(t.f, t.f2, lcoords[k + 1], tail[0])
             peel_left(t.f, t.f2, lprime[k + 1], tail_dual[0])
-        anchor = root_triple(family, rank, taus[k]).f
-        read, read_dual = (anchor_coordinate(anchor, side[0]) for side in (tail, tail_dual))
+        t = root_triple(family, rank, taus[k])
+        read, read_dual = (anchor_coordinate(t.f, side[0]) for side in (tail, tail_dual))
         zm, em = lcoords[k] - read, lprime[k] - read_dual
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
@@ -261,20 +265,20 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         eta[k] = (em, -(zm * sk * acc))
         svals[k] = sk
 
-    # the reads rest on each tail's L being the ordered product with the
-    # given coordinates after the first, so each last Q L is exp(c f_tau_1),
-    # c the last read; one full, checked extraction of each rejects a
-    # residue and must give [c, 0, ..., 0]; the empty word has no tail
-    for lower, c in ((tail[0], read), (tail_dual[0], read_dual)) if n else ():
+    if not n:  # the empty word has no tail
+        return zeta
+    # t is the triple of tau_1, read last
+    tail = _join_pair(family, rank, taus[0], tail, zeta[0])
+    peel_left(t.f, t.f2, lcoords[0], tail[0])
+    for lower, c in ((tail[0], ZERO), (tail_dual[0], read_dual)):
         if extract_lower(family, rank, taus, lower) != [c] + [ZERO] * (n - 1):
             raise ArithmeticError("a tail coordinate read differs from its extraction")
-
-    check = _forward(plan, zeta, hd)
-    for name, got, given in (("l", check.l, lcoords), ("u", check.u, ucoords)):
-        k = next((k for k, (a, b) in enumerate(zip(got, given)) if a != b), None)
-        if k is not None:
+    # h^-1 e_tau h is e_tau times h[col] / h[row] at its anchor (row, col)
+    for k, (tau, v) in enumerate(zip(taus, extract_upper(family, rank, taus, tail[1]))):
+        row, col, _ = root_triple(family, rank, tau).e[0]
+        if v * (hd[col] / hd[row]) != ucoords[k]:
             raise ExceptionalSetError("coordinates are outside the image of the factorization "
-                                      f"map ({name}_{k + 1} differs)", index=k + 1, value="image")
+                                      f"map (u_{k + 1} differs)", index=k + 1, value="image")
     return zeta
 
 

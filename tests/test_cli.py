@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from rootfact import (
     LibError,
+    canonical_word,
     cli,
     dim,
     enumerate_reduced_words,
@@ -30,6 +31,7 @@ from rootfact import (
     linalg,
     ordering_from_word,
     positive_roots,
+    selfcheck,
 )
 from rootfact.cli import main
 from rootfact.weyl import MAX_COUNTED_ELEMENTS
@@ -341,6 +343,16 @@ def test_self_check(capsys):
     assert code == 0
     assert payload["ok"] is True
     assert "round-trip-A2" in payload["checks"]
+
+
+def test_self_check_point():
+    # the fixed pairs of self-check, and every 1 + z^- z^+ nonzero up to
+    # the longest canonical word among its checks
+    assert [(str(zm), str(zp)) for zm, zp in selfcheck._point(4)] == [
+        ("1", "1/2+1/2*i"), ("2", "1/3+1/3*i"), ("3", "1/2+1/2*i"), ("1", "1/3+1/3*i")]
+    n = max(len(canonical_word(family, rank)) for _, _, family, rank in selfcheck._CHECKS)
+    assert n == 10
+    assert all(not (1 + zm * zp).is_zero() for zm, zp in selfcheck._point(n))
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,15 @@ def test_radical_scalar_arithmetic():
         "1" - r
 
 
+def test_radicals_whose_radicands_differ_by_a_square_add():
+    # sqrt(12) = 2 sqrt(3): a sum keeps the left radicand and scales the
+    # right coefficient by the rational root of the radicands' ratio
+    a, b = RadicalScalar(ONE, 3), RadicalScalar(ONE, 12)
+    assert [str(v) for v in (a + b, b + a, a - b, b - a)] == [
+        "(3)*sqrt(3)", "(3/2)*sqrt(12)", "(-1)*sqrt(3)", "(1/2)*sqrt(12)"]
+    assert a + b == b + a
+
+
 def test_equal_radicals_hash_equal():
     # sqrt(12) = 2 sqrt(3), and a radicand of 1 is the Scalar itself
     assert len({RadicalScalar(ONE, 12), RadicalScalar(Scalar(2), 3)}) == 1

@@ -4,15 +4,21 @@ explicit products.
 inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
 (Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), joins one pair
 per step and reads coordinate k of each tail as one entry of Q L, with
-the left peel and the anchor read of extract_lower.  The jet forward
-joins all n pairs from (I, I) and extracts (l, u) from L and U.
+the left peel and the anchor read of extract_lower.  It checks its
+answer on its own tails: the primal tail joins pair 1 as well and peels
+l_1, so its Q L must extract to all zeros, the last dual Q L must
+extract to [c, 0, ..., 0], and the u of the completed tail's U, each
+times a torus character, must be the given ones.  The jet forward joins
+all n pairs from (I, I) and extracts (l, u) from L and U.
 These tests check, at every step, the carried pair against the LDU of
 the explicitly multiplied tails and the reads against full extractions,
 check one join on general Q L, over Scalars and over jets, against the
 explicit product and its unit-pivot guard, check the jet forward
-against the dense product and LDU it replaced, check that the closing
-extraction still rejects a faulty tail, and pin the exceptional-set
-payloads of non-generic integer points.
+against the dense product and LDU it replaced, check that the inverse
+runs no second forward map and one dense ldu, that the closing
+extractions still reject a faulty tail, read or peel, and that a moved
+u names its first coordinate, and pin the exceptional-set payloads of
+non-generic integer points.
 """
 
 from __future__ import annotations
@@ -125,8 +131,8 @@ def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
     monkeypatch.setattr(factorization, "_join_pair", checked_join)
     zeta = inverse_map(family, rank, word, res.l, res.u, h=h)
     assert pairs_equal(zeta, pairs)
-    # no join after the last pair: pairs n, ..., 2 once per tail
-    assert joins == [t for t in reversed(taus[1:]) for _ in range(2)]
+    # pairs n, ..., 2 once per tail, then pair 1 for the primal tail alone
+    assert joins == [t for t in reversed(taus[1:]) for _ in range(2)] + [taus[0]]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
@@ -213,9 +219,11 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
 
 
 def test_peel_that_misses_the_tail_raises(monkeypatch):
-    # the last peel, of tau_2, takes l_2 + 1: the last Q L is then
+    # the peels of tau_2 take l_2 + 1: the last read Q L is then
     # exp(-f_2) exp(c f_1), whose anchor read is still c, so the pairs
-    # come out right, and only the zeros of the closing extraction see it
+    # come out right; after the join of pair 1 and the peel of l_1 the
+    # primal Q L is exp(-l_1 f_1) exp(-f_2) exp(l_1 f_1), not I, and only
+    # the zeros of the closing extraction see it
     word = random_reduced_word("B", 3, 11)
     pairs = generic_pairs(random.Random("kernel/missed-peel"), len(word))
     res = forward_map("B", 3, word, pairs)
@@ -230,7 +238,7 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
     monkeypatch.setattr(factorization, "peel_left", off_by_one)
     with pytest.raises(ArithmeticError, match="read differs from its extraction"):
         inverse_map("B", 3, word, res.l, res.u)
-    assert peels[-2:] == [second] * 2
+    assert peels[-2:] == [second, root_triple("B", 3, res.taus[0]).f]
     monkeypatch.undo()
     assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
 
@@ -337,29 +345,28 @@ def test_join_pair_raises_where_a_pivot_is_not_one(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 8), ("B", 4)])
 def test_inverse_runs_one_dense_ldu(monkeypatch, family, rank):
-    # the joins factor only the rows f_tau reaches; the one dense ldu
-    # outside the closing forward round trip is that of the dual element
+    # the joins factor only the rows f_tau reaches, and the answer is
+    # checked on the completed tails, with no second forward map or
+    # product: the one dense ldu is that of the dual element
     word = random_reduced_word(family, rank, 11)
     rng = random.Random(f"kernel/one-ldu/{family}{rank}")
     pairs = generic_pairs(rng, len(word))
     h = torus_diag(family, rank, rng)
     res = forward_map(family, rank, word, pairs, h=h)
-    dense, forward = factorization.ldu, factorization._forward
-    calls, in_forward = [], []
+    dense = factorization.ldu
+    calls = []
 
     def counting_ldu(g):
-        if not in_forward:
-            calls.append(g)
+        calls.append(g)
         return dense(g)
 
-    def marked_forward(plan, zeta, hd):
-        in_forward.append(True)
-        return forward(plan, zeta, hd)
+    def refused(*args):
+        raise AssertionError("a second forward map ran")
 
     monkeypatch.setattr(factorization, "ldu", counting_ldu)
-    monkeypatch.setattr(factorization, "_forward", marked_forward)
+    monkeypatch.setattr(factorization, "_forward", refused)
+    monkeypatch.setattr(factorization, "_product_matrix", refused)
     assert pairs_equal(inverse_map(family, rank, word, res.l, res.u, h=h), pairs)
-    assert in_forward == [True]
     g0 = mat_mul(scale_cols(assemble_lower(family, rank, res.taus, res.l), h),
                  assemble_upper(family, rank, res.taus, res.u))
     assert calls == [inverse_dual(family, rank, g0)]
@@ -409,25 +416,38 @@ def test_exceptional_payloads_pinned(family, rank):
 
 
 @pytest.mark.parametrize("moved,index,name", [
-    ({"l": [4], "u": [1]}, 5, "l_5"),
+    ({"l": [4], "u": [1]}, None, None),
     ({"u": [2, 6]}, 3, "u_3"),
 ], ids=["l-before-u", "u-only"])
 def test_image_rejection_names_first_coordinate(monkeypatch, moved, index, name):
-    # no point found reaches the closing forward check with a difference,
-    # so the check is fed a forward result with some coordinates moved
+    # no point found reaches the closing u comparison with a difference,
+    # so the closing extractions are moved at some coordinates: a moved
+    # u is outside the image, and names the first one; a moved l cannot
+    # come from a point, since each z^-_k is l_k minus its read, and is a
+    # fault, caught by the primal tail's extraction before any u is read
     word = random_reduced_word("B", 3, 5)
     pairs = generic_pairs(random.Random("kernel/image"), len(word))
     res = forward_map("B", 3, word, pairs)
-    forward = factorization._forward
+    extractions = []
 
-    def moved_forward(plan, zeta, h):
-        out = forward(plan, zeta, h)
-        for side, positions in moved.items():
-            for k in positions:
-                getattr(out, side)[k] += 1
-        return out
+    def mover(side, extract):
+        def moved_extract(family, rank, taus, g):
+            out = extract(family, rank, taus, g)
+            extractions.append(side)
+            # the dual element's l comes first and stays
+            if side == "u" or extractions.count("l") == 2:
+                for k in moved.get(side, ()):
+                    out[k] += 1
+            return out
+        return moved_extract
 
-    monkeypatch.setattr(factorization, "_forward", moved_forward)
+    monkeypatch.setattr(factorization, "extract_lower", mover("l", extract_lower))
+    monkeypatch.setattr(factorization, "extract_upper", mover("u", extract_upper))
+    if index is None:
+        with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+            inverse_map("B", 3, word, res.l, res.u)
+        assert extractions == ["l", "l"]
+        return
     with pytest.raises(ExceptionalSetError) as err:
         inverse_map("B", 3, word, res.l, res.u)
     assert err.value.payload() == {
@@ -436,6 +456,8 @@ def test_image_rejection_names_first_coordinate(monkeypatch, moved, index, name)
         "index": index,
         "value": "image",
     }
+    monkeypatch.undo()
+    assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
 
 
 def test_inverse_divides_no_exact_zero(monkeypatch):
