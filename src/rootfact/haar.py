@@ -10,10 +10,10 @@ the bridge scalars a_j = (1 - y_j^- y_j^+)^(-1/2) are square roots of
 rationals, so the conversions run over RadicalScalar values: exact
 products c * sqrt(q) with Gaussian-rational c and positive rational q.
 
-The pullback section differentiates the composite map y -> zeta -> (l, u)
-with forward-mode jets and compares the exact determinant against the
-closed forms prod a_j^4 (coordinate change alone) and
-prod a_j^(2 delta_j + 2) (full pullback); the unit-ratio identity
+The pullback section takes det d(l, u)/dy by the chain rule: det d(zeta)/dy
+from one jet run of the compact change (closed form prod a_j^4) times
+jacobian_det_ad at its zeta values (prod a_j^(2 delta_j - 2)), in all
+prod a_j^(2 delta_j + 2); the unit-ratio identity
 |det|^2 = prod (a_j^2)^(2 delta_j + 2) is the volume-preservation
 content of the compact picture.
 """
@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import BranchViolationError, InvalidInputError
-from .factorization import WordPlan, forward_coords_jets, word_plan
+from .factorization import WordPlan, jacobian_det_ad, word_plan
 from .jets import jacobian_det
 from .scalar import ONE, Number, Scalar, _coerce, power, sc
 
@@ -246,13 +246,15 @@ def _simplify(x: RadicalScalar):
 
 
 def _jet_compact_chain(plan: WordPlan, pairs):
-    """Jet-valued zeta pairs along the compact change of ``plan.jet_pairs``.
+    """(zeta, det d(zeta)/d(y)) along the compact change of ``plan.jet_pairs``:
+    the jet-valued zeta pairs and the determinant of their partials.
 
     Every 1 - y_j^- y_j^+ must be real positive, and its value must be a
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
-    return _compact_chain(plan, pairs, (1 - em * ep for em, ep in pairs), _jet_sqrt)[0]
+    zeta = _compact_chain(plan, pairs, (1 - em * ep for em, ep in pairs), _jet_sqrt)[0]
+    return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
 
 
 def _jet_sqrt(v):
@@ -271,8 +273,7 @@ def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     diagonal blocks of determinant a_j^4.
     """
     plan = word_plan(family, rank, word)
-    zeta = _jet_compact_chain(plan, plan.jet_pairs(eta_pairs))
-    return jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
+    return _jet_compact_chain(plan, plan.jet_pairs(eta_pairs))[1]
 
 
 # [((family, rank, word, point), det)] of the last pullback, one slot read and
@@ -283,19 +284,18 @@ _last_pullback = [(None, None)]
 def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     """det of d(l, u)/d(y) for the composite map y -> zeta -> (l, u).
 
-    The end-to-end jet chain equals prod_j a_j^(2 delta_j + 2) on the
-    positive branch: the factorization-coordinate Jacobian contributes
-    prod_j (1 + z_j^- z_j^+)^(delta_j - 1) with 1 + z^- z^+ = a^2, and
-    the coordinate change contributes prod_j a_j^4.
+    By the chain rule it is det d(zeta)/d(y), from one run of the compact jet
+    chain, times jacobian_det_ad at its zeta values (both take all minus
+    coordinates first): prod_j a_j^4 times prod_j (a_j^2)^(delta_j - 1) on the
+    positive branch, as 1 + z^- z^+ = a^2, so prod_j a_j^(2 delta_j + 2).
     """
     plan = word_plan(family, rank, word)
     pairs = plan.jet_pairs(eta_pairs)
     key = (plan.family, plan.rank, plan.word, [(a.val, b.val) for a, b in pairs])
     last_key, det = _last_pullback[0]
     if last_key != key:
-        zeta = _jet_compact_chain(plan, pairs)
-        lcoords, ucoords = forward_coords_jets(plan, zeta)
-        det = jacobian_det(lcoords + ucoords, 2 * len(zeta))
+        zeta, change = _jet_compact_chain(plan, pairs)
+        det = change * jacobian_det_ad(family, rank, word, [(m.val, p.val) for m, p in zeta])
         _last_pullback[0] = key, det
     return det
 
@@ -303,9 +303,9 @@ def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
 def unit_jacobian_check(family: str, rank: int, word, eta_pairs) -> Scalar:
     """Exact ratio of the squared (l, u) pullback to the carried density.
 
-    The numerator is |det d(l,u)/dy|^2 from the jet chain, which it shares
-    with lebesgue_pullback_det when both are asked at one point back to
-    back; the denominator is the invariant density in compact coordinates
+    The numerator is |lebesgue_pullback_det|^2, whose one run of the compact
+    jet chain the two share when asked at one point back to back; the
+    denominator is the invariant density in compact coordinates
     times the squared determinant of the change, the closed form
     prod_j (a_j^2)^(2 delta_j + 2).  The ratio is exactly one on the positive
     branch: Lebesgue volume in (l, u) matches Lebesgue volume in y once the

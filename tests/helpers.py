@@ -1,16 +1,19 @@
 """Oracles that only the tests call: coroots and their coefficients over
 the simple coroots, the length of a Weyl element, the matrix transpose,
-the Scalar views of a jet's partials, constant jets, and the real part
-test and conjugate of a Scalar.  The library computes none of these on
-its own paths, so they live here, built on its closed forms and stored
-forms.
+the Scalar views of a jet's partials, constant jets, the real part
+test and conjugate of a Scalar, and the compact pullback as one
+determinant of the whole jet chain.  The library computes none of these
+on its own paths, so they live here, built on its closed forms and
+stored forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from rootfact.jets import Jet
+from rootfact import haar
+from rootfact.factorization import forward_coords_jets, word_plan
+from rootfact.jets import Jet, jacobian_det
 from rootfact.rootsystem import _coefficients, _coroot_norm2, _integral, norm2, simple_roots
 from rootfact.scalar import Scalar, sc
 from rootfact.weyl import deterministic_reduced_word
@@ -60,3 +63,13 @@ def is_real(x: Scalar) -> bool:
 
 def conjugate(x: Scalar) -> Scalar:
     return Scalar(x.a, -x.b, x.d)
+
+
+def composite_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
+    """det d(l, u)/dy of the composite y -> zeta -> (l, u) as one determinant:
+    the compact chain's zeta jets, whose seeds are not unit seeds, go
+    through the jet forward whole."""
+    plan = word_plan(family, rank, word)
+    zeta = haar._jet_compact_chain(plan, plan.jet_pairs(eta_pairs))[0]
+    lcoords, ucoords = forward_coords_jets(plan, zeta)
+    return jacobian_det(lcoords + ucoords, 2 * len(zeta))

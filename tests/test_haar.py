@@ -11,6 +11,7 @@ prod a^(2 delta + 2), unit after dividing by the carried density.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,20 +22,22 @@ from rootfact import (
     Jet,
     RadicalScalar,
     Scalar,
+    canonical_word,
     delta,
     eta_change_jacobian_det,
     eta_from_zeta,
     haar_density,
     lebesgue_pullback_det,
     ordering_from_word,
+    random_reduced_word,
     unit_jacobian_check,
     zeta_from_eta,
 )
-from rootfact import haar
+from rootfact import factorization, haar
 from rootfact.scalar import ONE, sc
 
 from conftest import branch_pairs, exact_scalar, generic_pairs, pythagorean_pair
-from helpers import is_real
+from helpers import composite_pullback_det, is_real
 
 A2 = ("A", 2, (1, 2, 1))
 B2 = ("B", 2, (1, 2, 1, 2))
@@ -83,6 +86,19 @@ def test_radicals_whose_radicands_differ_by_a_square_add():
     assert [str(v) for v in (a + b, b + a, a - b, b - a)] == [
         "(3)*sqrt(3)", "(3/2)*sqrt(12)", "(-1)*sqrt(3)", "(1/2)*sqrt(12)"]
     assert a + b == b + a
+
+
+def test_radical_divided_by_a_radical_or_a_number():
+    r8, r2 = RadicalScalar(ONE, 8), RadicalScalar(ONE, 2)
+    assert [str(v) for v in (r8 / r2, r2 / r8, r8 / 2, r2 / Scalar(0, 1))] == [
+        "2", "1/2", "(1/2)*sqrt(8)", "(-1*i)*sqrt(2)"]
+
+
+@pytest.mark.parametrize("radicand", [0, -4, Fraction(-1, 9)])
+def test_radicand_must_be_positive(radicand):
+    # a zero radicand would otherwise pass as the perfect square 0
+    with pytest.raises(InvalidInputError, match="radicand must be positive"):
+        RadicalScalar(ONE, radicand)
 
 
 def test_equal_radicals_hash_equal():
@@ -254,3 +270,43 @@ def test_pullback_errors_are_never_stored(monkeypatch, point, error):
     assert all(p == payloads[0] for p in payloads)
     if error is InvalidInputError:
         assert "perfect rational square" in payloads[0]["message"]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4)])
+def test_pullback_matches_the_composite_jet_chain(monkeypatch, family, rank):
+    # det d(zeta)/dy times the Jacobian at zeta equals one determinant of the
+    # whole chain y -> zeta -> (l, u), which runs the jet forward on the
+    # chain's jets, not on unit seeds
+    rng = random.Random(f"haar/composite/{family}{rank}")
+    for word in [canonical_word(family, rank)] + [random_reduced_word(family, rank, s) for s in (1, 2)]:
+        eta = branch_pairs(rng, len(word))
+        monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+        assert lebesgue_pullback_det(family, rank, word, eta) == composite_pullback_det(
+            family, rank, word, eta)
+
+
+def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
+    # the pullback and the unit ratio reach the jet forward only through
+    # jacobian_det_ad, whose jet k is the unit seed of variable k
+    original = factorization.forward_coords_jets
+    calls = []
+
+    def unit_seeds_only(plan, pairs):
+        for k, jet in enumerate([p[0] for p in pairs] + [p[1] for p in pairs]):
+            assert (jet.nums, jet.den) == ({k: (1, 0)}, 1), f"jet {k} is not a unit seed"
+        calls.append(plan.word)
+        return original(plan, pairs)
+
+    # every library module that binds the function, not only its own
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rootfact") and getattr(module, "forward_coords_jets", None) is original:
+            monkeypatch.setattr(module, "forward_coords_jets", unit_seeds_only)
+    word = random_reduced_word("B", 3, 4)
+    eta = branch_pairs(random.Random("haar/unit-seeds"), len(word))
+    det = ONE
+    for tau, s in zip(ordering_from_word("B", 3, word), zeta_from_eta("B", 3, word, eta)[2]):
+        det = det * s ** (delta("B", 3, tau) + 1)
+    for call, expected in ((lebesgue_pullback_det, det), (unit_jacobian_check, ONE)):
+        monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+        assert call("B", 3, word, eta) == expected
+    assert len(calls) == 2

@@ -91,6 +91,13 @@ def test_chain_through_composite():
     assert list(grad(f, 1)) == [sc(40)]
 
 
+def test_jacobian_det_takes_a_plain_scalar_output_as_a_zero_row():
+    x, y = Jet.variables([sc(2), sc(3)])
+    assert jacobian_det([x * y, x - y], 2) == sc(-5)
+    assert jacobian_det([x * y, sc(7)], 2) == ZERO
+    assert jacobian_det([Scalar(1, 1)], 1) == ZERO
+
+
 def test_elimination_keeps_zero_value_gradients():
     # a multiplier whose value vanishes still carries derivatives; the
     # triangular factorizer must not drop its update
