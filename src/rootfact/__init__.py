@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "factorization": (
         "ForwardResult", "StratumResult", "WordPlan", "delta_identity_check",
-        "forward_coords_jets", "forward_map", "forward_map_stratum", "inverse_map",
+        "forward_map", "forward_map_stratum", "inverse_map",
         "jacobian_det_ad", "jacobian_det_double_product", "jacobian_det_formula",
         "stratum_data", "transpose_dual", "word_plan",
     ),

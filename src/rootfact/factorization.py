@@ -13,15 +13,17 @@ coordinate system this module converts to and from.
 
 A pure pair product G_n *** G_1 has middle factor I at every point,
 and its L U takes one pair at a time by a Gauss update of only the rows
-the pair's root vector reaches (Bennett 1965).  Jets pushed through
-these joins give the exact Jacobian determinant, which also has two
-closed product forms.  The inverse recovers z from (l, u, h) through
-the dual element sigma(g_0^{-1}) and a downward recursion over the
-tails G_n *** G_(k+1) and their duals, each carried as (Q L, U), Q
-undoing its known lower coordinates: a tail takes one pair per step by
-the same join and gives its k-th lower coordinate as one entry of Q L
-(Humphreys, Linear Algebraic Groups, 28.1).  Points where the recursion
-degenerates form the exceptional set and raise ExceptionalSetError.
+the pair's root vector reaches (Bennett 1965).  The inverse recovers z
+from (l, u, h) through the dual element sigma(g_0^{-1}) and a downward
+recursion over the tails G_n *** G_(k+1) and their duals, each carried
+as (Q L, U), Q undoing its known lower coordinates: a tail takes one
+pair per step by the same join and gives its k-th lower coordinate c_k
+as one entry of Q L (Humphreys, Linear Algebraic Groups, 28.1), and
+l_k = z^-_k + c_k.  Points where the recursion degenerates form the
+exceptional set and raise ExceptionalSetError.  As c_k depends on the
+pairs after k alone, dl/dz^- is unit triangular and the Jacobian
+determinant of (l, u) is det du/dz^+ at fixed l: jets in the n z^+ walked
+through the primal tail give it exactly, beside two closed product forms.
 
 Every map here and in the compact picture reads one cached WordPlan
 per (family, rank, word): the checked word and its taus, the pairing
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import ExceptionalSetError, InvalidInputError, StratumError
+from .errors import ExceptionalSetError, InvalidInputError, InvalidWordError, StratumError
 from .jets import Jet, jacobian_det
 from .linalg import identity, ldu, mul_right_i_plus, scale_cols
 from .matrices import (
@@ -49,7 +51,7 @@ from .matrices import (
     root_triple,
     weyl_representative,
 )
-from .rootsystem import delta, norm2
+from .rootsystem import delta, norm2, positive_roots
 from .scalar import ONE, ZERO, Scalar, sc
 from .weyl import (
     WeylElement,
@@ -80,6 +82,12 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags"
 
     def scalar_pairs(self, pairs) -> list[tuple]:
         return [(sc(a), sc(b)) for a, b in self.check_pairs(pairs)]
+
+    def check_longest(self) -> "WordPlan":
+        """The plan itself if its word is empty or a reduced word of w_0."""
+        if self.taus and len(self.taus) != len(positive_roots(self.family, self.rank)):
+            raise InvalidWordError(f"word {self.word!r} is not a word of the longest element")
+        return self
 
     def jet_pairs(self, pairs) -> list[tuple]:
         """One jet variable per coordinate, all z^- first, then all z^+."""
@@ -183,33 +191,22 @@ def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
     )
 
 
-def forward_coords_jets(plan: WordPlan, pairs):
-    """(l, u) of the pure pair product, whose middle factor is I at every
-    point: (L, U) = (I, I) takes the pairs n, ..., 1 by ``_join_pair``."""
-    family, rank, taus = plan.family, plan.rank, plan.taus
-    factors = [identity(dim(family, rank)) for _ in range(2)]
-    for tau, pair in zip(reversed(taus), reversed(pairs)):
-        factors = _join_pair(family, rank, tau, factors, pair)
-    return extract_lower(family, rank, taus, factors[0]), extract_upper(family, rank, taus, factors[1])
-
-
 def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     """Recover the coordinate pairs from (l, u, h).
 
     The dual element sigma(g_0^{-1}), g_0 = L h U, is built directly as
     a product of factors exp(-c e), exp(-c f) and the torus.  The pairs
     then come out downward, k = n, ..., 1, each from the k-th lower
-    coordinate of the tail G_n *** G_(k+1) and of the dual tail.  Each
-    tail L U is carried as (Q L, U) and takes one pair per step
-    (``_join_pair``).  The coordinates of its L after k are l_(k+1), ...,
-    l_n, peeled off from the left one per step, so Q L = exp(c_k f_k)
-    *** exp(c_1 f_1), and coordinate k is read as one entry; the peel
-    and the read are those of ``extract_lower``.  The primal tail then
-    takes pair 1 and the peel of l_1, leaving Q L = I, and the last dual
-    Q L is exp(c f_tau_1), c its last read; full, checked extractions
-    must agree, or a fault raises ArithmeticError.  The completed tail
-    is L U = G_n *** G_1, and forward(zeta, h) = L h (h^{-1} U h), so the
-    u of the answer are those of U, each times a torus character.
+    coordinate of the tail G_n *** G_(k+1) and of the dual tail, carried
+    as (Q L, U) by ``_tail_read``: it joins one pair per step, and Q peels
+    off l_(k+1), ..., l_n, so Q L = exp(c_k f_k) *** exp(c_1 f_1) and c_k
+    is one entry, read and peeled as in ``extract_lower``.  The primal
+    tail then takes pair 1 and the peel of l_1, leaving Q L = I, and the
+    last dual Q L is exp(c f_tau_1), c its last read; full, checked
+    extractions must agree, or a fault raises ArithmeticError.  The
+    completed tail is L U = G_n *** G_1, and forward(zeta, h) = L h
+    (h^{-1} U h), so the u of the answer are those of U, each times a
+    torus character.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -244,16 +241,9 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     svals: list = [None] * n
     tail, tail_dual = [(identity(size), identity(size)) for _ in range(2)]
     for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            tau = taus[k + 1]
-            tail = _join_pair(family, rank, tau, tail, zeta[k + 1])
-            tail_dual = _join_pair(family, rank, tau, tail_dual, eta[k + 1])
-            t = root_triple(family, rank, tau)
-            peel_left(t.f, t.f2, lcoords[k + 1], tail[0])
-            peel_left(t.f, t.f2, lprime[k + 1], tail_dual[0])
-        t = root_triple(family, rank, taus[k])
-        read, read_dual = (anchor_coordinate(t.f, side[0]) for side in (tail, tail_dual))
-        zm, em = lcoords[k] - read, lprime[k] - read_dual
+        zm = lcoords[k] - _tail_read(family, rank, taus, k, tail, zeta, lcoords)
+        read_dual = _tail_read(family, rank, taus, k, tail_dual, eta, lprime)
+        em = lprime[k] - read_dual
         acc = plan.suffix_mul(k, ONE, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -267,12 +257,9 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
 
     if not n:  # the empty word has no tail
         return zeta
-    # t is the triple of tau_1, read last
-    tail = _join_pair(family, rank, taus[0], tail, zeta[0])
-    peel_left(t.f, t.f2, lcoords[0], tail[0])
-    for lower, c in ((tail[0], ZERO), (tail_dual[0], read_dual)):
-        if extract_lower(family, rank, taus, lower) != [c] + [ZERO] * (n - 1):
-            raise ArithmeticError("a tail coordinate read differs from its extraction")
+    _tail_read(family, rank, taus, -1, tail, zeta, lcoords)
+    if extract_lower(family, rank, taus, tail_dual[0]) != [read_dual] + [ZERO] * (n - 1):
+        raise ArithmeticError("a tail coordinate read differs from its extraction")
     # h^-1 e_tau h is e_tau times h[col] / h[row] at its anchor (row, col)
     for k, (tau, v) in enumerate(zip(taus, extract_upper(family, rank, taus, tail[1]))):
         row, col, _ = root_triple(family, rank, tau).e[0]
@@ -282,9 +269,22 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     return zeta
 
 
+def _tail_read(family: str, rank: int, taus, k: int, tail, pairs, lcoords):
+    """c_k of the tail (Q L, U), carried in place from k + 1: it joins pair
+    k + 1 and Q peels l_(k+1); at k = n - 1 it is (I, I), and at k = -1 Q L
+    must be I, by a full, checked extraction, or ArithmeticError."""
+    if k + 1 < len(taus):
+        _join_pair(family, rank, taus[k + 1], tail, pairs[k + 1])
+        t = root_triple(family, rank, taus[k + 1])
+        peel_left(t.f, t.f2, lcoords[k + 1], tail[0])
+    if k >= 0:
+        return anchor_coordinate(root_triple(family, rank, taus[k]).f, tail[0])
+    if not all(c.is_zero() for c in extract_lower(family, rank, taus, tail[0])):
+        raise ArithmeticError("a tail coordinate read differs from its extraction")
+
+
 def _join_pair(family: str, rank: int, tau, factors, pair):
-    """(P L_M, U_M exp(z^+ e_tau)) from (P, U) of a tail T = L U, P = L
-    (the jet forward) or Q L (the inverse); it consumes both.
+    """(P L_M, U_M exp(z^+ e_tau)) from (P, U) of a tail T = L U, P = Q L, in place.
 
     M = U exp(z^- f_tau) = L_M U_M is factored in place of U (Bennett
     1965) with every pivot 1: T exp(z^- f_tau) is the forward product of
@@ -370,10 +370,20 @@ def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
 
 
 def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
-    """det of d(l, u)/d(z^-, z^+) computed with exact jets."""
-    plan = word_plan(family, rank, word)
-    lcoords, ucoords = forward_coords_jets(plan, plan.jet_pairs(pairs))
-    return jacobian_det(lcoords + ucoords, 2 * len(plan.taus))
+    """det of d(l, u)/d(z^-, z^+) = det du/dz^+ at fixed l, by exact jets
+    in the n z^+ along the primal tail of ``inverse_map``: l_k = z^-_k + c_k
+    is peeled as a constant, and pair k enters as (l_k - c_k, z^+_k), whose
+    value is the given z^-_k.  The word is empty (det 1) or one of w_0."""
+    plan = word_plan(family, rank, word).check_longest()
+    taus, pairs, n = plan.taus, plan.scalar_pairs(pairs), len(plan.taus)
+    zplus, zeta, lcoords = Jet.variables([zp for _, zp in pairs]), [None] * n, [None] * n
+    tail = [identity(dim(family, rank)) for _ in range(2)]
+    for k in range(n - 1, -1, -1):
+        c = _tail_read(family, rank, taus, k, tail, zeta, lcoords)
+        lcoords[k] = pairs[k][0] + c.val
+        zeta[k] = (lcoords[k] - c, zplus[k])
+    _tail_read(family, rank, taus, -1, tail, zeta, lcoords)
+    return jacobian_det(extract_upper(family, rank, taus, tail[1]), n)
 
 
 def delta_identity_check(family: str, rank: int, word) -> bool:

@@ -289,7 +289,7 @@ def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     coordinates first): prod_j a_j^4 times prod_j (a_j^2)^(delta_j - 1) on the
     positive branch, as 1 + z^- z^+ = a^2, so prod_j a_j^(2 delta_j + 2).
     """
-    plan = word_plan(family, rank, word)
+    plan = word_plan(family, rank, word).check_longest()
     pairs = plan.jet_pairs(eta_pairs)
     key = (plan.family, plan.rank, plan.word, [(a.val, b.val) for a, b in pairs])
     last_key, det = _last_pullback[0]

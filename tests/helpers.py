@@ -1,10 +1,10 @@
 """Oracles that only the tests call: coroots and their coefficients over
 the simple coroots, the length of a Weyl element, the matrix transpose,
 the Scalar views of a jet's partials, constant jets, the real part
-test and conjugate of a Scalar, and the compact pullback as one
-determinant of the whole jet chain.  The library computes none of these
-on its own paths, so they live here, built on its closed forms and
-stored forms.
+test and conjugate of a Scalar, the jet forward (l, u) in all 2n
+coordinates, and the compact pullback as one determinant of the whole
+jet chain.  The library computes none of these on its own paths, so
+they live here, built on its closed forms and stored forms.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from rootfact import haar
-from rootfact.factorization import forward_coords_jets, word_plan
+from rootfact.factorization import _join_pair, word_plan
 from rootfact.jets import Jet, jacobian_det
+from rootfact.linalg import identity
+from rootfact.matrices import dim, extract_lower, extract_upper
 from rootfact.rootsystem import _coefficients, _coroot_norm2, _integral, norm2, simple_roots
 from rootfact.scalar import Scalar, sc
 from rootfact.weyl import deterministic_reduced_word
@@ -63,6 +65,17 @@ def is_real(x: Scalar) -> bool:
 
 def conjugate(x: Scalar) -> Scalar:
     return Scalar(x.a, -x.b, x.d)
+
+
+def forward_coords_jets(plan, pairs):
+    """(l, u) of the pure pair product as functions of all 2n coordinates:
+    its middle factor is I at every point, so (L, U) = (I, I) takes the
+    pairs n, ..., 1 by the join, and both extractions follow."""
+    family, rank, taus = plan.family, plan.rank, plan.taus
+    factors = [identity(dim(family, rank)) for _ in range(2)]
+    for tau, pair in zip(reversed(taus), reversed(pairs)):
+        factors = _join_pair(family, rank, tau, factors, pair)
+    return extract_lower(family, rank, taus, factors[0]), extract_upper(family, rank, taus, factors[1])
 
 
 def composite_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -236,6 +237,29 @@ def test_jacobian_frozen_gl3(capsys, tmp_path):
     )
     assert code == 0
     assert payload == {"ad": "11", "double_product": "11", "formula": "11"}
+
+
+@pytest.mark.parametrize("family,rank,word,code,ad", [
+    ("A", 4, "1,2", 2, None), ("A", 3, "1,3", 2, None), ("D", 3, "1,2,3,2", 2, None),
+    ("D", 3, "", 0, "1")])
+def test_jacobian_takes_only_words_of_w0(family, rank, word, code, ad):
+    # a nonempty word shorter than w_0 is an invalid word, whatever the point;
+    # the empty word has the determinant 1
+    n = len(word.split(",")) if word else 0
+    pairs = [[str(2 * k + 3), f"{k}-{k + 2}*i"] for k in range(n)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rootfact", "jacobian", "--family", family, "--rank", str(rank),
+         "--word", word, "--input", "-"],
+        input=json.dumps({"pairs": pairs}), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    payload = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (proc.returncode, proc.stderr) == (code, "")
+    if ad is None:
+        assert payload["error"]["kind"] == "invalid-word"
+        assert "not a word of the longest element" in payload["error"]["message"]
+    else:
+        assert payload == {"ad": ad, "double_product": ad, "formula": ad}
 
 
 def test_haar_density_reads_stdin(capsys, monkeypatch):

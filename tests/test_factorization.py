@@ -20,6 +20,7 @@ from rootfact import (
     ExceptionalSetError,
     InvalidInputError,
     InvalidWordError,
+    Jet,
     Scalar,
     StratumError,
     det_exact,
@@ -357,9 +358,9 @@ def test_det_exact_of_a_deep_shuffled_bidiagonal():
 
 
 @pytest.mark.parametrize(
-    "family,rank,left", [("A", 8, [54]), ("D", 5, [30]), ("B", 4, [24])])
+    "family,rank,left", [("A", 8, [22]), ("D", 5, [15]), ("B", 4, [12])])
 def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left):
-    # of 72, 40 and 32 rows, _bareiss receives only those of the diagonal
+    # of 36, 20 and 16 rows, _bareiss receives only those of the diagonal
     # blocks larger than 1 x 1 in a block-triangular form, here one block
     sizes = bareiss_sizes(monkeypatch)
     word = random_reduced_word(family, rank, 1)
@@ -486,6 +487,31 @@ def test_jacobian_triple_value_gl3():
     assert jacobian_det_formula("A", 2, (1, 2, 1), point) == expected
     assert jacobian_det_double_product("A", 2, (1, 2, 1), point) == expected
     assert jacobian_det_ad("A", 2, (1, 2, 1), point) == expected
+
+
+# reduced words of some w < w_0, whose lower factor at a generic point
+# may or may not be an ordered product over their roots
+SHORT_WORDS = [("A", 4, (1, 2)), ("A", 3, (1, 3)), ("D", 3, (1, 2, 3, 2))]
+
+
+@pytest.mark.parametrize("family,rank,word", SHORT_WORDS)
+def test_jacobian_refuses_a_word_shorter_than_w0(monkeypatch, family, rank, word):
+    # the refusal comes before any jet is made
+    def no_jets(cls, values):
+        raise AssertionError("a jet was seeded")
+
+    monkeypatch.setattr(Jet, "variables", classmethod(no_jets))
+    for pairs in (generic_pairs(random.Random(f"short/{family}{rank}"), len(word)),
+                  [(0, 0)] * len(word)):
+        with pytest.raises(InvalidWordError, match="not a word of the longest element"):
+            jacobian_det_ad(family, rank, word, pairs)
+    # the closed forms take any reduced word
+    assert jacobian_det_formula(family, rank, word, pairs) == ONE
+
+
+def test_jacobian_of_the_empty_word_is_one():
+    assert jacobian_det_ad("B", 3, (), []) == ONE
+    assert jacobian_det_ad("A", 1, [], []) == ONE
 
 
 def test_stratum_map_longest_element():

@@ -11,7 +11,6 @@ prod a^(2 delta + 2), unit after dividing by the carried density.
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ import pytest
 from rootfact import (
     BranchViolationError,
     InvalidInputError,
+    InvalidWordError,
     Jet,
     RadicalScalar,
     Scalar,
@@ -285,22 +285,46 @@ def test_pullback_matches_the_composite_jet_chain(monkeypatch, family, rank):
             family, rank, word, eta)
 
 
+@pytest.mark.parametrize("family,rank,word", [("A", 4, (1, 2)), ("A", 3, (1, 3)),
+                                              ("D", 3, (1, 2, 3, 2))])
+def test_pullback_refuses_a_word_shorter_than_w0(monkeypatch, family, rank, word):
+    # jacobian_det_ad's word contract, before the compact chain seeds a jet
+    def no_jets(cls, values):
+        raise AssertionError("a jet was seeded")
+
+    monkeypatch.setattr(Jet, "variables", classmethod(no_jets))
+    eta = branch_pairs(random.Random(f"haar/short/{family}{rank}"), len(word))
+    for call in (lebesgue_pullback_det, unit_jacobian_check):
+        monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
+        with pytest.raises(InvalidWordError, match="not a word of the longest element"):
+            call(family, rank, word, eta)
+    monkeypatch.undo()
+    assert eta_change_jacobian_det(family, rank, word, eta) != 0
+    for call in (lebesgue_pullback_det, unit_jacobian_check):
+        assert call(family, rank, (), []) == ONE
+
+
 def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     # the pullback and the unit ratio reach the jet forward only through
-    # jacobian_det_ad, whose jet k is the unit seed of variable k
-    original = factorization.forward_coords_jets
-    calls = []
+    # jacobian_det_ad, whose n variables are the unit seeds z^+_1, ..., z^+_n:
+    # pair k joins as (l_k - c_k, z^+_k), the partials of its z^- all in
+    # later variables, and the determinant has n columns
+    join, jacobian_det = factorization._join_pair, factorization.jacobian_det
+    joins, widths = [], []
 
-    def unit_seeds_only(plan, pairs):
-        for k, jet in enumerate([p[0] for p in pairs] + [p[1] for p in pairs]):
-            assert (jet.nums, jet.den) == ({k: (1, 0)}, 1), f"jet {k} is not a unit seed"
-        calls.append(plan.word)
-        return original(plan, pairs)
+    def unit_seeds_only(family, rank, tau, factors, pair):
+        k = ordering_from_word(family, rank, word).index(tau)
+        assert (pair[1].nums, pair[1].den) == ({k: (1, 0)}, 1), f"z^+ {k} is not a unit seed"
+        assert all(j > k for j in getattr(pair[0], "nums", {})), f"z^- {k} moves with z^+ {k}"
+        joins.append(k)
+        return join(family, rank, tau, factors, pair)
 
-    # every library module that binds the function, not only its own
-    for name, module in list(sys.modules.items()):
-        if name.startswith("rootfact") and getattr(module, "forward_coords_jets", None) is original:
-            monkeypatch.setattr(module, "forward_coords_jets", unit_seeds_only)
+    def n_columns(outputs, width):
+        widths.append(width)
+        return jacobian_det(outputs, width)
+
+    monkeypatch.setattr(factorization, "_join_pair", unit_seeds_only)
+    monkeypatch.setattr(factorization, "jacobian_det", n_columns)
     word = random_reduced_word("B", 3, 4)
     eta = branch_pairs(random.Random("haar/unit-seeds"), len(word))
     det = ONE
@@ -309,4 +333,4 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     for call, expected in ((lebesgue_pullback_det, det), (unit_jacobian_check, ONE)):
         monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
         assert call("B", 3, word, eta) == expected
-    assert len(calls) == 2
+    assert widths == [len(word)] * 2 and joins == list(range(len(word) - 1, -1, -1)) * 2

@@ -8,13 +8,15 @@ the left peel and the anchor read of extract_lower.  It checks its
 answer on its own tails: the primal tail joins pair 1 as well and peels
 l_1, so its Q L must extract to all zeros, the last dual Q L must
 extract to [c, 0, ..., 0], and the u of the completed tail's U, each
-times a torus character, must be the given ones.  The jet forward joins
-all n pairs from (I, I) and extracts (l, u) from L and U.
+times a torus character, must be the given ones.  The 2n-variable jet
+forward of the tests joins all n pairs from (I, I) and extracts (l, u)
+from L and U; jacobian_det_ad walks the primal tail at fixed l instead.
 These tests check, at every step, the carried pair against the LDU of
 the explicitly multiplied tails and the reads against full extractions,
 check one join on general Q L, over Scalars and over jets, against the
 explicit product and its unit-pivot guard, check the jet forward
-against the dense product and LDU it replaced, check that the inverse
+against the dense product and LDU it replaced and the fixed-l
+Jacobian against its 2n x 2n determinant, check that the inverse
 runs no second forward map and one dense ldu, that the closing
 extractions still reject a faulty tail, read or peel, and that a moved
 u names its first coordinate, and pin the exceptional-set payloads of
@@ -53,6 +55,7 @@ from rootfact import (
     zeta_from_eta,
 )
 from rootfact import factorization, haar
+from rootfact.jets import jacobian_det
 from rootfact.linalg import scale_cols
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
 from rootfact.scalar import ONE, ZERO, Scalar, sc
@@ -65,7 +68,7 @@ from conftest import (
     pairs_with_s_zero,
     torus_diag,
 )
-from helpers import constant
+from helpers import constant, forward_coords_jets
 
 
 def dual_lower_coords(family, rank, taus, l, u, h):
@@ -303,7 +306,24 @@ def test_jet_forward_matches_the_dense_path(family, rank):
                   pairs_with_s_zero(rng, n, {rng.randint(1, n)})]
         for pairs in points:
             jets = plan.jet_pairs(pairs)
-            assert factorization.forward_coords_jets(plan, jets) == dense_jet_forward(plan, jets)
+            assert forward_coords_jets(plan, jets) == dense_jet_forward(plan, jets)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
+def test_jacobian_at_fixed_l_matches_the_2n_determinant(family, rank):
+    # jacobian_det_ad takes det du/dz^+ at fixed l with n jet variables;
+    # the reference differentiates (l, u) in all 2n and takes the 2n x 2n
+    # determinant, at the kinds of point of the dense-path comparison above
+    rng = random.Random(f"fixed-l/{family}{rank}")
+    for word in [canonical_word(family, rank)] + [random_reduced_word(family, rank, s) for s in (1, 2)]:
+        plan = word_plan(family, rank, word)
+        n = len(word)
+        points = [generic_pairs(rng, n), [(ZERO, ZERO)] * n,
+                  pairs_with_s_zero(rng, n, {rng.randint(1, n)})]
+        for pairs in points:
+            lcoords, ucoords = forward_coords_jets(plan, plan.jet_pairs(pairs))
+            assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det(
+                lcoords + ucoords, 2 * n)
 
 
 def test_jacobian_runs_no_dense_ldu(monkeypatch):
