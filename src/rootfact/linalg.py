@@ -160,6 +160,12 @@ def _bareiss(x) -> Scalar:
     value times p_(t-1) / p_(k-1), the skipped rescales telescoping, so
     its next update divides by p_(t-1) in place of p_(k-1), and a pivot
     row is brought up to date before it is used.
+
+    Each row is first scaled by the lcm of its denominators, then each
+    column divided by the gcd of its real and imaginary parts (an
+    all-zero column is left as it is); the product of those gcds
+    multiplies the answer.  Every minor would otherwise carry that
+    content, so the elimination runs on far smaller integers.
     """
     n = len(x)
     if n == 0:
@@ -172,6 +178,13 @@ def _bareiss(x) -> Scalar:
             d = d * v.d // math.gcd(d, v.d)
         denom *= d
         m.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
+    content = 1
+    for j in range(n):
+        g = math.gcd(*(p for row in m for p in row[j]))
+        if g > 1:
+            content *= g
+            for row in m:
+                row[j] = (row[j][0] // g, row[j][1] // g)
     sign = 1
     div = [(1, 0)]  # div[k] = p_(k-1), the divisor of step k
     since = [0] * n  # the last update of row i was step since[i] - 1
@@ -212,7 +225,7 @@ def _bareiss(x) -> Scalar:
                     continue
                 mi[j] = _gauss_div(ta, tb, ea, eb)
     da, db = m[n - 1][n - 1]
-    return Scalar(sign * da, sign * db, denom)
+    return Scalar(sign * content * da, sign * content * db, denom)
 
 
 def ldu(g):

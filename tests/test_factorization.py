@@ -12,6 +12,7 @@ identities live in the acceptance suite.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -367,6 +368,69 @@ def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left)
     pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
     jacobian_det_ad(family, rank, word, pairs)
     assert sizes == left
+
+
+def integer_matrix(rng: random.Random, n: int):
+    return [[Scalar(rng.randint(-9, 9), rng.randint(-9, 9) * (rng.random() < 0.4))
+             for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("case", ["zero", "imaginary", "negative", "whole", "rational"])
+def test_bareiss_takes_out_each_columns_content(case):
+    # _bareiss divides each column by the gcd of its integer parts and
+    # multiplies their product back: scaling column j by c_j scales the
+    # det by the product of the c_j, whatever the kind of content
+    rng = random.Random(f"det/content/{case}")
+    for trial in range(12):
+        n = 1 + trial % 6
+        base = integer_matrix(rng, n)
+        if case == "zero":
+            # an all-zero column has gcd 0 and is left as it is
+            scales, j = [ONE] * n, rng.randrange(n)
+            for row in base:
+                row[j] = ZERO
+        elif case == "imaginary":
+            # real entries times 3i or -10i: content only in the imaginary parts
+            base = [[Scalar(v.a) for v in row] for row in base]
+            scales = [rng.choice([Scalar(0, 3), Scalar(0, -10), ONE]) for _ in range(n)]
+        elif case == "negative":
+            scales = [Scalar(rng.choice([-2, -6, -15, 1])) for _ in range(n)]
+        elif case == "whole":
+            scales = [Scalar(12)] * n
+        else:
+            # rational entries: the content is taken after the row scale
+            base = [[exact_scalar(rng) + Scalar(5) for _ in range(n)] for _ in range(n)]
+            scales = [rng.choice([Scalar(4, 6), Scalar(1, 7, 3), Scalar(-21)]) for _ in range(n)]
+        g = [[v * c for v, c in zip(row, scales)] for row in base]
+        det = linalg._bareiss(g)
+        assert det == det_exact(g) == elimination_det(g)
+        assert det == math.prod(scales, start=ONE) * elimination_det(base)
+        if case == "zero":
+            assert det == ZERO
+    # a 1 x 1 core is its own column: content 2, left (3, -2) over 5
+    assert linalg._bareiss([[Scalar(6, -4, 5)]]) == Scalar(6, -4, 5)
+    assert linalg._bareiss([[Scalar(0, -8)]]) == Scalar(0, -8)
+
+
+@pytest.mark.parametrize(
+    "family,rank,bound", [("A", 8, 760), ("D", 5, 360), ("B", 4, 340)])
+def test_jacobian_det_ad_divides_small_integers(monkeypatch, family, rank, bound):
+    # the largest numerator an exact division in Bareiss receives: 578,
+    # 283 and 267 bits with each column's content taken out, 940, 435 and
+    # 415 bits without, and thousands if a row is scaled by more than the
+    # lcm of its denominators
+    largest = [0]
+    gauss_div = linalg._gauss_div
+
+    def spy(xa, xb, ya, yb):
+        largest[0] = max(largest[0], xa.bit_length(), xb.bit_length())
+        return gauss_div(xa, xb, ya, yb)
+
+    monkeypatch.setattr(linalg, "_gauss_div", spy)
+    word = random_reduced_word(family, rank, 1)
+    pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
+    jacobian_det_ad(family, rank, word, pairs)
+    assert 0 < largest[0] <= bound
 
 
 def ldu_outcome(fn, g):
