@@ -310,7 +310,8 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
             mi = m[i]
             if i > k and not mi[k].is_zero():
                 terms.append((i, k, mi[k]))
-                mi[k:] = [ZERO] + [a if b.is_zero() else a - mi[k] * b
+                w = -mi[k]
+                mi[k:] = [ZERO] + [a if b.is_zero() else a.addmul(w, b)
                                    for a, b in zip(mi[k + 1:], m[k][k + 1:])]
     mul_right_i_plus(lower[rows[0]:], terms)
     exp_e(family, rank, tau, zp, upper[:max(c for _, c, _ in f) + 1])

@@ -31,7 +31,7 @@ def mat_mul(x, y):
             for k in range(1, m):
                 c = xi[k]
                 if not c.is_zero():
-                    acc = acc + c * y[k][j]
+                    acc = acc.addmul(c, y[k][j])
             row.append(acc)
         out.append(row)
     return out
@@ -59,7 +59,7 @@ def mul_right_i_plus(g, terms):
         src = [gi[r] for (r, _, _) in terms]
         for (_, col, w), v in zip(terms, src):
             if not v.is_zero():
-                gi[col] = gi[col] + v * w
+                gi[col] = gi[col].addmul(v, w)
     return g
 
 
@@ -116,7 +116,9 @@ def det_exact(x) -> Scalar:
     worklist keeps this linear in the nonzeros.  The rest goes to
     ``_bareiss`` with rows and columns in their original relative order,
     times the sign of the permutation pairing peeled rows with their
-    columns and the rest in order."""
+    columns and the rest in order.  The peeled product is carried as a
+    Gaussian-integer numerator over an integer denominator and reduced
+    once, with the core's factor."""
     n = len(x)
     # lines: row i is i, column j is n + j; adj lists the other side's lines
     adj = [[n + j for j, v in enumerate(row) if v.a or v.b] for row in x] + [[] for _ in x]
@@ -125,13 +127,14 @@ def det_exact(x) -> Scalar:
             adj[j].append(i)
     left, live = [len(a) for a in adj], [True] * (2 * n)
     work = [k for k in range(2 * n) if left[k] == 1]
-    det, sigma = ONE, [0] * n
+    na, nb, nd, sigma = 1, 0, 1, [0] * n
     while work:
         k = work.pop()
         if live[k]:
             o = next(o for o in adj[k] if live[o])
             i, j = min(k, o), max(k, o) - n
-            det, sigma[i], live[k], live[o] = det * x[i][j], j, False, False
+            v, sigma[i], live[k], live[o] = x[i][j], j, False, False
+            na, nb, nd = na * v.a - nb * v.b, na * v.b + nb * v.a, nd * v.d
             for p in adj[o]:
                 if live[p]:
                     left[p] -= 1
@@ -143,9 +146,11 @@ def det_exact(x) -> Scalar:
     cols = [j for j in range(n) if live[n + j]]
     for i, j in zip(rows, cols):
         sigma[i] = j
-    det = det * _bareiss([[x[i][j] for j in cols] for i in rows])
+    core = _bareiss([[x[i][j] for j in cols] for i in rows])
     # times the sign of sigma, by its inversions in O(n^2) as for the pattern
-    return -det if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2 else det
+    if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2:
+        na, nb = -na, -nb
+    return Scalar(na * core.a - nb * core.b, na * core.b + nb * core.a, nd * core.d)
 
 
 def _bareiss(x) -> Scalar:
@@ -257,9 +262,9 @@ def ldu(g):
             if f.is_zero():
                 continue
             f = lower[i][k] = f / p
-            ai = a[i]
+            f, ai = -f, a[i]
             for j in range(k + 1, n):
-                ai[j] = ai[j] - f * ak[j]
+                ai[j] = ai[j].addmul(f, ak[j])
     return lower, d, upper
 
 

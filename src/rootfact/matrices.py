@@ -309,4 +309,4 @@ def peel_left(entries, squares, c, g):
     stays as it was before the peel."""
     terms = exp_terms(entries, squares, -c)
     for (r, _, w), src in zip(terms, [g[col] for _, col, _ in terms]):
-        g[r] = [a if b.is_zero() else a + w * b for a, b in zip(g[r], src)]
+        g[r] = [a if b.is_zero() else a.addmul(w, b) for a, b in zip(g[r], src)]

@@ -73,10 +73,14 @@ class Number:
     (an exact zero), ``inverse()``, negation, ``==``, and ``+``, ``-`` and
     ``*`` with the type itself, ints, Fractions and Scalars, NotImplemented
     for an operand it cannot lift; the matrix entries, Scalar and Jet, also
-    have ``val``, the Scalar value a pivot is judged by.  ``other - x`` and
-    ``other / x`` follow from these, here, for all three."""
+    have ``val``, the Scalar value a pivot is judged by.  ``other - x``,
+    ``other / x`` and ``addmul`` follow from these, here, for all three."""
 
     __slots__ = ()
+
+    def addmul(self, x, y):
+        """self + x * y, the one sparse update; Scalar reduces it once."""
+        return self + x * y
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -171,41 +175,51 @@ class Scalar(Number):
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self.d, other.d
-        if d1 == 1 and d2 == 1:
-            return _mk(self.a + other.a, self.b + other.b, 1)
-        return Scalar(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
+        if d1 == d2:
+            return _red(self.a + other.a, self.b + other.b, d1)
+        return _red(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self.d, other.d
-        if d1 == 1 and d2 == 1:
-            return _mk(self.a - other.a, self.b - other.b, 1)
-        return Scalar(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
+        if d1 == d2:
+            return _red(self.a - other.a, self.b - other.b, d1)
+        return _red(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if b1 == 0 and b2 == 0:
-            a, b = a1 * a2, 0
-        else:
-            a = a1 * a2 - b1 * b2
-            b = a1 * b2 + b1 * a2
-        d = self.d * other.d
-        if d == 1:
-            return _mk(a, b, 1)
-        return Scalar(a, b, d)
+        if b1 or b2:
+            return _red(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+        return _red(a1 * a2, 0, self.d * other.d)
 
     __rmul__ = __mul__
+
+    def addmul(self, x, y):
+        if x.__class__ is not Scalar or y.__class__ is not Scalar:
+            return self + x * y
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        if b1 or b2:
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        else:
+            a, b = a1 * a2, 0
+        d, e = self.d, x.d * y.d
+        if d == e:
+            return _red(self.a + a, self.b + b, d)
+        return _red(self.a * e + a * d, self.b * e + b * d, d * e)
 
     def inverse(self) -> "Scalar":
         n = self.a * self.a + self.b * self.b
@@ -230,7 +244,7 @@ class Scalar(Number):
         return power(self, n, ONE)
 
     def __neg__(self):
-        return _mk(-self.a, -self.b, self.d)
+        return _red(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -271,7 +285,14 @@ def _fmt(q: Fraction) -> str:
         raise digit_limit_error() from None
 
 
-def _mk(a: int, b: int, d: int) -> Scalar:
+def _red(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d, d >= 1, reduced: the result of every sum and product."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
     out = object.__new__(Scalar)
     out.a = a
     out.b = b
@@ -283,15 +304,15 @@ def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, int):
-        return _mk(x, 0, 1)
+        return _red(x, 0, 1)
     if isinstance(x, Fraction):
         return Scalar(x.numerator, 0, x.denominator)
     return None
 
 
-ZERO = _mk(0, 0, 1)
-ONE = _mk(1, 0, 1)
-I = _mk(0, 1, 1)
+ZERO = _red(0, 0, 1)
+ONE = _red(1, 0, 1)
+I = _red(0, 1, 1)
 
 
 def sc(x) -> Scalar:

@@ -358,6 +358,27 @@ def test_det_exact_of_a_deep_shuffled_bidiagonal():
     assert det_exact([[g[i][j] for j in order] for i in order]) == expected
 
 
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_det_exact_reduces_the_peeled_product_once(odd):
+    # peeled entries whose numerators and denominators cancel across
+    # entries, 2/3 against 3/2 and (1+i)/5 against 5(1-i)/2, and 6/5
+    # against a 2 x 2 core of det -5/6: the product is carried unreduced,
+    # so only its one reduction at the end gives the canonical -1 or 1
+    rng = random.Random(f"det/cancel/{odd}")
+    core = [[Scalar(1, 0, 3), ONE], [ONE, Scalar(1, 0, 2)]]
+    peeled = [Scalar(2, 0, 3), Scalar(3, 0, 2), Scalar(1, 1, 5), Scalar(5, -5, 2), Scalar(6, 0, 5)]
+    n = len(peeled) + 2
+    g = [[ZERO] * n for _ in range(n)]
+    for i, v in enumerate(peeled):
+        g[i][i] = v
+    for i, row in enumerate(core):
+        g[n - 2 + i][n - 2:] = row
+    g = permuted(rng, g, odd)
+    det = det_exact(g)
+    assert (det.a, det.b, det.d) == (1 if odd else -1, 0, 1)
+    assert det == elimination_det(g)
+
+
 @pytest.mark.parametrize(
     "family,rank,left", [("A", 8, [22]), ("D", 5, [15]), ("B", 4, [12])])
 def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left):

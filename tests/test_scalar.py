@@ -7,6 +7,8 @@ mixed real/imaginary values.  Everything asserts exact equality.
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootfact import InvalidInputError, Scalar
+from rootfact.haar import RadicalScalar
+from rootfact.jets import Jet
 from rootfact.scalar import I, ONE, ZERO, sc
 
 from helpers import conjugate, is_real
@@ -139,3 +143,81 @@ def test_integer_powers(x, n):
     if n < 0:
         expected = expected.inverse()
     assert x ** n == expected
+
+
+def triple(x):
+    return x.a, x.b, x.d
+
+
+def canonical(re_part: Fraction, im_part: Fraction) -> tuple:
+    """The one reduced (a, b, d) of re_part + im_part*i, from Fractions."""
+    d = math.lcm(re_part.denominator, im_part.denominator)
+    return int(re_part * d), int(im_part * d), d
+
+
+def addmul_grid():
+    """Seeded (self, x, y) triples: whole, pure real, pure imaginary, zero
+    and negative parts; x.d * y.d equal to self.d, dividing it, and apart."""
+    rng = random.Random(25)
+    dens = [1, 1, 2, 3, 4, 6, 9, 12]
+
+    def draw():
+        kind = rng.choice(["zero", "real", "imag", "both", "both"])
+        d = rng.choice(dens)
+        a = 0 if kind in ("zero", "imag") else rng.randint(-12, 12)
+        b = 0 if kind in ("zero", "real") else rng.randint(-12, 12)
+        return Scalar(a, b, d)
+
+    cases = []
+    for _ in range(400):
+        s, x, y = draw(), draw(), draw()
+        cases.append((s, x, y))
+        # the shared denominator, when x.d * y.d reduces no further
+        shared = Scalar(rng.randint(-30, 30), rng.randint(-30, 30), x.d * y.d)
+        if shared.d == x.d * y.d:
+            cases.append((shared, x, y))
+    return cases
+
+
+def test_addmul_is_self_plus_x_times_y():
+    shared = 0
+    for s, x, y in addmul_grid():
+        out = s.addmul(x, y)
+        assert type(out) is Scalar
+        assert triple(out) == triple(s + x * y)
+        assert triple(out) == canonical(s.real + x.real * y.real - x.imag * y.imag,
+                                        s.imag + x.real * y.imag + x.imag * y.real)
+        assert out.d >= 1 and math.gcd(out.a, out.b, out.d) == 1
+        shared += s.d == x.d * y.d != 1
+    assert shared > 100
+    # cancellation to zero and to a whole number, over every denominator
+    assert triple(Scalar(1, 0, 6).addmul(Scalar(-1, 0, 2), Scalar(1, 0, 3))) == (0, 0, 1)
+    assert triple(Scalar(5, -1, 6).addmul(Scalar(1, -1, 2), Scalar(0, 1, 3))) == (1, 0, 1)
+    assert triple(Scalar(-7, 2, 4).addmul(Scalar(5, 0, 2), Scalar(3, 0, 2))) == (4, 1, 2)
+
+
+def test_addmul_falls_back_on_other_operands():
+    # an int, a Fraction, a Jet or a RadicalScalar as x or y: self + x * y
+    s, v = Scalar(1, -2, 3), Scalar(-5, 1, 4)
+    for x, y in [(2, v), (v, -3), (Fraction(-3, 4), v), (v, Fraction(5, 6)), (4, Fraction(1, 8))]:
+        out = s.addmul(x, y)
+        assert type(out) is Scalar and triple(out) == triple(s + x * y)
+    jet = Jet(Scalar(2, 1, 3), {0: (1, 2), 3: (-4, 0)}, 5)
+    for x, y in [(jet, v), (v, jet), (jet, jet), (jet, 7)]:
+        out = s.addmul(x, y)
+        assert type(out) is Jet and out == s + x * y  # val, den and nums
+    root2 = RadicalScalar(ONE, Fraction(2))
+    for x, y in [(root2, root2 * 3), (root2 * v, root2)]:
+        out = s.addmul(x, y)
+        assert str(out) == str(s + x * y) and out == s + x * y
+
+
+def test_addmul_of_the_base_class_on_jets_and_radicals():
+    a, b = Jet.variables([Scalar(1, 0, 2), Scalar(-3, 2)])
+    c = Jet(Scalar(5, -1, 6), {1: (2, -3)}, 7)
+    for s, x, y in [(a, b, c), (c, a, Scalar(2, 0, 3)), (a, 3, b), (c, Fraction(1, 4), ONE)]:
+        assert s.addmul(x, y) == s + x * y
+    r = RadicalScalar(Scalar(1, 1, 2), Fraction(3))
+    for x, y in [(r, Scalar(2)), (Scalar(0, 1), r), (2, r)]:
+        out = r.addmul(x, y)
+        assert type(out) is RadicalScalar and str(out) == str(r + x * y)
