@@ -52,7 +52,7 @@ from .matrices import (
     weyl_representative,
 )
 from .rootsystem import delta, norm2, positive_roots
-from .scalar import ONE, ZERO, Scalar, sc
+from .scalar import ONE, ZERO, Scalar, power_product, sc
 from .weyl import (
     WeylElement,
     check_word,
@@ -348,17 +348,15 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
 def jacobian_det_formula(family: str, rank: int, word, pairs) -> Scalar:
     """prod_j s_j^(delta(h_tau_j) - 1)."""
     plan = word_plan(family, rank, word)
-    out = ONE
-    for d, (zm, zp) in zip(plan.deltas, plan.scalar_pairs(pairs)):
-        out = out * (ONE + zm * zp) ** (d - 1)
-    return out
+    return power_product((ONE + zm * zp, d - 1)
+                         for d, (zm, zp) in zip(plan.deltas, plan.scalar_pairs(pairs)))
 
 
 def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
     """prod_{k<j} s_j^(tau_k(h_tau_j)), termwise."""
     plan = word_plan(family, rank, word)
     svals = [ONE + zm * zp for zm, zp in plan.scalar_pairs(pairs)]
-    out = ONE
+    terms = []
     for j, s in enumerate(svals):
         for k in range(j):
             p = plan.table[k][j]
@@ -366,8 +364,8 @@ def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
                 raise InvalidInputError(
                     "double product undefined: zero base with negative exponent"
                 )
-            out = out * s ** p
-    return out
+            terms.append((s, p))
+    return power_product(terms)
 
 
 def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:

@@ -32,9 +32,10 @@ from .scalar import ONE, Number, Scalar, _coerce, power, sc
 class RadicalScalar(Number):
     """c * sqrt(q) with Scalar c and positive rational radicand q.
 
-    The radicand a/b becomes the integer a*b, with 1/b moved into c.
-    Only an integer that is a whole perfect square collapses, into c
-    with radicand 1; no other square factor is pulled out, so equal
+    The radicand a/b is stored as the int a*b, with 1/b moved into c, and
+    every result is built by ``_make`` from an int radicand.  Only an
+    integer that is a whole perfect square collapses, into c with
+    radicand 1; no other square factor is pulled out, so equal
     values can print differently ((1)*sqrt(12) and (2)*sqrt(3)), and a
     zero c keeps its radicand.  Values with q == 1 collapse to plain
     scalars via ``to_scalar``.
@@ -47,21 +48,15 @@ class RadicalScalar(Number):
         if radicand <= 0:
             raise InvalidInputError("radicand must be positive")
         # sqrt(a/b) = sqrt(a*b)/b
-        n = radicand.numerator * radicand.denominator
-        coeff = coeff / radicand.denominator
-        r = math.isqrt(n)
-        if r * r == n:
-            coeff = coeff * r
-            n = 1
-        self.coeff = coeff
-        self.radicand = Fraction(n)
+        out = _make(coeff / radicand.denominator, radicand.numerator * radicand.denominator)
+        self.coeff, self.radicand = out.coeff, out.radicand
 
     @classmethod
     def sqrt_of(cls, value) -> "RadicalScalar":
         v = sc(value)
         if not v.is_positive_real():
             raise BranchViolationError(f"square root branch needs a positive real, got {v}")
-        return cls(ONE, v.real)
+        return _make(ONE / v.d, v.a * v.d)
 
     def to_scalar(self) -> Scalar:
         if self.radicand != 1:
@@ -75,7 +70,7 @@ class RadicalScalar(Number):
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return RadicalScalar(self.coeff * other.coeff, self.radicand * other.radicand)
+        return _make(self.coeff * other.coeff, self.radicand * other.radicand)
 
     __rmul__ = __mul__
 
@@ -83,7 +78,7 @@ class RadicalScalar(Number):
         if self.coeff.is_zero():
             raise ZeroDivisionError("inverse of zero")
         # 1 / (c sqrt(q)) = (1 / (c q)) sqrt(q)
-        return RadicalScalar(ONE / (self.coeff * Scalar(self.radicand.numerator)), self.radicand)
+        return _make(ONE / (self.coeff * self.radicand), self.radicand)
 
     def __truediv__(self, other):
         other = _lift(other)
@@ -92,10 +87,10 @@ class RadicalScalar(Number):
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        return power(self, n, RadicalScalar(ONE))
+        return power(self, n, _make(ONE, 1))
 
     def __neg__(self):
-        return RadicalScalar(-self.coeff, self.radicand)
+        return _make(-self.coeff, self.radicand)
 
     def __add__(self, other):
         other = _lift(other)
@@ -109,7 +104,7 @@ class RadicalScalar(Number):
         root = _rational_sqrt(ratio)
         if root is None:
             raise InvalidInputError("cannot add incompatible radicals exactly")
-        return RadicalScalar(self.coeff + other.coeff * Scalar.from_fraction(root), self.radicand)
+        return _make(self.coeff + other.coeff * Scalar.from_fraction(root), self.radicand)
 
     __radd__ = __add__
 
@@ -146,6 +141,18 @@ class RadicalScalar(Number):
     __repr__ = __str__
 
 
+def _make(coeff: Scalar, n: int) -> RadicalScalar:
+    """coeff * sqrt(n) for a positive integer n, a whole perfect square
+    collapsed into coeff: every result is built here, as Scalar's by _red."""
+    if n != 1:
+        r = math.isqrt(n)
+        if r * r == n:
+            coeff, n = coeff * r, 1
+    out = object.__new__(RadicalScalar)
+    out.coeff, out.radicand = coeff, n
+    return out
+
+
 def _rational_sqrt(q: Fraction):
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
@@ -159,12 +166,12 @@ def _lift(x):
     if isinstance(x, RadicalScalar):
         return x
     s = _coerce(x)
-    return None if s is None else RadicalScalar(s)
+    return None if s is None else _make(s, 1)
 
 
 def _radical(x) -> RadicalScalar:
     """x as a RadicalScalar; what is no scalar raises as in ``sc``."""
-    return x if isinstance(x, RadicalScalar) else RadicalScalar(sc(x))
+    return x if isinstance(x, RadicalScalar) else _make(sc(x), 1)
 
 
 # -- invariant density -------------------------------------------------
@@ -213,7 +220,7 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     ys = ((ONE - _radical(em) * _radical(ep)).to_scalar() for em, ep in pairs)
     zeta, asq, avals = _compact_chain(plan, [(_lift(em), _lift(ep)) for em, ep in pairs], ys,
                                       RadicalScalar.sqrt_of)
-    hshift = plan.torus_power(avals, RadicalScalar(ONE))
+    hshift = plan.torus_power(avals, _make(ONE, 1))
     return [(_simplify(zm), _simplify(zp)) for zm, zp in zeta], [_simplify(v) for v in hshift], asq
 
 

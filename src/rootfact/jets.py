@@ -4,10 +4,11 @@ A Jet is three slots: a Scalar value ``val``, its nonzero partial
 derivatives ``nums``, a dict from variable index to a Gaussian-integer
 numerator (a, b), and one denominator ``den`` the whole gradient shares,
 coprime to the numerators taken together.  Every operation forms its
-gradient as a*x + b*y over the lcm of the two denominators, drops the
-pairs that cancel and takes one gcd, so a partial costs no Scalar of its
-own and an entry that depends on few coordinates costs only as much as
-those coordinates.  A jet does not know how many variables there are:
+gradient as a sum of up to three terms c*x, three for the sparse update
+``addmul``, over the lcm of their denominators, drops the pairs that
+cancel and takes one gcd, so a partial costs no Scalar of its own and an
+entry that depends on few coordinates costs only as much as those
+coordinates.  A jet does not know how many variables there are:
 ``jacobian_det`` is told the width and reads the numerators directly.
 """
 
@@ -32,29 +33,31 @@ def _times(ca: int, cb: int, x: dict) -> dict:
     return {k: (ca * a, ca * b) for k, (a, b) in x.items()}
 
 
-def _combine(c: Scalar, x: "Jet", e: Scalar = ZERO, y: "Jet | None" = None):
-    """(nums, den) of the gradient c*x + e*y, reduced, with no second term
-    when y is None; a term with a zero factor or no partials is left out,
-    and a lone term times 1 or -1 keeps its reduced form with no gcd."""
-    if y is not None and not (y.nums and (e.a or e.b)):
-        y = None
-    if not (x.nums and (c.a or c.b)):
-        if y is None:
+def _combine(*terms):
+    """(nums, den) of the gradient sum of c*x over the (c, x) terms, reduced:
+    a term with a zero factor or no partials is left out, a lone term times
+    1 or -1 keeps its reduced form with no gcd, and each further term is
+    merged into the first over the lcm of their denominators."""
+    terms = [(c, x) for c, x in terms if x.nums and (c.a or c.b)]
+    if len(terms) < 2:
+        if not terms:
             return {}, 1
-        c, x, y = e, y, None
-    if y is None:
+        (c, x), = terms
         if c.d == 1 and not c.b and (c.a == 1 or c.a == -1):
             return _times(c.a, 0, x.nums), x.den
         out, den = _times(c.a, c.b, x.nums), c.d * x.den
     else:
-        d1, d2 = c.d * x.den, e.d * y.den
-        g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        out, den = dict(_times(c.a * m1, c.b * m1, x.nums)), d1 * m1
-        for k, (a, b) in _times(e.a * m2, e.b * m2, y.nums).items():
-            s, t = out.pop(k, (0, 0))
-            if s + a or t + b:
-                out[k] = s + a, t + b
+        dens = [c.d * x.den for c, x in terms]
+        den = math.lcm(*dens)
+        (c, x), m = terms[0], den // dens[0]
+        out = dict(_times(c.a * m, c.b * m, x.nums))
+        for (c, x), d in zip(terms[1:], dens[1:]):
+            ca, cb = c.a * (den // d), c.b * (den // d)
+            for k, (a, b) in x.nums.items():
+                s, t = out.pop(k, (0, 0))
+                s, t = s + ca * a - cb * b, t + ca * b + cb * a
+                if s or t:
+                    out[k] = s, t
     if den != 1:
         g = math.gcd(den, *[t for ab in out.values() for t in ab])
         if g != 1:
@@ -84,7 +87,7 @@ class Jet(Number):
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, *_combine(ONE, self, ONE, other))
+            return Jet(self.val + other.val, *_combine((ONE, self), (ONE, other)))
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -94,7 +97,7 @@ class Jet(Number):
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, *_combine(ONE, self, _MINUS_ONE, other))
+            return Jet(self.val - other.val, *_combine((ONE, self), (_MINUS_ONE, other)))
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -103,24 +106,34 @@ class Jet(Number):
     def __mul__(self, other):
         if isinstance(other, Jet):
             v1, v2 = self.val, other.val
-            return Jet(v1 * v2, *_combine(v2, self, v1, other))
+            return Jet(v1 * v2, *_combine((v2, self), (v1, other)))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val * other, *_combine(other, self))
+        return Jet(self.val * other, *_combine((other, self)))
 
     __rmul__ = __mul__
+
+    def addmul(self, x, y):
+        """self + x * y by one merge of the gradients; a Scalar operand has
+        none (the empty _ONE stands in), and any other falls back."""
+        xj, yj = isinstance(x, Jet), isinstance(y, Jet)
+        xv, yv = x.val if xj else x, y.val if yj else y
+        if xv.__class__ is not Scalar or yv.__class__ is not Scalar:
+            return self + x * y
+        return Jet(self.val.addmul(xv, yv),
+                   *_combine((ONE, self), (yv, x if xj else _ONE), (xv, y if yj else _ONE)))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             r = other.val.inverse()
             q = self.val * r
             # (g1 - q g2) / v2 = r g1 - q r g2
-            return Jet(q, *_combine(r, self, -(q * r), other))
+            return Jet(q, *_combine((r, self), (-(q * r), other)))
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Jet(self.val / other, *_combine(other.inverse(), self))
+        return Jet(self.val / other, *_combine((other.inverse(), self)))
 
     def inverse(self) -> "Jet":
         return _ONE / self
@@ -129,7 +142,7 @@ class Jet(Number):
         return power(self, n, _ONE)
 
     def __neg__(self):
-        return Jet(-self.val, *_combine(_MINUS_ONE, self))
+        return Jet(-self.val, *_combine((_MINUS_ONE, self)))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -144,7 +157,7 @@ class Jet(Number):
         r = self.val.sqrt_exact()
         if r.is_zero():
             raise InvalidInputError("jet sqrt at zero is singular")
-        return Jet(r, *_combine(_HALF / r, self))
+        return Jet(r, *_combine((_HALF / r, self)))
 
     def __repr__(self):
         return f"Jet({self.val}; {self.nums}/{self.den})"

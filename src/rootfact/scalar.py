@@ -74,12 +74,14 @@ class Number:
     ``*`` with the type itself, ints, Fractions and Scalars, NotImplemented
     for an operand it cannot lift; the matrix entries, Scalar and Jet, also
     have ``val``, the Scalar value a pivot is judged by.  ``other - x``,
-    ``other / x`` and ``addmul`` follow from these, here, for all three."""
+    ``other / x`` and ``addmul`` follow from these, here, for all three;
+    Scalar and Jet override ``addmul``."""
 
     __slots__ = ()
 
     def addmul(self, x, y):
-        """self + x * y, the one sparse update; Scalar reduces it once."""
+        """self + x * y, the one sparse update: Scalar reduces it once, and
+        Jet merges its gradients once, with no product built."""
         return self + x * y
 
     def __rsub__(self, other):
@@ -298,6 +300,23 @@ def _red(a: int, b: int, d: int) -> Scalar:
     out.b = b
     out.d = d
     return out
+
+
+def power_product(terms) -> Scalar:
+    """prod s ** p over the (Scalar s, int p) terms, termwise, as one
+    Gaussian-integer numerator over one integer denominator, reduced once;
+    s ** -1 is d(a - b*i)/(a^2 + b^2) for s = (a + b*i)/d."""
+    a, b, d = 1, 0, 1
+    for s, p in terms:
+        sa, sb, sd = s.a, s.b, s.d
+        if p < 0:
+            n = sa * sa + sb * sb
+            if n == 0:
+                raise ZeroDivisionError("inverse of zero scalar")
+            sa, sb, sd, p = sa * sd, -sb * sd, n, -p
+        for _ in range(p):
+            a, b, d = a * sa - b * sb, a * sb + b * sa, d * sd
+    return _red(a, b, d)
 
 
 def _coerce(x):

@@ -24,6 +24,7 @@ from rootfact import (
     Jet,
     Scalar,
     StratumError,
+    canonical_word,
     det_exact,
     exp_f,
     forward_map,
@@ -50,7 +51,8 @@ from rootfact import (
 )
 from rootfact import linalg
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
-from rootfact.scalar import ONE, ZERO, sc
+from rootfact.factorization import word_plan
+from rootfact.scalar import ONE, ZERO, power_product, sc
 
 from conftest import exact_scalar, generic_pairs, pairs_equal
 from helpers import mat_transpose
@@ -572,6 +574,26 @@ def test_jacobian_triple_value_gl3():
     assert jacobian_det_formula("A", 2, (1, 2, 1), point) == expected
     assert jacobian_det_double_product("A", 2, (1, 2, 1), point) == expected
     assert jacobian_det_ad("A", 2, (1, 2, 1), point) == expected
+
+
+def test_closed_form_products_reduce_once():
+    # at the canonical A3 word the double product takes s_3, s_5 and s_6 to
+    # the powers -1 and +1 in separate terms, and s_2 = 2/3 cancels s_5 = 3/2
+    # in both products; each is carried unreduced, so only its one reduction
+    # at the end gives the canonical 1
+    word = canonical_word("A", 3)
+    point = [(2, 3), (1, Scalar(-1, 0, 3)), (Scalar(1, 1, 2), Scalar(2, -1, 5)), (0, 7),
+             (1, Scalar(1, 0, 2)), (Scalar(0, 1, 3), Scalar(3, 2, 7))]
+    assert [plan_row[2] for plan_row in word_plan("A", 3, word).table[:2]] == [-1, 1]
+    for f in (jacobian_det_double_product, jacobian_det_formula, jacobian_det_ad):
+        det = f("A", 3, word, point)
+        assert (det.a, det.b, det.d) == (1, 0, 1), f.__name__
+    s = Scalar(1, 2, 3)
+    for terms in ([(s, 1), (s, -1)], [(s, -2), (Scalar(2, 0, 3), 1), (s, 2), (Scalar(3, 0, 2), 1)]):
+        out = power_product(terms)
+        assert (out.a, out.b, out.d) == (1, 0, 1)
+    with pytest.raises(ZeroDivisionError):
+        power_product([(s, 1), (ZERO, -1)])
 
 
 # reduced words of some w < w_0, whose lower factor at a generic point

@@ -94,6 +94,29 @@ def test_radical_divided_by_a_radical_or_a_number():
         "2", "1/2", "(1/2)*sqrt(8)", "(-1*i)*sqrt(2)"]
 
 
+def test_make_builds_what_the_public_constructor_builds():
+    # every internal result comes from _make: it prints, compares and hashes
+    # as RadicalScalar(c, n) does, and its radicand is an int
+    for c in (ONE, Scalar(-2, 1, 3), Scalar(0), Scalar(5, 0, 4)):
+        for n in (1, 2, 3, 4, 8, 9, 12, 50):
+            made, public = haar._make(c, n), RadicalScalar(c, n)
+            assert (str(made), repr(made), hash(made)) == (str(public), repr(public), hash(public))
+            assert made == public and public == made
+            assert type(made.radicand) is int and type(public.radicand) is int
+    # sqrt(3/4) = sqrt(12)/4
+    assert str(haar._make(Scalar(1, 0, 4), 12)) == str(RadicalScalar(ONE, Fraction(3, 4))) == (
+        "(1/4)*sqrt(12)")
+    assert RadicalScalar(Scalar(2), Fraction(9, 4)).radicand == 1
+
+
+def test_product_order_decides_the_printed_radicand():
+    # as the power docstring says: only a whole perfect square collapses
+    r2, r3 = RadicalScalar(ONE, 2), RadicalScalar(ONE, 3)
+    left, right = (r2 * r2) * r3, (r2 * r3) * r2
+    assert (str(left), str(right)) == ("(2)*sqrt(3)", "(1)*sqrt(12)")
+    assert left == right and hash(left) == hash(right)
+
+
 @pytest.mark.parametrize("radicand", [0, -4, Fraction(-1, 9)])
 def test_radicand_must_be_positive(radicand):
     # a zero radicand would otherwise pass as the perfect square 0

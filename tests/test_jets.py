@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from rootfact import (InvalidInputError, Jet, Scalar, jacobian_det_ad, jacobian_det_formula,
-                      lebesgue_pullback_det, random_reduced_word, zeta_from_eta)
-from rootfact import haar
+from rootfact import (InvalidInputError, Jet, RadicalScalar, Scalar, jacobian_det_ad,
+                      jacobian_det_formula, lebesgue_pullback_det, random_reduced_word,
+                      zeta_from_eta)
+from rootfact import haar, jets
 from rootfact.factorization import word_plan
-from rootfact.jets import jacobian_det
+from rootfact.jets import _combine, jacobian_det
 from rootfact.linalg import det_exact
 from rootfact.scalar import ONE, ZERO, sc
 
@@ -300,3 +302,106 @@ def test_no_library_path_builds_a_scalar_per_partial(monkeypatch):
         pairs = generic_pairs(random.Random(f"jets/no-views/{family}{rank}"), len(word))
         assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det_formula(
             family, rank, word, pairs)
+
+
+# the coefficients of the merge tests: zero, 1 and -1, whole, real and complex
+SCALARS = [ZERO, ONE, sc(-1), sc(2), Scalar(1, 0, 3), Scalar(2, -1, 3), Scalar(0, 1, 7),
+           Scalar(5, 0, 6), Scalar(-3, 1, 2)]
+
+
+def reduced_jet(val, nums: dict, den: int) -> Jet:
+    """The jet val + nums/den in its one stored form, reduced here by hand."""
+    nums = {k: ab for k, ab in nums.items() if ab != (0, 0)}
+    g = math.gcd(den, *[t for ab in nums.values() for t in ab])
+    return Jet(val, {k: (a // g, b // g) for k, (a, b) in nums.items()}, den // g)
+
+
+def draw_jet(rng) -> Jet:
+    """A jet in four variables: up to three partials, real or complex, over
+    a denominator of 1, 2, 3 or 6, and sometimes none at all."""
+    nums = {k: (rng.randint(-4, 4), rng.choice([0, rng.randint(-4, 4)]))
+            for k in rng.sample(range(4), rng.randint(0, 3))}
+    return reduced_jet(rng.choice(SCALARS), nums, rng.choice([1, 1, 2, 3, 6]))
+
+
+def stored(jet: Jet) -> tuple:
+    return jet.val, jet.nums, jet.den
+
+
+def test_jet_addmul_is_self_plus_x_times_y():
+    # every Jet/Scalar mix of x and y over a seeded grid: the one merge
+    # stores what the product and the sum store, reduced alike
+    rng = random.Random("jets/addmul")
+    seen = {"JJ": 0, "JS": 0, "SJ": 0, "SS": 0, "den 1": 0, "zero factor": 0}
+    for _ in range(300):
+        s = draw_jet(rng)
+        for kinds in ("JJ", "JS", "SJ", "SS"):
+            x, y = (draw_jet(rng) if k == "J" else rng.choice(SCALARS) for k in kinds)
+            out = s.addmul(x, y)
+            assert type(out) is Jet and stored(out) == stored(s + x * y), (s, x, y)
+            assert_reduced(out)
+            seen[kinds] += 1
+            seen["den 1"] += out.den == 1 and bool(out.nums)
+            seen["zero factor"] += any(isinstance(j, Jet) and j.nums and v.is_zero()
+                                       for j, v in ((x, y.val), (y, x.val)))
+    assert min(seen.values()) > 30, seen
+
+
+def test_jet_addmul_cancels_drops_and_shares_like_the_rules():
+    a, b = Jet.variables([Scalar(1, 0, 2), Scalar(2, 1, 3)])
+    p = a * b
+    # partials that cancel to an empty gradient store it over 1
+    out = (-p).addmul(a, b)
+    assert stored(out) == (ZERO, {}, 1) and out.is_zero()
+    out = (-p + Scalar(1, 0, 5)).addmul(b, a)
+    assert stored(out) == (Scalar(1, 0, 5), {}, 1)
+    # a single partial cancels and the other is reduced by one gcd
+    out = (-(b.val * a)).addmul(a, b)
+    assert stored(out) == (ZERO, (a.val * b).nums, 2) == (ZERO, {1: (1, 0)}, 2)
+    # a zero factor drops its term
+    zero = Jet(ZERO, {0: (3, 1)}, 4)
+    assert stored(b.addmul(a, ZERO)) == stored(b)
+    assert stored(b.addmul(zero, a)) == stored(b + zero * a) == (
+        Scalar(2, 1, 3), {0: (3, 1), 1: (8, 0)}, 8)
+    # a lone term times 1 or -1 keeps its stored numerators, with no gcd
+    k = Jet(Scalar(5), {}, 1)
+    assert k.addmul(a, ONE).nums is a.nums and k.addmul(ONE, b).nums is b.nums
+    assert stored(k.addmul(sc(-1), b)) == (Scalar(13, -1, 3), {1: (-1, 0)}, 1)
+    c = Jet(Scalar(1, 0, 3), {2: (2, -1)}, 9)
+    assert c.addmul(Scalar(2, 0, 3), ONE).nums is c.nums
+    assert stored(c.addmul(a, Scalar(0, 1, 3))) == stored(c + a * Scalar(0, 1, 3))
+
+
+def test_a_lone_term_times_one_or_minus_one_takes_no_gcd(monkeypatch):
+    # its stored numerators are reduced already: negation and a sum with a
+    # constant reach neither gcd nor lcm
+    x = Jet(Scalar(1, 0, 3), {0: (1, 2), 2: (-4, 0)}, 5)
+    monkeypatch.setattr(jets, "math", None)
+    assert stored(-x) == (Scalar(-1, 0, 3), {0: (-1, -2), 2: (4, 0)}, 5)
+    assert stored(x.addmul(ONE, sc(2))) == (Scalar(7, 0, 3), x.nums, 5)
+    assert stored(Jet(ONE, {}, 1).addmul(x, sc(-1))) == stored(-x + 1)
+
+
+def test_jet_addmul_falls_back_on_other_operands():
+    # an int or a Fraction takes self + x * y; a RadicalScalar fails as that does
+    a, b = Jet.variables([Scalar(1, 0, 2), Scalar(-3, 2)])
+    for x, y in [(a, 3), (2, b), (Fraction(1, 4), a), (a, Fraction(-2, 3)), (2, 3)]:
+        assert stored(b.addmul(x, y)) == stored(b + x * y)
+    root2 = RadicalScalar(ONE, 2)
+    for x, y in [(a, root2), (root2, ONE), (root2, a), (ONE, root2)]:
+        with pytest.raises(TypeError):
+            b + x * y
+        with pytest.raises(TypeError):
+            b.addmul(x, y)
+
+
+def test_three_term_combine_is_two_chained_merges():
+    rng = random.Random("jets/combine")
+    for _ in range(200):
+        terms = [(rng.choice(SCALARS), draw_jet(rng)) for _ in range(3)]
+        first = Jet(ZERO, *_combine(*terms[:2]))
+        out = _combine(*terms)
+        assert out == _combine((ONE, first), terms[2])
+        assert_reduced(Jet(ZERO, *out))
+    assert _combine() == ({}, 1)
+    assert _combine((ZERO, Jet.variables([1])[0]), (ONE, Jet(ONE, {}, 1))) == ({}, 1)
