@@ -6,9 +6,9 @@ exact nonnegative rational.
 
 The compact picture replaces each pair by (y_j^-, y_j^+) subject to
 the positive-branch constraint that 1 - y_j^- y_j^+ is real positive;
-the bridge scalars a_j = (1 - y_j^- y_j^+)^(-1/2) are square roots of
-rationals, so the conversions run over RadicalScalar values: exact
-products c * sqrt(q) with Gaussian-rational c and positive rational q.
+the bridge scalars a_j = (1 - y_j^- y_j^+)^(-1/2) = (1 + z_j^- z_j^+)^(1/2)
+are square roots of rationals, so the conversions, one chain run both ways,
+go over RadicalScalar values c * sqrt(q), Gaussian-rational c, integer q > 0.
 
 The pullback section takes det d(l, u)/dy by the chain rule: det d(zeta)/dy
 from one jet run of the compact change (closed form prod a_j^4) times
@@ -23,32 +23,34 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BranchViolationError, InvalidInputError
+from .errors import BranchViolationError, InvalidInputError, echo
 from .factorization import WordPlan, jacobian_det_ad, word_plan
 from .jets import jacobian_det
-from .scalar import ONE, Number, Scalar, _coerce, power, sc
+from .scalar import ONE, Number, Scalar, _coerce, power, power_product, sc
 
 
 class RadicalScalar(Number):
     """c * sqrt(q) with Scalar c and positive rational radicand q.
 
-    The radicand a/b is stored as the int a*b, with 1/b moved into c, and
-    every result is built by ``_make`` from an int radicand.  Only an
-    integer that is a whole perfect square collapses, into c with
-    radicand 1; no other square factor is pulled out, so equal
-    values can print differently ((1)*sqrt(12) and (2)*sqrt(3)), and a
-    zero c keeps its radicand.  Values with q == 1 collapse to plain
-    scalars via ``to_scalar``.
+    The constructor takes c as ``sc`` does and q only as an int or a
+    Fraction.  The radicand a/b is stored as the int a*b, with 1/b moved
+    into c, and every result is built by ``_make`` from an int radicand.
+    Only an integer that is a whole perfect square collapses, into c with
+    radicand 1; no other square factor is pulled out, so equal values can
+    print differently ((1)*sqrt(12) and (2)*sqrt(3)), and a zero c keeps
+    its radicand.  Values with q == 1 collapse to plain scalars via
+    ``to_scalar``.
     """
 
     __slots__ = ("coeff", "radicand")
 
-    def __init__(self, coeff: Scalar, radicand: Fraction = Fraction(1)):
-        radicand = Fraction(radicand)
+    def __init__(self, coeff, radicand=1):
+        if not isinstance(radicand, (int, Fraction)):
+            raise InvalidInputError(f"radicand must be an int or a Fraction, got {echo(radicand)}")
         if radicand <= 0:
             raise InvalidInputError("radicand must be positive")
         # sqrt(a/b) = sqrt(a*b)/b
-        out = _make(coeff / radicand.denominator, radicand.numerator * radicand.denominator)
+        out = _make(sc(coeff) / radicand.denominator, radicand.numerator * radicand.denominator)
         self.coeff, self.radicand = out.coeff, out.radicand
 
     @classmethod
@@ -100,11 +102,11 @@ class RadicalScalar(Number):
             return self
         if self.is_zero():
             return other
-        ratio = Fraction(other.radicand, self.radicand)
-        root = _rational_sqrt(ratio)
-        if root is None:
+        # sqrt(q2) = sqrt(q1 q2) / q1, rational when q1 q2 is a perfect square
+        r = math.isqrt(self.radicand * other.radicand)
+        if r * r != self.radicand * other.radicand:
             raise InvalidInputError("cannot add incompatible radicals exactly")
-        return _make(self.coeff + other.coeff * Scalar.from_fraction(root), self.radicand)
+        return _make(self.coeff + other.coeff * Scalar(r, 0, self.radicand), self.radicand)
 
     __radd__ = __add__
 
@@ -125,7 +127,7 @@ class RadicalScalar(Number):
         t = self.coeff / other.coeff
         if not t.is_positive_real():
             return False
-        return t.real * t.real * self.radicand == other.radicand
+        return t.a * t.a * self.radicand == t.d * t.d * other.radicand
 
     def __hash__(self):
         # equal values have equal c^2 q, and with q == 1 equal c, as a Scalar has
@@ -153,14 +155,6 @@ def _make(coeff: Scalar, n: int) -> RadicalScalar:
     return out
 
 
-def _rational_sqrt(q: Fraction):
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _lift(x):
     """x as a RadicalScalar, None when it is no scalar."""
     if isinstance(x, RadicalScalar):
@@ -180,11 +174,8 @@ def _radical(x) -> RadicalScalar:
 def haar_density(family: str, rank: int, word, pairs) -> Scalar:
     """prod_j |1 + z_j^- z_j^+|^(2 (delta_j - 1)), exact rational."""
     plan = word_plan(family, rank, word)
-    out = ONE
-    for d, (zm, zp) in zip(plan.deltas, plan.check_pairs(pairs)):
-        s = (ONE + _radical(zm) * _radical(zp)).to_scalar()
-        out = out * s.abs2() ** (d - 1)
-    return out
+    return power_product(((ONE + _radical(zm) * _radical(zp)).to_scalar().abs2(), d - 1)
+                         for d, (zm, zp) in zip(plan.deltas, plan.check_pairs(pairs)))
 
 
 # -- compact picture ---------------------------------------------------
@@ -200,13 +191,9 @@ def eta_from_zeta(family: str, rank: int, word, pairs):
     pairs = plan.check_pairs(pairs)
     asq = _on_branch(((ONE + _radical(zm) * _radical(zp)).to_scalar() for zm, zp in pairs),
                      "1 + z^- z^+")
-    avals = [RadicalScalar.sqrt_of(s) for s in asq]
-    eta = []
-    for j, (zm, zp) in enumerate(pairs):
-        em = plan.suffix_mul(j, _radical(zm), avals)
-        ep = plan.suffix_mul(j, _radical(zp), avals, -1) * _radical(asq[j]).inverse()
-        eta.append((_simplify(em), _simplify(ep)))
-    return eta, asq
+    eta = _compact_chain(plan, [(_radical(zm), _radical(zp)) for zm, zp in pairs], asq,
+                         RadicalScalar.sqrt_of, -1)[0]
+    return [(_simplify(em), _simplify(ep)) for em, ep in eta], asq
 
 
 def zeta_from_eta(family: str, rank: int, word, eta_pairs):
@@ -217,22 +204,26 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     diagonal prod_j a_j^(h_tau_j)."""
     plan = word_plan(family, rank, word)
     pairs = plan.check_pairs(eta_pairs)
-    ys = ((ONE - _radical(em) * _radical(ep)).to_scalar() for em, ep in pairs)
-    zeta, asq, avals = _compact_chain(plan, [(_lift(em), _lift(ep)) for em, ep in pairs], ys,
-                                      RadicalScalar.sqrt_of)
+    asq = _y_side_asq((ONE - _radical(em) * _radical(ep)).to_scalar() for em, ep in pairs)
+    zeta, avals = _compact_chain(plan, [(_radical(em), _radical(ep)) for em, ep in pairs], asq,
+                                 RadicalScalar.sqrt_of, 1)
     hshift = plan.torus_power(avals, _make(ONE, 1))
     return [(_simplify(zm), _simplify(zp)) for zm, zp in zeta], [_simplify(v) for v in hshift], asq
 
 
-def _compact_chain(plan: WordPlan, pairs, ys, sqrt):
-    """(zeta pairs, a_j^2, a_j) along the compact change of ``pairs``, with
-    a_j^2 = 1 / (1 - y_j^- y_j^+) from the values ``ys`` yields, each
-    required real positive, and a_j = sqrt(a_j^2)."""
-    asq = [1 / v for v in _on_branch(ys, "1 - y^- y^+")]
-    avals = [sqrt(v) for v in asq]
-    zeta = [(plan.suffix_mul(j, em, avals, -1), plan.suffix_mul(j, ep * asq[j], avals))
-            for j, (em, ep) in enumerate(pairs)]
-    return zeta, asq, avals
+def _compact_chain(plan: WordPlan, pairs, asq, sqrt, sign: int):
+    """(image pairs, a_j) of the compact change, y to zeta for sign 1 and zeta
+    back to y for sign -1: with a_j = sqrt(asq[j]), asq[j] = 1 + z_j^- z_j^+,
+    pair (m, p) at j goes to (m prod_{k>j} a_k^(-sign tau_j(h_tau_k)),
+    p a_j^(2 sign) prod_{k>j} a_k^(sign tau_j(h_tau_k)))."""
+    a = [sqrt(v) for v in asq]
+    return [(plan.suffix_mul(j, m, a, -sign), plan.suffix_mul(j, p * asq[j] ** sign, a, sign))
+            for j, (m, p) in enumerate(pairs)], a
+
+
+def _y_side_asq(ys) -> list:
+    """a_j^2 = 1 / (1 - y_j^- y_j^+) from ys, the values 1 - y^- y^+, each on the branch."""
+    return [1 / v for v in _on_branch(ys, "1 - y^- y^+")]
 
 
 def _on_branch(values, what: str) -> list:
@@ -260,7 +251,8 @@ def _jet_compact_chain(plan: WordPlan, pairs):
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
-    zeta = _compact_chain(plan, pairs, (1 - em * ep for em, ep in pairs), _jet_sqrt)[0]
+    asq = _y_side_asq(1 - em * ep for em, ep in pairs)
+    zeta = _compact_chain(plan, pairs, asq, _jet_sqrt, 1)[0]
     return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
 
 
@@ -319,8 +311,7 @@ def unit_jacobian_check(family: str, rank: int, word, eta_pairs) -> Scalar:
     invariant density rides along with the change of coordinates.  The bare
     determinant is not unimodular; lebesgue_pullback_det gives its value.
     """
-    out = lebesgue_pullback_det(family, rank, word, eta_pairs).abs2()
+    det2 = lebesgue_pullback_det(family, rank, word, eta_pairs).abs2()
     plan = word_plan(family, rank, word)
-    for d, (em, ep) in zip(plan.deltas, plan.scalar_pairs(eta_pairs)):
-        out = out * (ONE - em * ep) ** (2 * d + 2)
-    return out
+    return power_product([(det2, 1)] + [(ONE - em * ep, 2 * d + 2) for d, (em, ep)
+                                        in zip(plan.deltas, plan.scalar_pairs(eta_pairs))])

@@ -305,7 +305,9 @@ def _red(a: int, b: int, d: int) -> Scalar:
 def power_product(terms) -> Scalar:
     """prod s ** p over the (Scalar s, int p) terms, termwise, as one
     Gaussian-integer numerator over one integer denominator, reduced once;
-    s ** -1 is d(a - b*i)/(a^2 + b^2) for s = (a + b*i)/d."""
+    s ** -1 is d(a - b*i)/(a^2 + b^2) for s = (a + b*i)/d.  The product of
+    jacobian_det_formula, jacobian_det_double_product, haar_density,
+    unit_jacobian_check and the self-check's pullback closed form."""
     a, b, d = 1, 0, 1
     for s, p in terms:
         sa, sb, sd = s.a, s.b, s.d

@@ -25,10 +25,10 @@ from .haar import (
     unit_jacobian_check,
     zeta_from_eta,
 )
-from .linalg import mat_inverse, mat_mul, scale_cols
-from .matrices import e_matrix, f_matrix, form_matrix, h_matrix, sigma
+from .linalg import mat_mul, scale_cols
+from .matrices import e_matrix, f_matrix, form_matrix, h_matrix, inverse_dual, sigma
 from .rootsystem import delta, positive_roots
-from .scalar import ONE, Scalar
+from .scalar import ONE, Scalar, power_product
 from .weyl import (
     canonical_word,
     count_reduced_words,
@@ -81,9 +81,7 @@ def _check_dual(family: str, rank: int) -> None:
     eta, hdual = transpose_dual(family, rank, word, pairs)
     res = forward_map(family, rank, word, pairs)
     dual_res = forward_map(family, rank, word, eta)
-    lhs = scale_cols(dual_res.matrix, hdual)
-    rhs = sigma(family, rank, mat_inverse(res.matrix))
-    if lhs != rhs:
+    if scale_cols(dual_res.matrix, hdual) != inverse_dual(family, rank, res.matrix):
         raise InvalidInputError(f"dual identity failed for {family}{rank}")
 
 
@@ -120,12 +118,9 @@ def _check_pullback(family: str, rank: int) -> None:
         pairs.append((p, (ONE - Scalar(1, 0, (k + 2) ** 2)) / p))
     if unit_jacobian_check(family, rank, word, pairs) != ONE:
         raise InvalidInputError(f"unit pullback ratio failed for {family}{rank}")
-    det = lebesgue_pullback_det(family, rank, word, pairs)
-    closed = ONE
-    for k, tau in enumerate(taus):
-        asq = Scalar((k + 2) ** 2)
-        closed = closed * asq ** (delta(family, rank, tau) + 1)
-    if det != closed:
+    closed = power_product((Scalar((k + 2) ** 2), delta(family, rank, tau) + 1)
+                           for k, tau in enumerate(taus))
+    if lebesgue_pullback_det(family, rank, word, pairs) != closed:
         raise InvalidInputError(f"pullback closed form failed for {family}{rank}")
 
 

@@ -470,6 +470,21 @@ def test_exit_2_echo_is_bounded(capsys, monkeypatch, coordinate):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("width", [59, 60, 61])
+def test_exit_2_echo_cuts_only_a_repr_longer_than_60(capsys, monkeypatch, width):
+    # a repr of 60 characters is repeated whole; one more is cut to 60
+    text = repr("x" * (width - 2))
+    body = json.dumps({"pairs": [[text[1:-1], "1"], ["1", "1"], ["1", "1"]]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+    code, payload, _ = run_cli(
+        capsys,
+        ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"],
+    )
+    echoed = text if width <= 60 else f"{text[:60]}... ({width} characters)"
+    assert (code, payload) == (2, {"error": {"kind": "invalid-input",
+                                             "message": f"cannot parse scalar {echoed}"}})
+
+
 def test_exit_4_internal_error(capsys, monkeypatch):
     def fault(family, rank, word):
         raise ZeroDivisionError("division by zero")

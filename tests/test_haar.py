@@ -10,6 +10,7 @@ prod a^(2 delta + 2), unit after dividing by the carried density.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,10 @@ C2 = ("C", 2, (1, 2, 1, 2))
 
 def test_haar_density_frozen_value():
     assert haar_density(*A2, [(0, 0), (1, 2), (0, 0)]) == Scalar(9)
+    # A2's deltas are (1, 2, 1): a zero 1 + z^- z^+ is a factor 1 at delta 1
+    # and makes the density 0 at delta 2
+    assert haar_density(*A2, [(1, -1), (1, 2), (Scalar(0, 1), Scalar(0, 1))]) == Scalar(9)
+    assert haar_density(*A2, [(0, 0), (2, Scalar(-1, 0, 2)), (0, 0)]) == Scalar(0)
 
 
 def test_haar_density_formula():
@@ -79,6 +84,26 @@ def test_radical_scalar_arithmetic():
         "1" - r
 
 
+def reference_sum(c1, q1, c2, q2):
+    """(coefficient, radicand) of c1 sqrt(q1) + c2 sqrt(q2) by the root of
+    the Fraction q2 / q1; None when that root is irrational."""
+    if c2.is_zero() or c1.is_zero():
+        return (c1, q1) if c2.is_zero() else (c2, q2)
+    ratio = Fraction(q2, q1)
+    rn, rd = math.isqrt(ratio.numerator), math.isqrt(ratio.denominator)
+    if (rn * rn, rd * rd) != (ratio.numerator, ratio.denominator):
+        return None
+    return c1 + c2 * Scalar.from_fraction(Fraction(rn, rd)), q1
+
+
+def reference_equal(c1, q1, c2, q2) -> bool:
+    """c1 sqrt(q1) == c2 sqrt(q2), as (c1 / c2)^2 q1 == q2 over Fractions."""
+    if c1.is_zero() or c2.is_zero():
+        return c1.is_zero() and c2.is_zero()
+    t = c1 / c2
+    return t.is_positive_real() and t.real * t.real * q1 == q2
+
+
 def test_radicals_whose_radicands_differ_by_a_square_add():
     # sqrt(12) = 2 sqrt(3): a sum keeps the left radicand and scales the
     # right coefficient by the rational root of the radicands' ratio
@@ -86,6 +111,29 @@ def test_radicals_whose_radicands_differ_by_a_square_add():
     assert [str(v) for v in (a + b, b + a, a - b, b - a)] == [
         "(3)*sqrt(3)", "(3/2)*sqrt(12)", "(-1)*sqrt(3)", "(1/2)*sqrt(12)"]
     assert a + b == b + a
+    # integer radicands against the Fraction reference; p = 2^89 - 1 is prime,
+    # so 2 p^2 keeps its radicand and only a product of radicands is a square
+    p = 2 ** 89 - 1
+    radicands = [(3, 12), (12, 3), (2 * p * p, 2), (2, 2 * p * p), (3, 5), (8, 18), (5, 5)]
+    coeffs = [ONE, Scalar(-2, 1, 3), Scalar(0), Scalar(p), Scalar(1, 0, p), Scalar(5, 0, 4)]
+    raised = 0
+    for q1, q2 in radicands:
+        for c1 in coeffs:
+            for c2 in coeffs:
+                x, y = RadicalScalar(c1, q1), RadicalScalar(c2, q2)
+                assert (x == y) is (y == x) is reference_equal(c1, q1, c2, q2)
+                expected = reference_sum(c1, q1, c2, q2)
+                if expected is None:
+                    raised += 1
+                    with pytest.raises(InvalidInputError, match="cannot add incompatible radicals"):
+                        x + y
+                    continue
+                out = x + y
+                assert (out.coeff, out.radicand) == expected and type(out.radicand) is int
+    assert raised == 25
+    assert RadicalScalar(ONE, 2 * p * p) == RadicalScalar(Scalar(p), 2)
+    assert str(RadicalScalar(ONE, 2 * p * p) + RadicalScalar(ONE, 2)) == (
+        f"({p + 1}/{p})*sqrt({2 * p * p})")
 
 
 def test_radical_divided_by_a_radical_or_a_number():
@@ -97,12 +145,16 @@ def test_radical_divided_by_a_radical_or_a_number():
 def test_make_builds_what_the_public_constructor_builds():
     # every internal result comes from _make: it prints, compares and hashes
     # as RadicalScalar(c, n) does, and its radicand is an int
-    for c in (ONE, Scalar(-2, 1, 3), Scalar(0), Scalar(5, 0, 4)):
+    # and it reads an int or Fraction coefficient as sc does
+    for c in (ONE, Scalar(-2, 1, 3), Scalar(0), Scalar(5, 0, 4), 1, -3, Fraction(1, 3)):
         for n in (1, 2, 3, 4, 8, 9, 12, 50):
-            made, public = haar._make(c, n), RadicalScalar(c, n)
+            made, public = haar._make(sc(c), n), RadicalScalar(c, n)
             assert (str(made), repr(made), hash(made)) == (str(public), repr(public), hash(public))
             assert made == public and public == made
             assert type(made.radicand) is int and type(public.radicand) is int
+            assert type(public.coeff) is Scalar
+    assert [str(RadicalScalar(1, 2)), str(RadicalScalar(Fraction(1, 3), 3))] == [
+        "(1)*sqrt(2)", "(1/3)*sqrt(3)"]
     # sqrt(3/4) = sqrt(12)/4
     assert str(haar._make(Scalar(1, 0, 4), 12)) == str(RadicalScalar(ONE, Fraction(3, 4))) == (
         "(1/4)*sqrt(12)")
@@ -122,6 +174,19 @@ def test_radicand_must_be_positive(radicand):
     # a zero radicand would otherwise pass as the perfect square 0
     with pytest.raises(InvalidInputError, match="radicand must be positive"):
         RadicalScalar(ONE, radicand)
+
+
+@pytest.mark.parametrize("coeff,radicand,message", [
+    (0.5, 2, "not a scalar: 0.5"),
+    ("1", 2, "not a scalar: '1'"),
+    (ONE, 0.5, "radicand must be an int or a Fraction, got 0.5"),
+    (ONE, "3", "radicand must be an int or a Fraction, got '3'"),
+    (ONE, Scalar(2), "radicand must be an int or a Fraction, got Scalar(2)"),
+], ids=["float-coeff", "str-coeff", "float-radicand", "str-radicand", "scalar-radicand"])
+def test_constructor_takes_only_scalars_and_rational_radicands(coeff, radicand, message):
+    with pytest.raises(InvalidInputError) as info:
+        RadicalScalar(coeff, radicand)
+    assert str(info.value) == message
 
 
 def test_equal_radicals_hash_equal():
