@@ -114,12 +114,17 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags"
         return entries
 
     def suffix_mul(self, k: int, x, vals, sign: int = 1):
-        """x * prod_{j > k} vals[j] ** (sign * tau_k(h_tau_j)), factor by factor."""
+        """x * prod_{j > k} vals[j] ** (sign * tau_k(h_tau_j)), factor by factor:
+        the compact chain's radicals print by the order of their products."""
         row = self.table[k]
         for j in range(k + 1, len(row)):
             if row[j]:
                 x = x * vals[j] ** (sign * row[j])
         return x
+
+    def suffix_product(self, k: int, vals) -> Scalar:
+        """prod_{j > k} vals[j] ** tau_k(h_tau_j) over Scalars, one power_product."""
+        return power_product((vals[j], p) for j, p in enumerate(self.table[k]) if p)
 
     def torus_power(self, vals, one) -> list:
         """The torus diagonal prod_j vals[j] ** h_tau_j."""
@@ -244,7 +249,7 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
         zm = lcoords[k] - _tail_read(family, rank, taus, k, tail, zeta, lcoords)
         read_dual = _tail_read(family, rank, taus, k, tail_dual, eta, lprime)
         em = lprime[k] - read_dual
-        acc = plan.suffix_mul(k, ONE, svals)
+        acc = plan.suffix_product(k, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
             raise ExceptionalSetError(
@@ -336,7 +341,7 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
             )
     eta = []
     for k, (zm, zp) in enumerate(pairs):
-        acc = plan.suffix_mul(k, ONE, svals)
+        acc = plan.suffix_product(k, svals)
         eta.append((-zp / (svals[k] * acc), -zm * svals[k] * acc))
     hdual = plan.torus_power(svals, ONE)
     return eta, [hv / hh for hv, hh in zip(hdual, hd)]

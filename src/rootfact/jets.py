@@ -18,10 +18,9 @@ import math
 
 from .errors import InvalidInputError
 from .linalg import det_exact
-from .scalar import ONE, ZERO, Number, Scalar, _coerce, power, sc
+from .scalar import MINUS_ONE, ONE, ZERO, Number, Scalar, _coerce, _red, power, sc
 
 _HALF = Scalar(1, 0, 2)
-_MINUS_ONE = Scalar(-1)
 
 
 def _times(ca: int, cb: int, x: dict) -> dict:
@@ -97,7 +96,7 @@ class Jet(Number):
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, *_combine((ONE, self), (_MINUS_ONE, other)))
+            return Jet(self.val - other.val, *_combine((ONE, self), (MINUS_ONE, other)))
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -142,7 +141,7 @@ class Jet(Number):
         return power(self, n, _ONE)
 
     def __neg__(self):
-        return Jet(-self.val, *_combine((_MINUS_ONE, self)))
+        return Jet(-self.val, *_combine((MINUS_ONE, self)))
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -170,6 +169,6 @@ def jacobian_det(outputs, width: int) -> Scalar:
     """det of the gradient rows of ``outputs``, a plain scalar among them a
     constant with a zero row; entries go in reduced, as ``_bareiss`` clears
     the denominators of what the peel leaves, not of whole rows."""
-    return det_exact([[Scalar(*out.nums[k], out.den) if k in out.nums else ZERO
+    return det_exact([[_red(*out.nums[k], out.den) if k in out.nums else ZERO
                        for k in range(width)] if isinstance(out, Jet) else [ZERO] * width
                       for out in outputs])

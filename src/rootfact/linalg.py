@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidInputError, StratumError
-from .scalar import ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar, _red
 
 Matrix = list
 
@@ -49,15 +49,17 @@ def scale_cols(x, diag):
 def mul_right_i_plus(g, terms):
     """g @ (I + M) for sparse M given as [(row, col, weight), ...].
 
-    Mutates and returns g.  Source columns are snapshotted per row, so
-    overlapping row/col pairs in M are handled correctly.
+    Mutates and returns g.  Each row of g takes the terms in their order,
+    g[i][col] += g[i][row] * weight, with no copy of the row, so no term
+    may read a column that an earlier one wrote.  Strictly upper terms by
+    descending column, and strictly lower ones by ascending column, keep
+    that: exp_e and exp_f take their terms so from each root triple, and a
+    join hands over its L_M by ascending pivot column.
     """
     terms = [(r, col, w) for (r, col, w) in terms if not w.is_zero()]
-    if not terms:
-        return g
     for gi in g:
-        src = [gi[r] for (r, _, _) in terms]
-        for (_, col, w), v in zip(terms, src):
+        for r, col, w in terms:
+            v = gi[r]
             if not v.is_zero():
                 gi[col] = gi[col].addmul(v, w)
     return g
@@ -150,7 +152,7 @@ def det_exact(x) -> Scalar:
     # times the sign of sigma, by its inversions in O(n^2) as for the pattern
     if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2:
         na, nb = -na, -nb
-    return Scalar(na * core.a - nb * core.b, na * core.b + nb * core.a, nd * core.d)
+    return _red(na * core.a - nb * core.b, na * core.b + nb * core.a, nd * core.d)
 
 
 def _bareiss(x) -> Scalar:
@@ -230,7 +232,7 @@ def _bareiss(x) -> Scalar:
                     continue
                 mi[j] = _gauss_div(ta, tb, ea, eb)
     da, db = m[n - 1][n - 1]
-    return Scalar(sign * content * da, sign * content * db, denom)
+    return _red(sign * content * da, sign * content * db, denom)
 
 
 def ldu(g):

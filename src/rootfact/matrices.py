@@ -23,7 +23,7 @@ from .errors import InvalidInputError
 from .linalg import identity, mat_inverse, mul_right_i_plus
 from .rootsystem import ambient_dim, check_family_rank, pairing, positive_roots
 from .scalar import I as IMAG
-from .scalar import ONE, ZERO, Scalar, sc
+from .scalar import MINUS_ONE, ONE, ZERO, Scalar, sc
 from .weyl import WeylElement, deterministic_reduced_word, simple_roots
 
 HALF = Scalar(1, 0, 2)
@@ -68,8 +68,18 @@ def coroot_diag(family: str, rank: int, root: tuple) -> list[int]:
 # Sparse canonical (e, f, h) data for one positive root: e and f are
 # ((row, col, Scalar), ...) sorted by (row, col), whose first entry is the
 # anchor that coordinate extraction reads; h is the diagonal as ints, and
-# e2 and f2 are the sparse squares of e and f.
-RootTriple = namedtuple("RootTriple", "root e f h e2 f2")
+# e2 and f2 are the sparse squares of e and f.  xe and xf are e and f in the
+# order exp_e and exp_f hand to mul_right_i_plus, e by descending column and
+# f by ascending column, so that no entry reads a column an earlier one
+# wrote; their squares read only columns no entry writes, as X^3 = 0 and the
+# rows carry distinct weights.  Every entry 1 or -1 is ONE or MINUS_ONE.
+RootTriple = namedtuple("RootTriple", "root e f h e2 f2 xe xf")
+
+
+def _entries(entries):
+    """The (row, col, v) sorted, zeros left out and each unit v the shared one."""
+    return tuple(sorted((r, c, ONE if v == ONE else MINUS_ONE if v == MINUS_ONE else v)
+                        for r, c, v in entries if not v.is_zero()))
 
 
 def _sparse_square(entries):
@@ -79,7 +89,7 @@ def _sparse_square(entries):
             if c1 == r2:
                 key = (r1, c2)
                 acc[key] = acc.get(key, ZERO) + v1 * v2
-    return tuple((r, c, v) for (r, c), v in sorted(acc.items()) if not v.is_zero())
+    return _entries((r, c, v) for (r, c), v in acc.items())
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -122,16 +132,12 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
             else:
                 e = ((ak, mir(am), ONE), (am, mir(ak), -ONE))
     s = sigma_diag(family, rank)
-    f = [(y, x, s[y] * v / s[x]) for x, y, v in e]  # f = sigma(e) = S e^T S^{-1}
+    e = _entries(e)
+    f = _entries((y, x, s[y] * v / s[x]) for x, y, v in e)  # f = sigma(e) = S e^T S^{-1}
     h = tuple(coroot_diag(family, rank, root))
-    return RootTriple(
-        root=root,
-        e=tuple(sorted(e)),
-        f=tuple(sorted(f)),
-        h=h,
-        e2=_sparse_square(e),
-        f2=_sparse_square(f),
-    )
+    return RootTriple(root, e, f, h, _sparse_square(e), _sparse_square(f),
+                      xe=tuple(sorted(e, key=lambda t: -t[1])),
+                      xf=tuple(sorted(f, key=lambda t: t[1])))
 
 
 def dense(entries, n: int):
@@ -159,23 +165,30 @@ def h_matrix(family: str, rank: int, root: tuple):
 
 
 def exp_terms(triple_entries, square_entries, c):
-    """Sparse terms of exp(c X) - I for a root vector X (X^3 = 0)."""
-    terms = [(r, col, c * v) for (r, col, v) in triple_entries]
+    """Sparse terms of exp(c X) - I for a root vector X (X^3 = 0), in the
+    order of the entries, squares last: c v for an entry v of X and
+    (c^2 / 2) v for one of X^2, where the shared ONE passes the coefficient
+    on and MINUS_ONE negates it, with no product."""
+    terms = [(r, col, _times(c, v)) for (r, col, v) in triple_entries]
     if square_entries:
         cc = c * c * HALF
-        terms.extend((r, col, cc * v) for (r, col, v) in square_entries)
+        terms.extend((r, col, _times(cc, v)) for (r, col, v) in square_entries)
     return terms
+
+
+def _times(c, v):
+    return c if v is ONE else -c if v is MINUS_ONE else c * v
 
 
 def exp_f(family: str, rank: int, root: tuple, c, g):
     """Multiply g on the right by exp(c * f_root)."""
     t = root_triple(family, rank, root)
-    return mul_right_i_plus(g, exp_terms(t.f, t.f2, c))
+    return mul_right_i_plus(g, exp_terms(t.xf, t.f2, c))
 
 
 def exp_e(family: str, rank: int, root: tuple, c, g):
     t = root_triple(family, rank, root)
-    return mul_right_i_plus(g, exp_terms(t.e, t.e2, c))
+    return mul_right_i_plus(g, exp_terms(t.xe, t.e2, c))
 
 
 # -- structural maps --------------------------------------------------
@@ -297,10 +310,11 @@ def anchor_coordinate(entries, g):
     tau_(k-1) are the inversions of a prefix of a reduced word, a set
     closed under root sums, so no product of their root vectors has
     weight -tau_k (+tau_k for e), and that entry of g is c_k times x_k's.
+    An exact zero, and the entry at an anchor ONE, is c_k with no division.
     """
     row, col, a0 = entries[0]
     c = g[row][col]
-    return c if c.is_zero() else c / a0  # an exact zero stays undivided
+    return c if c.is_zero() or a0 is ONE else c / a0
 
 
 def peel_left(entries, squares, c, g):

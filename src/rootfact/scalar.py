@@ -97,23 +97,17 @@ class Scalar(Number):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int, b: int = 0, d: int = 1):
-        if d == 1:
-            self.a = a
-            self.b = b
-            self.d = 1
-            return
+        """(a + b*i)/d from int parts, reduced; the library's own results
+        are built by ``_red``, which checks nothing."""
+        for part in (a, b, d):
+            if not isinstance(part, int):
+                raise InvalidInputError(f"not a scalar: {echo(part)}")
         if d == 0:
             raise InvalidInputError("zero denominator")
         if d < 0:
             a, b, d = -a, -b, -d
         g = math.gcd(a, b, d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        self.a = a
-        self.b = b
-        self.d = d
+        self.a, self.b, self.d = a // g, b // g, d // g
 
     # -- construction ------------------------------------------------
 
@@ -159,7 +153,7 @@ class Scalar(Number):
 
     def abs2(self) -> "Scalar":
         """|z|^2, exact."""
-        return Scalar(self.a * self.a + self.b * self.b, 0, self.d * self.d)
+        return _red(self.a * self.a + self.b * self.b, 0, self.d * self.d)
 
     def sqrt_exact(self) -> "Scalar":
         """Square root of a perfect-square nonnegative rational.
@@ -172,7 +166,7 @@ class Scalar(Number):
         r = math.isqrt(n)
         if r * r != n:
             raise InvalidInputError("not a perfect rational square")
-        return Scalar(r, 0, self.d)
+        return _red(r, 0, self.d)
 
     # -- arithmetic --------------------------------------------------
 
@@ -227,7 +221,7 @@ class Scalar(Number):
         n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar(self.a * self.d, -self.b * self.d, n)
+        return _red(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -238,8 +232,8 @@ class Scalar(Number):
                 raise ZeroDivisionError("division by zero scalar")
             if other.a == 1 and other.d == 1:
                 return self
-            num = self * other.d
-            return Scalar(num.a, num.b, num.d * other.a)
+            num = self * (other.d if other.a > 0 else -other.d)
+            return _red(num.a, num.b, num.d * abs(other.a))
         return self * other.inverse()
 
     def __pow__(self, n: int):
@@ -307,7 +301,9 @@ def power_product(terms) -> Scalar:
     Gaussian-integer numerator over one integer denominator, reduced once;
     s ** -1 is d(a - b*i)/(a^2 + b^2) for s = (a + b*i)/d.  The product of
     jacobian_det_formula, jacobian_det_double_product, haar_density,
-    unit_jacobian_check and the self-check's pullback closed form."""
+    unit_jacobian_check, the self-check's pullback closed form, and the
+    suffix products prod_{j>k} s_j^(tau_k(h_tau_j)) of inverse_map and
+    transpose_dual."""
     a, b, d = 1, 0, 1
     for s, p in terms:
         sa, sb, sd = s.a, s.b, s.d
@@ -333,6 +329,7 @@ def _coerce(x):
 
 ZERO = _red(0, 0, 1)
 ONE = _red(1, 0, 1)
+MINUS_ONE = _red(-1, 0, 1)
 I = _red(0, 1, 1)
 
 

@@ -283,6 +283,34 @@ def test_join_pair_on_general_factors(family, rank):
     assert constant(ONE) != ONE
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)])
+def test_join_hands_its_lower_factor_in_an_order_mul_right_i_plus_takes(monkeypatch, family,
+                                                                          rank):
+    # a join multiplies P's rows from the first it moves by I + L_M in
+    # place, with no copy of a row, so L_M's terms come by ascending pivot
+    # column; every such update, over Scalars in inverse_map and over jets
+    # in jacobian_det_ad, must equal the dense product P (I + L_M)
+    update, sizes = factorization.mul_right_i_plus, []
+
+    def dense_checked(g, terms):
+        before, m = [row[:] for row in g], identity(len(g[0]))
+        for r, c, w in terms:
+            m[r][c] = m[r][c] + w
+        out = update(g, terms)
+        assert lifted(out) == lifted(mat_mul(before, m))
+        sizes.append(len(terms))
+        return out
+
+    monkeypatch.setattr(factorization, "mul_right_i_plus", dense_checked)
+    word = random_reduced_word(family, rank, 7)
+    pairs = generic_pairs(random.Random(f"join-order/{family}{rank}"), len(word))
+    res = forward_map(family, rank, word, pairs)
+    assert pairs_equal(inverse_map(family, rank, word, res.l, res.u), pairs)
+    assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det_formula(family, rank, word,
+                                                                              pairs)
+    assert max(sizes) > 1
+
+
 def dense_jet_forward(plan, pairs):
     """The jet forward the joins replaced: the dense product over jets,
     its dense ldu, whose middle factor is I, and the two extractions."""

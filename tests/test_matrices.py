@@ -31,7 +31,9 @@ from rootfact import (
     simple_roots,
     weyl_representative,
 )
-from rootfact.scalar import I, ONE, ZERO, sc
+from rootfact.jets import Jet
+from rootfact.matrices import anchor_coordinate, exp_terms, peel_left, root_triple
+from rootfact.scalar import I, MINUS_ONE, ONE, ZERO, sc
 
 from conftest import exact_scalar
 from helpers import mat_transpose
@@ -153,3 +155,103 @@ def test_ad_torus_grading():
                 e = e_matrix(family, rank, tau)
                 assert mat_mul(t, mat_mul(e, tinv)) == scale(
                     c ** pairing(tau, gamma), e)
+
+
+# -- the sparse root-vector kernels against dense products -------------
+
+ORDER_CONFIGS = [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]
+
+
+def dense_exp(x, c):
+    """exp(c x) = I + c x + c^2 x^2 / 2, densely, for a root vector x (x^3 = 0)."""
+    x2 = mat_mul(x, x)
+    return [[(ONE if i == j else ZERO) + c * v + c * c * Scalar(1, 0, 2) * w
+             for j, (v, w) in enumerate(zip(r1, r2))] for i, (r1, r2) in enumerate(zip(x, x2))]
+
+
+def jet_matrix(rng, n):
+    """An n x n matrix whose entries are n * n distinct jet variables."""
+    jets = Jet.variables([exact_scalar(rng) for _ in range(n * n)])
+    return [jets[i * n:(i + 1) * n] for i in range(n)]
+
+
+@pytest.mark.parametrize("family,rank", ORDER_CONFIGS)
+def test_exp_and_peel_match_dense_products(family, rank):
+    # exp_e and exp_f update the columns of g in place, one term after
+    # another with no copy, so their terms must come in the order the
+    # triple keeps; B's short roots chain a -> z -> N-1-a and catch any
+    # other order; peel_left is g := exp(-c x) g
+    rng = random.Random(f"order/{family}{rank}")
+    n = dim(family, rank)
+    for g, c in [([[exact_scalar(rng) for _ in range(n)] for _ in range(n)], exact_scalar(rng)),
+                 (jet_matrix(rng, n), Jet.variables([exact_scalar(rng)])[0])]:
+        for tau in positive_roots(family, rank):
+            t = root_triple(family, rank, tau)
+            for exp, x, entries, squares in [(exp_e, e_matrix, t.e, t.e2),
+                                             (exp_f, f_matrix, t.f, t.f2)]:
+                dense_x = x(family, rank, tau)
+                assert exp(family, rank, tau, c, [row[:] for row in g]) == mat_mul(
+                    g, dense_exp(dense_x, c))
+                peeled = g[:]
+                peel_left(entries, squares, c, peeled)
+                assert peeled == mat_mul(dense_exp(dense_x, -c), g)
+
+
+@pytest.mark.parametrize("family,rank", ORDER_CONFIGS)
+def test_triples_keep_the_order_mul_right_i_plus_needs(family, rank):
+    # e by descending column, f by ascending, squares last: no term reads
+    # (as its row) a column that an earlier term wrote
+    chains = 0
+    for tau in positive_roots(family, rank):
+        t = root_triple(family, rank, tau)
+        assert sorted(t.xe) == list(t.e) and sorted(t.xf) == list(t.f)
+        for terms in (t.xe + t.e2, t.xf + t.f2):
+            written = set()
+            for r, col, _ in terms:
+                assert r not in written
+                written.add(col)
+            chains += any(col == r for _, col, _ in terms for r, _, _ in terms)
+    assert chains == (2 * rank if family == "B" else 0)
+
+
+class Coefficient:
+    """A coefficient that a unit entry must pass on, or negate, unmultiplied."""
+
+    def __init__(self, sign=1):
+        self.sign = sign
+
+    def __neg__(self):
+        return Coefficient(-self.sign)
+
+    def __mul__(self, other):
+        assert not (isinstance(other, Scalar) and other in (ONE, -ONE)), "multiplied by a unit"
+        return Coefficient(self.sign * (other.sign if isinstance(other, Coefficient) else 1))
+
+    def is_zero(self):
+        return False
+
+
+@pytest.mark.parametrize("family,rank", ORDER_CONFIGS)
+def test_unit_entries_pass_the_coefficient_through(family, rank):
+    units = 0
+    for tau in positive_roots(family, rank):
+        t = root_triple(family, rank, tau)
+        for entries, squares in [(t.xe, t.e2), (t.xf, t.f2), (t.e, t.e2), (t.f, t.f2)]:
+            c = Coefficient()
+            terms = exp_terms(entries, squares, c)
+            for k, ((_, _, v), (_, _, w)) in enumerate(zip(entries + squares, terms)):
+                if v == ONE or v == -ONE:
+                    units += 1
+                    assert v is ONE or v is MINUS_ONE  # the shared objects
+                    assert isinstance(w, Coefficient) and w.sign == v.a
+                    assert w is c or v is MINUS_ONE or k >= len(entries)
+        # every anchor is 1, or in B one of 1/2 and 2; a unit anchor is read
+        # with no division
+        for entries in (t.e, t.f):
+            anchor = entries[0][2]
+            assert anchor is ONE or family == "B" and anchor in (Scalar(1, 0, 2), Scalar(2))
+            if anchor is ONE:
+                c = Coefficient()
+                g = [[c] * dim(family, rank) for _ in range(dim(family, rank))]
+                assert anchor_coordinate(entries, g) is c
+    assert units

@@ -92,6 +92,8 @@ def test_plan_suffix_mul_and_torus_power():
             for j in range(k + 1, len(plan.taus)):
                 expected = expected * vals[j] ** (sign * pairing(plan.taus[k], plan.taus[j]))
             assert plan.suffix_mul(k, Scalar(3), vals, sign) == expected
+        # the one power_product of inverse_map and transpose_dual
+        assert plan.suffix_product(k, vals) * 3 == plan.suffix_mul(k, Scalar(3), vals)
     torus = plan.torus_power(vals, ONE)
     for a in range(len(torus)):
         expected = ONE
@@ -109,12 +111,16 @@ class Unused:
     __mul__ = __rmul__ = __pow__
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4)])
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("D", 4), ("B", 4), ("C", 4),
+                                         ("D", 5)])
 def test_suffix_mul_skips_zero_exponents(family, rank):
     # a factor whose pairing is 0 contributes the identity, so it is never
-    # raised to the power 0 nor multiplied in
+    # raised to the power 0 nor multiplied in; suffix_product, the one
+    # power_product of inverse_map and transpose_dual, is the product with
+    # sign 1, here over Gaussian rationals against the factor-by-factor one
     plan = word_plan(family, rank, random_reduced_word(family, rank, seed=5))
     rng = random.Random(f"suffix/{family}{rank}")
+    gaussian = random.Random(f"suffix-product/{family}{rank}")
     n = len(plan.taus)
     skipped = 0
     for k in range(n):
@@ -126,7 +132,17 @@ def test_suffix_mul_skips_zero_exponents(family, rank):
             if row[j]:
                 expected = expected * vals[j] ** -row[j]
         assert plan.suffix_mul(k, Scalar(3), vals, -1) == expected
+        vals = [Scalar(gaussian.randint(1, 9), gaussian.randint(-9, 9), gaussian.randint(1, 9))
+                if row[j] else Unused() for j in range(n)]
+        expected = ONE
+        for j in range(k + 1, n):
+            if row[j]:
+                expected = expected * vals[j] ** row[j]
+        assert plan.suffix_product(k, vals) == expected
     assert skipped
+    # B and C pair a short root against a long one to +-2
+    assert {p for row in plan.table for p in row} == (
+        {-2, -1, 0, 1, 2} if family in "BC" else {-1, 0, 1})
 
 
 def test_plan_cache_is_bounded():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,43 @@ def test_normalization():
     assert str(Scalar(6, -4, 8)) == "3/4-1/2*i"
     with pytest.raises(InvalidInputError):
         Scalar(1, 0, 0)
+
+
+@pytest.mark.parametrize("parts,bad", [
+    ((0.5,), "0.5"),
+    ((1, 0.5), "0.5"),
+    ((1, 0, 2.0), "2.0"),
+    ((1, 0, 0.0), "0.0"),
+    ((Fraction(1, 2),), "Fraction(1, 2)"),
+    (("3",), "'3'"),
+], ids=["float-real", "float-imag", "float-denominator", "float-zero-denominator",
+        "fraction-part", "string-part"])
+def test_constructor_takes_only_int_parts(parts, bad):
+    # a part that is not an int is refused as sc refuses it, before any
+    # arithmetic on it: Scalar(0.5) once stored 0.5 and failed to print
+    with pytest.raises(InvalidInputError, match=f"^not a scalar: {re.escape(bad)}$"):
+        Scalar(*parts)
+
+
+def test_constructor_keeps_the_zero_denominator_message_and_reduces():
+    with pytest.raises(InvalidInputError, match="^zero denominator$"):
+        Scalar(1, 0, 0)
+    assert (Scalar(0, 0, 5).a, Scalar(0, 0, 5).d) == (0, 1)
+    assert str(Scalar(-6, 4, -8)) == "3/4-1/2*i" and Scalar(7).d == 1
+
+
+@pytest.mark.parametrize("x", [Scalar(5, -7, 6), Scalar(-3), Scalar(0, 2, 3), ZERO])
+def test_results_are_reduced_with_a_positive_denominator(x):
+    # the constructor's callers inside the package build their results
+    # with _red, which neither checks nor normalizes a sign
+    results = [x / Scalar(-4, 0, 3), x / -2, x / Scalar(-1), x * 2 / Scalar(3, -1), x.abs2(),
+               (x * x).abs2().sqrt_exact()]
+    if not x.is_zero():
+        results += [x.inverse(), Scalar(-2, 0, 7) / x]
+    for out in results:
+        assert out.d >= 1 and math.gcd(out.a, out.b, out.d) == 1
+    assert x / Scalar(-4, 0, 3) == x * Scalar(-3, 0, 4)
+    assert (x * x).abs2().sqrt_exact() == x.abs2()
 
 
 def test_imaginary_unit_squares_to_minus_one():
