@@ -16,14 +16,15 @@ and its L U takes one pair at a time by a Gauss update of only the rows
 the pair's root vector reaches (Bennett 1965).  The inverse recovers z
 from (l, u, h) through the dual element sigma(g_0^{-1}) and a downward
 recursion over the tails G_n *** G_(k+1) and their duals, each carried
-as (Q L, U), Q undoing its known lower coordinates: a tail takes one
-pair per step by the same join and gives its k-th lower coordinate c_k
-as one entry of Q L (Humphreys, Linear Algebraic Groups, 28.1), and
-l_k = z^-_k + c_k.  Points where the recursion degenerates form the
-exceptional set and raise ExceptionalSetError.  As c_k depends on the
-pairs after k alone, dl/dz^- is unit triangular and the Jacobian
-determinant of (l, u) is det du/dz^+ at fixed l: jets in the n z^+ walked
-through the primal tail give it exactly, beside two closed product forms.
+as (Q L, U), Q undoing its known lower coordinates: a step reads c_k,
+the k-th lower coordinate, as one entry of Q L (Humphreys, Linear
+Algebraic Groups, 28.1), l_k = z^-_k + c_k, then takes pair k by the
+same join and peels l_k, and each Q L ends at I.  Points where the
+recursion degenerates form the exceptional set and raise
+ExceptionalSetError.  As c_k depends on the pairs after k alone, dl/dz^-
+is unit triangular and the Jacobian determinant of (l, u) is det du/dz^+
+at fixed l: jets in the n z^+ walked through the primal tail give it
+exactly, beside two closed product forms.
 
 Every map here and in the compact picture reads one cached WordPlan
 per (family, rank, word): the checked word and its taus, the pairing
@@ -203,15 +204,13 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     a product of factors exp(-c e), exp(-c f) and the torus.  The pairs
     then come out downward, k = n, ..., 1, each from the k-th lower
     coordinate of the tail G_n *** G_(k+1) and of the dual tail, carried
-    as (Q L, U) by ``_tail_read``: it joins one pair per step, and Q peels
-    off l_(k+1), ..., l_n, so Q L = exp(c_k f_k) *** exp(c_1 f_1) and c_k
-    is one entry, read and peeled as in ``extract_lower``.  The primal
-    tail then takes pair 1 and the peel of l_1, leaving Q L = I, and the
-    last dual Q L is exp(c f_tau_1), c its last read; full, checked
-    extractions must agree, or a fault raises ArithmeticError.  The
-    completed tail is L U = G_n *** G_1, and forward(zeta, h) = L h
-    (h^{-1} U h), so the u of the answer are those of U, each times a
-    torus character.
+    as (Q L, U), Q peeling off l_(k+1), ..., l_n, so Q L = exp(c_k f_k)
+    *** exp(c_1 f_1) and c_k is one entry, read as in ``extract_lower``.
+    Each tail then takes pair k by ``_take``, the join and the peel of
+    its l_k.  After pair 1 both Q L must be I, by full, checked
+    extractions, or a fault raises ArithmeticError.  The completed tail
+    is L U = G_n *** G_1, and forward(zeta, h) = L h (h^{-1} U h), so
+    the u of the answer are those of U, each times a torus character.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
@@ -242,13 +241,12 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             index=err.index, value="pivot") from err
 
     zeta: list[tuple] = [None] * n
-    eta: list[tuple] = [None] * n
     svals: list = [None] * n
     tail, tail_dual = [(identity(size), identity(size)) for _ in range(2)]
     for k in range(n - 1, -1, -1):
-        zm = lcoords[k] - _tail_read(family, rank, taus, k, tail, zeta, lcoords)
-        read_dual = _tail_read(family, rank, taus, k, tail_dual, eta, lprime)
-        em = lprime[k] - read_dual
+        f = root_triple(family, rank, taus[k]).f
+        zm = lcoords[k] - anchor_coordinate(f, tail[0])
+        em = lprime[k] - anchor_coordinate(f, tail_dual[0])
         acc = plan.suffix_product(k, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -257,14 +255,10 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             )
         sk = ONE / den
         zeta[k] = (zm, -(em * acc * sk))
-        eta[k] = (em, -(zm * sk * acc))
+        _take(family, rank, taus[k], tail, zeta[k], lcoords[k])
+        _take(family, rank, taus[k], tail_dual, (em, -(zm * sk * acc)), lprime[k])
         svals[k] = sk
-
-    if not n:  # the empty word has no tail
-        return zeta
-    _tail_read(family, rank, taus, -1, tail, zeta, lcoords)
-    if extract_lower(family, rank, taus, tail_dual[0]) != [read_dual] + [ZERO] * (n - 1):
-        raise ArithmeticError("a tail coordinate read differs from its extraction")
+    _check_closed(family, rank, taus, tail, tail_dual)
     # h^-1 e_tau h is e_tau times h[col] / h[row] at its anchor (row, col)
     for k, (tau, v) in enumerate(zip(taus, extract_upper(family, rank, taus, tail[1]))):
         row, col, _ = root_triple(family, rank, tau).e[0]
@@ -274,18 +268,18 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     return zeta
 
 
-def _tail_read(family: str, rank: int, taus, k: int, tail, pairs, lcoords):
-    """c_k of the tail (Q L, U), carried in place from k + 1: it joins pair
-    k + 1 and Q peels l_(k+1); at k = n - 1 it is (I, I), and at k = -1 Q L
-    must be I, by a full, checked extraction, or ArithmeticError."""
-    if k + 1 < len(taus):
-        _join_pair(family, rank, taus[k + 1], tail, pairs[k + 1])
-        t = root_triple(family, rank, taus[k + 1])
-        peel_left(t.f, t.f2, lcoords[k + 1], tail[0])
-    if k >= 0:
-        return anchor_coordinate(root_triple(family, rank, taus[k]).f, tail[0])
-    if not all(c.is_zero() for c in extract_lower(family, rank, taus, tail[0])):
-        raise ArithmeticError("a tail coordinate read differs from its extraction")
+def _take(family: str, rank: int, tau, tail, pair, lcoord):
+    """The tail (Q L, U) takes its pair by the join, and Q peels its l, in place."""
+    _join_pair(family, rank, tau, tail, pair)
+    t = root_triple(family, rank, tau)
+    peel_left(t.f, t.f2, lcoord, tail[0])
+
+
+def _check_closed(family: str, rank: int, taus, *tails):
+    """Each completed tail's Q L must extract to all zeros; else a read was wrong."""
+    for lower, _ in tails:
+        if not all(c.is_zero() for c in extract_lower(family, rank, taus, lower)):
+            raise ArithmeticError("a tail coordinate read differs from its extraction")
 
 
 def _join_pair(family: str, rank: int, tau, factors, pair):
@@ -304,11 +298,11 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
     diagonal of M stays that exact ONE, as the join tests pin.
     """
     (lower, upper), (zm, zp) = factors, pair
-    f = root_triple(family, rank, tau).f
-    rows = sorted({i for r, c, _ in f for i in range(c + 1, r + 1)})
+    t = root_triple(family, rank, tau)
+    rows = t.f_rows
     m = exp_f(family, rank, tau, zm, upper[:rows[-1] + 1])
     terms = []
-    for k in range(min(c for _, c, _ in f), rows[-1] + 1):
+    for k in range(t.f_pivot, rows[-1] + 1):
         if m[k][k] != ONE:
             raise ArithmeticError(f"join pivot {k + 1} is {m[k][k]}, not 1")
         for i in rows:
@@ -319,7 +313,7 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
                 mi[k:] = [ZERO] + [a if b.is_zero() else a.addmul(w, b)
                                    for a, b in zip(mi[k + 1:], m[k][k + 1:])]
     mul_right_i_plus(lower[rows[0]:], terms)
-    exp_e(family, rank, tau, zp, upper[:max(c for _, c, _ in f) + 1])
+    exp_e(family, rank, tau, zp, upper[:t.e_end])
     return lower, upper
 
 
@@ -375,19 +369,20 @@ def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
 
 def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
     """det of d(l, u)/d(z^-, z^+) = det du/dz^+ at fixed l, by exact jets
-    in the n z^+ along the primal tail of ``inverse_map``: l_k = z^-_k + c_k
-    is peeled as a constant, and pair k enters as (l_k - c_k, z^+_k), whose
-    value is the given z^-_k.  The word is empty (det 1) or one of w_0."""
+    in the n z^+ along the primal tail of ``inverse_map``: after its read c_k,
+    pair k enters as (l_k - c_k, z^+_k), of value the given z^-_k, and l_k =
+    z^-_k + c_k is peeled as a constant.  The word is empty (det 1) or one of
+    w_0."""
     plan = word_plan(family, rank, word).check_longest()
-    taus, pairs, n = plan.taus, plan.scalar_pairs(pairs), len(plan.taus)
-    zplus, zeta, lcoords = Jet.variables([zp for _, zp in pairs]), [None] * n, [None] * n
+    taus, pairs = plan.taus, plan.scalar_pairs(pairs)
+    zplus = Jet.variables([zp for _, zp in pairs])
     tail = [identity(dim(family, rank)) for _ in range(2)]
-    for k in range(n - 1, -1, -1):
-        c = _tail_read(family, rank, taus, k, tail, zeta, lcoords)
-        lcoords[k] = pairs[k][0] + c.val
-        zeta[k] = (lcoords[k] - c, zplus[k])
-    _tail_read(family, rank, taus, -1, tail, zeta, lcoords)
-    return jacobian_det(extract_upper(family, rank, taus, tail[1]), n)
+    for k in range(len(taus) - 1, -1, -1):
+        c = anchor_coordinate(root_triple(family, rank, taus[k]).f, tail[0])
+        lk = pairs[k][0] + c.val
+        _take(family, rank, taus[k], tail, (lk - c, zplus[k]), lk)
+    _check_closed(family, rank, taus, tail)
+    return jacobian_det(extract_upper(family, rank, taus, tail[1]), len(taus))
 
 
 def delta_identity_check(family: str, rank: int, word) -> bool:

@@ -45,7 +45,7 @@ class RadicalScalar(Number):
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff, radicand=1):
-        if not isinstance(radicand, (int, Fraction)):
+        if not isinstance(radicand, (int, Fraction)) or isinstance(radicand, bool):
             raise InvalidInputError(f"radicand must be an int or a Fraction, got {echo(radicand)}")
         if radicand <= 0:
             raise InvalidInputError("radicand must be positive")

@@ -73,7 +73,10 @@ def coroot_diag(family: str, rank: int, root: tuple) -> list[int]:
 # f by ascending column, so that no entry reads a column an earlier one
 # wrote; their squares read only columns no entry writes, as X^3 = 0 and the
 # rows carry distinct weights.  Every entry 1 or -1 is ONE or MINUS_ONE.
-RootTriple = namedtuple("RootTriple", "root e f h e2 f2 xe xf")
+# A join by the root reads f_rows, the rows c + 1, ..., r an entry (r, c) of
+# f reaches, ascending; f_pivot = min c, its first pivot; and e_end = max c
+# + 1: exp(z e) moves an upper triangular factor's rows before it.
+RootTriple = namedtuple("RootTriple", "root e f h e2 f2 xe xf f_rows f_pivot e_end")
 
 
 def _entries(entries):
@@ -137,7 +140,9 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
     h = tuple(coroot_diag(family, rank, root))
     return RootTriple(root, e, f, h, _sparse_square(e), _sparse_square(f),
                       xe=tuple(sorted(e, key=lambda t: -t[1])),
-                      xf=tuple(sorted(f, key=lambda t: t[1])))
+                      xf=tuple(sorted(f, key=lambda t: t[1])),
+                      f_rows=tuple(sorted({i for r, c, _ in f for i in range(c + 1, r + 1)})),
+                      f_pivot=min(c for _, c, _ in f), e_end=max(c for _, c, _ in f) + 1)
 
 
 def dense(entries, n: int):

@@ -97,10 +97,10 @@ class Scalar(Number):
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int, b: int = 0, d: int = 1):
-        """(a + b*i)/d from int parts, reduced; the library's own results
-        are built by ``_red``, which checks nothing."""
+        """(a + b*i)/d from int parts, not bools, reduced; the library's
+        own results are built by ``_red``, which checks nothing."""
         for part in (a, b, d):
-            if not isinstance(part, int):
+            if not isinstance(part, int) or isinstance(part, bool):
                 raise InvalidInputError(f"not a scalar: {echo(part)}")
         if d == 0:
             raise InvalidInputError("zero denominator")
@@ -334,8 +334,8 @@ I = _red(0, 1, 1)
 
 
 def sc(x) -> Scalar:
-    """Coerce an int, Fraction, or Scalar; reject everything else."""
+    """Coerce an int, Fraction, or Scalar; reject everything else, bools too."""
     out = _coerce(x)
-    if out is None:
+    if out is None or isinstance(x, bool):
         raise InvalidInputError(f"not a scalar: {echo(x)}")
     return out

@@ -11,13 +11,16 @@ of the module's code (not of a string or a comment), swapped as
     +  -    -  +    *  //    //  *    <  <=    <=  <    >  >=    >=  >
     ==  !=    !=  ==
 
+or one boolean operator, ``and`` for ``or`` and ``or`` for ``and``.
+
 The sites of the chosen modules are shuffled by ``random.Random(seed)``
 and the first ``count`` that still compile are run, one at a time, each
 by one ``python -m pytest -x -q`` child process in the copy, never in
 parallel.  A mutant is killed when the tests fail or time out, and
 survives when they pass; a run is cut after five minutes.  The
 unmutated copy runs first and must pass.  One line per mutant goes to
-standard output, then the kill rate per module.  Pytest does not
+standard output, then the kill rate per module, and apart for its
+operator sites and its boolean sites.  Pytest does not
 collect this file; a sweep takes minutes.
 """
 
@@ -41,14 +44,16 @@ PACKAGE = Path("src", "rootfact")
 TIMEOUT_S = 300
 SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<",
          ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
+BOOLEAN_SWAPS = {"and": "or", "or": "and"}
 
 
 def sites(module: str):
-    """(module, line, col, old, new) for every swappable operator token."""
+    """(module, line, col, old, new) for every swappable operator or boolean token."""
     text = (ROOT / PACKAGE / f"{module}.py").read_text()
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-        if tok.type == tokenize.OP and tok.string in SWAPS:
-            yield module, tok.start[0], tok.start[1], tok.string, SWAPS[tok.string]
+        swaps = {tokenize.OP: SWAPS, tokenize.NAME: BOOLEAN_SWAPS}.get(tok.type, {})
+        if tok.string in swaps:
+            yield module, tok.start[0], tok.start[1], tok.string, swaps[tok.string]
 
 
 def mutate(text: str, line: int, col: int, old: str, new: str) -> str:
@@ -125,10 +130,12 @@ def main(argv=None) -> int:
             source = original.splitlines()[line - 1].strip()
             print(f"{module}.py:{line}:{col + 1} {old} -> {new} {verdict} "
                   f"{time.perf_counter() - start:.1f}s | {source}", flush=True)
-            killed, total = tally.get(module, (0, 0))
-            tally[module] = (killed + (status != "passed"), total + 1)
-    for module, (killed, total) in sorted(tally.items()):
-        print(f"{module}: {killed}/{total} killed ({100 * killed / total:.0f}%)")
+            for kind in ("", "boolean" if old in BOOLEAN_SWAPS else "operator"):
+                killed, total = tally.get((module, kind), (0, 0))
+                tally[(module, kind)] = (killed + (status != "passed"), total + 1)
+    for (module, kind), (killed, total) in sorted(tally.items()):
+        name = f"{module} {kind} sites" if kind else module
+        print(f"{name}: {killed}/{total} killed ({100 * killed / total:.0f}%)")
     return 0
 
 

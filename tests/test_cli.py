@@ -369,6 +369,28 @@ def test_self_check(capsys):
     assert "round-trip-A2" in payload["checks"]
 
 
+def one_short(fn, part):
+    """fn with entry ``part`` of its answer one element short."""
+    def moved(*args):
+        out = list(fn(*args))
+        out[part] = out[part][1:]
+        return tuple(out)
+    return moved
+
+
+@pytest.mark.parametrize("name,broken,message", [
+    ("jacobian_det_ad", lambda family, rank, word, pairs: 0, "jacobian identities"),
+    ("delta_identity_check", lambda family, rank, word: False, "jacobian identities"),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 0), "compact round trip"),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 2), "compact round trip"),
+], ids=["determinants-differ", "delta-identity-fails", "pairs-differ", "squares-differ"])
+def test_self_check_fails_where_one_part_of_a_check_fails(monkeypatch, name, broken, message):
+    # each check joins its conditions with or: any one failing fails it
+    monkeypatch.setattr(selfcheck, name, broken)
+    with pytest.raises(LibError, match=f"^{message} failed for A2$"):
+        selfcheck.run_self_check()
+
+
 def test_self_check_point():
     # the fixed pairs of self-check, and every 1 + z^- z^+ nonzero up to
     # the longest canonical word among its checks

@@ -435,6 +435,14 @@ def test_bareiss_takes_out_each_columns_content(case):
     assert linalg._bareiss([[Scalar(0, -8)]]) == Scalar(0, -8)
 
 
+@pytest.mark.parametrize("xa,xb", [(1, 0), (2, 1)], ids=["real-remainder", "imag-remainder"])
+def test_gauss_div_refuses_a_remainder_in_either_part(xa, xb):
+    # Bareiss divides exactly; a remainder in one part alone is a fault
+    assert linalg._gauss_div(4, -6, 2, 0) == (2, -3)
+    with pytest.raises(ArithmeticError, match="^inexact Gaussian division"):
+        linalg._gauss_div(xa, xb, 2, 0)
+
+
 @pytest.mark.parametrize(
     "family,rank,bound", [("A", 8, 760), ("D", 5, 360), ("B", 4, 340)])
 def test_jacobian_det_ad_divides_small_integers(monkeypatch, family, rank, bound):
@@ -551,7 +559,8 @@ def test_inverse_exceptional_point():
 
 
 def test_inverse_empty_word():
-    # no pairs, so no tail: only the coordinate counts and the torus are checked
+    # no pairs: the walk does not run, the tails stay I and close at once,
+    # so only the coordinate counts and the torus are checked
     assert inverse_map("A", 2, (), [], []) == []
     assert inverse_map("A", 2, (), [], [], h=[Scalar(2), Scalar(3), Scalar(1, 0, 6)]) == []
     assert inverse_map("C", 2, (), [], [], h=[Scalar(2), Scalar(-3), Scalar(-1, 0, 3),
@@ -560,6 +569,13 @@ def test_inverse_empty_word():
         inverse_map("A", 2, (), [ONE], [ONE])
     with pytest.raises(InvalidInputError):
         inverse_map("C", 2, (), [], [], h=[Scalar(2)] * 4)
+
+
+@pytest.mark.parametrize("nl,nu", [(3, 2), (2, 3), (3, 4), (4, 3)])
+def test_inverse_counts_each_coordinate_list(nl, nu):
+    # one list of the right length does not excuse the other
+    with pytest.raises(InvalidInputError, match="^expected 3 lower and upper coordinates$"):
+        inverse_map("A", 2, (1, 2, 1), [1] * nl, [1] * nu)
 
 
 def test_transpose_dual_frozen_gl2():

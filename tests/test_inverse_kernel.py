@@ -2,25 +2,24 @@
 explicit products.
 
 inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
-(Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), joins one pair
-per step and reads coordinate k of each tail as one entry of Q L, with
-the left peel and the anchor read of extract_lower.  It checks its
-answer on its own tails: the primal tail joins pair 1 as well and peels
-l_1, so its Q L must extract to all zeros, the last dual Q L must
-extract to [c, 0, ..., 0], and the u of the completed tail's U, each
-times a torus character, must be the given ones.  The 2n-variable jet
-forward of the tests joins all n pairs from (I, I) and extracts (l, u)
-from L and U; jacobian_det_ad walks the primal tail at fixed l instead.
-These tests check, at every step, the carried pair against the LDU of
-the explicitly multiplied tails and the reads against full extractions,
-check one join on general Q L, over Scalars and over jets, against the
-explicit product and its unit-pivot guard, check the jet forward
-against the dense product and LDU it replaced and the fixed-l
-Jacobian against its 2n x 2n determinant, check that the inverse
-runs no second forward map and one dense ldu, that the closing
-extractions still reject a faulty tail, read or peel, and that a moved
-u names its first coordinate, and pin the exceptional-set payloads of
-non-generic integer points.
+(Q L, U), Q = exp(-l_(k+1) f_(k+1)) *** exp(-l_n f_n), reads coordinate
+k of each tail as one entry of Q L with the anchor read of
+extract_lower, then joins pair k and peels l_k with its left peel.  It
+checks its answer on its own tails: after pair 1 the Q L of the primal
+and of the dual tail must each extract to all zeros, and the u of the
+completed tail's U, each times a torus character, must be the given
+ones.  The 2n-variable jet forward of the tests joins all n pairs from
+(I, I) and extracts (l, u) from L and U; jacobian_det_ad walks the
+primal tail at fixed l instead.  These tests check, at every step, the
+carried pair against the LDU of the explicitly multiplied tails and the
+reads against full extractions, check one join on general Q L, over
+Scalars and over jets, against the explicit product and its unit-pivot
+guard, check the jet forward against the dense product and LDU it
+replaced and the fixed-l Jacobian against its 2n x 2n determinant, check
+that the inverse runs no second forward map and one dense ldu, that the
+closing extractions still reject a faulty tail, read or peel, and that a
+moved u names its first coordinate, and pin the exceptional-set payloads
+of non-generic integer points.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
     monkeypatch.setattr(factorization, "_join_pair", checked_join)
     zeta = inverse_map(family, rank, word, res.l, res.u, h=h)
     assert pairs_equal(zeta, pairs)
-    # pairs n, ..., 2 once per tail, then pair 1 for the primal tail alone
-    assert joins == [t for t in reversed(taus[1:]) for _ in range(2)] + [taus[0]]
+    # pairs n, ..., 1 once per tail
+    assert joins == [t for t in reversed(taus) for _ in range(2)]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5)])
@@ -205,6 +204,38 @@ def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
         inverse_map("D", 4, word, res.l, res.u)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_dual_tail_closes_on_its_own_check(monkeypatch, family, rank):
+    # the last join is the dual tail's pair 1, and it takes z^- + 1: that
+    # dual Q L is then exp(f_tau_1), a group element whose one coordinate
+    # is 1, which only the dual's closing check sees, after the primal
+    # tail's has passed
+    word = random_reduced_word(family, rank, 11)
+    pairs = generic_pairs(random.Random(f"kernel/dual-close/{family}{rank}"), len(word))
+    res = forward_map(family, rank, word, pairs)
+    join, extract = factorization._join_pair, factorization.extract_lower
+    joins, extractions = [], []
+
+    def moved_last_join(fam, rk, tau, factors, pair):
+        joins.append(tau)
+        if len(joins) == 2 * len(word):
+            pair = (pair[0] + 1, pair[1])
+        return join(fam, rk, tau, factors, pair)
+
+    def counted(*args):
+        extractions.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(factorization, "_join_pair", moved_last_join)
+    monkeypatch.setattr(factorization, "extract_lower", counted)
+    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+        inverse_map(family, rank, word, res.l, res.u)
+    # the dual element's extraction, the primal tail's, then the dual tail's
+    assert joins[-1] == res.taus[0] and len(extractions) == 3
+    monkeypatch.undo()
+    assert pairs_equal(inverse_map(family, rank, word, res.l, res.u), pairs)
+
+
 def test_read_that_misses_the_tail_raises(monkeypatch):
     # the closing extraction must also give back the coordinate the last read assumed
     word = random_reduced_word("B", 3, 11)
@@ -222,8 +253,8 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
 
 
 def test_peel_that_misses_the_tail_raises(monkeypatch):
-    # the peels of tau_2 take l_2 + 1: the last read Q L is then
-    # exp(-f_2) exp(c f_1), whose anchor read is still c, so the pairs
+    # the peels of tau_2 take l_2 + 1: the last read Q L of each tail is
+    # then exp(-f_2) exp(c f_1), whose anchor read is still c, so the pairs
     # come out right; after the join of pair 1 and the peel of l_1 the
     # primal Q L is exp(-l_1 f_1) exp(-f_2) exp(l_1 f_1), not I, and only
     # the zeros of the closing extraction see it
@@ -241,7 +272,8 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
     monkeypatch.setattr(factorization, "peel_left", off_by_one)
     with pytest.raises(ArithmeticError, match="read differs from its extraction"):
         inverse_map("B", 3, word, res.l, res.u)
-    assert peels[-2:] == [second, root_triple("B", 3, res.taus[0]).f]
+    # both tails peel tau_2, then both peel tau_1
+    assert peels[-4:] == [second, second] + [root_triple("B", 3, res.taus[0]).f] * 2
     monkeypatch.undo()
     assert pairs_equal(inverse_map("B", 3, word, res.l, res.u), pairs)
 

@@ -278,6 +278,16 @@ def test_jets_of_any_number_of_variables_compare_by_value_and_partials():
     assert x != Jet.variables([1, 2])[1]
 
 
+def test_jets_differ_where_one_part_differs():
+    # the value, the denominator and the numerators are each compared
+    x, y = Jet.variables([1, 1])
+    assert x.val == y.val and x != y
+    assert x + 1 != x and (x + 1).nums == x.nums
+    half = x / 2
+    assert (half.nums, half.den) == ({0: (1, 0)}, 2)
+    assert half != Jet(half.val, half.nums, 1)
+
+
 def test_jet_repr_prints_value_and_stored_numerators():
     a, b = Jet.variables([sc(3), Scalar(0, 1, 2)])
     assert repr(a * b / 2) == "Jet(3/4*i; {0: (0, 1), 1: (6, 0)}/4)"

@@ -197,6 +197,28 @@ def test_exp_and_peel_match_dense_products(family, rank):
                 assert peeled == mat_mul(dense_exp(dense_x, -c), g)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4), ("D", 5)])
+def test_triples_store_what_a_join_reads(family, rank):
+    # the rows, first pivot and upper cut of a join, once per root: as
+    # derived from f, and as what exp(z f) and exp(z e) do to a unit upper
+    # triangular U, which every tail's U is
+    rng = random.Random(f"join-fields/{family}{rank}")
+    n = dim(family, rank)
+    upper = [[ONE if i == j else exact_scalar(rng) + 5 if i < j else ZERO for j in range(n)]
+             for i in range(n)]
+    for tau in positive_roots(family, rank):
+        t = root_triple(family, rank, tau)
+        assert t.f_rows == tuple(sorted({i for r, c, _ in t.f for i in range(c + 1, r + 1)}))
+        assert t.f_pivot == min(c for _, c, _ in t.f)
+        assert t.e_end == max(c for _, c, _ in t.f) + 1
+        m = exp_f(family, rank, tau, Scalar(3, 1), [row[:] for row in upper])
+        below = {(i, j) for i in range(n) for j in range(i) if not m[i][j].is_zero()}
+        assert {i for i, _ in below} == set(t.f_rows)
+        assert min(j for _, j in below) == t.f_pivot
+        moved = exp_e(family, rank, tau, Scalar(3, 1), [row[:] for row in upper])
+        assert max(i for i in range(n) if moved[i] != upper[i]) == t.e_end - 1
+
+
 @pytest.mark.parametrize("family,rank", ORDER_CONFIGS)
 def test_triples_keep_the_order_mul_right_i_plus_needs(family, rank):
     # e by descending column, f by ascending, squares last: no term reads

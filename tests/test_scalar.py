@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootfact import InvalidInputError, Scalar
+from rootfact import InvalidInputError, Scalar, forward_map
 from rootfact.haar import RadicalScalar
 from rootfact.jets import Jet
 from rootfact.scalar import I, ONE, ZERO, sc
@@ -71,6 +71,25 @@ def test_constructor_takes_only_int_parts(parts, bad):
     # arithmetic on it: Scalar(0.5) once stored 0.5 and failed to print
     with pytest.raises(InvalidInputError, match=f"^not a scalar: {re.escape(bad)}$"):
         Scalar(*parts)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: sc(True), "not a scalar: True"),
+    (lambda: sc(False), "not a scalar: False"),
+    (lambda: Scalar(True), "not a scalar: True"),
+    (lambda: Scalar(1, False), "not a scalar: False"),
+    (lambda: Scalar(1, 0, True), "not a scalar: True"),
+    (lambda: forward_map("A", 1, (1,), [(True, 2)]), "not a scalar: True"),
+    (lambda: RadicalScalar(True), "not a scalar: True"),
+    (lambda: RadicalScalar(1, True), "radicand must be an int or a Fraction, got True"),
+], ids=["sc-true", "sc-false", "real-part", "imag-part", "denominator", "forward-pair",
+        "radical-coeff", "radical-radicand"])
+def test_input_boundary_refuses_bools(make, message):
+    # bool is an int subclass; the readers of words, ranks and JSON refuse
+    # it, and so do the scalar constructors; the operators still lift it
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        make()
+    assert Scalar(1) == True and ONE + True == Scalar(2)  # noqa: E712
 
 
 def test_constructor_keeps_the_zero_denominator_message_and_reduces():

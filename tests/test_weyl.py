@@ -140,6 +140,16 @@ def test_enumeration_budget(monkeypatch):
         enumerate_reduced_words("A", 3)
 
 
+def test_element_bound_is_exact(monkeypatch):
+    # counting the words of w_0 meets every element of the group, 24 for
+    # A3, and refuses only more than the bound
+    monkeypatch.setattr(weyl, "MAX_COUNTED_ELEMENTS", 24)
+    assert count_reduced_words(longest_element("A", 3)) == 16
+    monkeypatch.setattr(weyl, "MAX_COUNTED_ELEMENTS", 23)
+    with pytest.raises(InvalidInputError, match="meets more than 23 group elements"):
+        count_reduced_words(longest_element("A", 3))
+
+
 @pytest.mark.parametrize("family,rank,letters", [("A", 44, 990), ("B", 32, 1024), ("A", 7, 28)])
 def test_enumeration_above_the_cap(family, rank, letters):
     # A44 ran past 30 s in process before the library had a bound of its
@@ -167,6 +177,23 @@ def test_standard_counts():
     assert standard_count_a(3) == 2
     assert standard_count_a(4) == 16
     assert standard_count_a(5) == 768
+
+
+def test_standard_count_of_one_symbol_and_the_refusal_below():
+    # one symbol: the order-reversing permutation is the identity, whose
+    # one reduced word is the empty word
+    assert standard_count_a(1) == 1
+    with pytest.raises(InvalidInputError, match="^need n >= 1$"):
+        standard_count_a(0)
+
+
+def test_printed_count_values():
+    # the printed hyperoctahedral formula, evaluated exactly, is an int at
+    # every rank here, even where it is not the count of reduced words
+    expected = {1: 1, 2: 24, 3: 30240, 4: 2421619200, 5: 17810306946432000}
+    for rank, value in expected.items():
+        out = printed_count_bc(rank)
+        assert type(out) is int and out == value
 
 
 def group(family: str, rank: int) -> list[WeylElement]:
