@@ -128,7 +128,8 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags"
         return power_product((vals[j], p) for j, p in enumerate(self.table[k]) if p)
 
     def torus_power(self, vals, one) -> list:
-        """The torus diagonal prod_j vals[j] ** h_tau_j."""
+        """The torus diagonal prod_j vals[j] ** h_tau_j, as a running product
+        from ``one``: haar's radicals print by the order of their products."""
         out = [one] * dim(self.family, self.rank)
         for v, diag in zip(vals, self.diags):
             for a, p in enumerate(diag):
@@ -337,7 +338,8 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
     for k, (zm, zp) in enumerate(pairs):
         acc = plan.suffix_product(k, svals)
         eta.append((-zp / (svals[k] * acc), -zm * svals[k] * acc))
-    hdual = plan.torus_power(svals, ONE)
+    hdual = (power_product((v, diag[a]) for v, diag in zip(svals, plan.diags) if diag[a])
+             for a in range(len(hd)))
     return eta, [hv / hh for hv, hh in zip(hdual, hd)]
 
 

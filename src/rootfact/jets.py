@@ -167,8 +167,9 @@ _ONE = Jet(ONE, {}, 1)
 
 def jacobian_det(outputs, width: int) -> Scalar:
     """det of the gradient rows of ``outputs``, a plain scalar among them a
-    constant with a zero row; entries go in reduced, as ``_bareiss`` clears
-    the denominators of what the peel leaves, not of whole rows."""
+    constant with a zero row; entries go in reduced, each over its own
+    denominator, as ``det_exact`` eliminates over reduced Gaussian
+    rationals."""
     return det_exact([[_red(*out.nums[k], out.den) if k in out.nums else ZERO
                        for k in range(width)] if isinstance(out, Jet) else [ZERO] * width
                       for out in outputs])

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of numbers in the sense of
 ``scalar.Number``, so Scalar and Jet matrices share every routine here.
-The determinant specializes to fraction-free elimination over Gaussian
-integers when all entries are Scalars.
+The determinant takes Scalar matrices only: it peels singleton lines and
+eliminates the rest over reduced Gaussian-rational (a, b, d) triples.
 """
 
 from __future__ import annotations
@@ -95,20 +95,6 @@ def mat_inverse(x):
     return inv
 
 
-def _gauss_div(xa, xb, ya, yb):
-    # exact division in Z[i]; callers guarantee divisibility
-    if yb:
-        q = ya * ya + yb * yb
-        xa, xb = xa * ya + xb * yb, xb * ya - xa * yb
-    else:
-        q = ya
-    qa, ra = divmod(xa, q)
-    qb, rb = divmod(xb, q)
-    if ra or rb:
-        raise ArithmeticError("inexact Gaussian division in Bareiss elimination")
-    return qa, qb
-
-
 def det_exact(x) -> Scalar:
     """Determinant of a Scalar matrix, singleton lines peeled first.
 
@@ -116,11 +102,11 @@ def det_exact(x) -> Scalar:
     entry joins the product and its row and column leave, which can leave
     other lines with one entry, or none (det x is then an exact zero); a
     worklist keeps this linear in the nonzeros.  The rest goes to
-    ``_bareiss`` with rows and columns in their original relative order,
+    ``_eliminate`` with rows and columns in their original relative order,
     times the sign of the permutation pairing peeled rows with their
     columns and the rest in order.  The peeled product is carried as a
-    Gaussian-integer numerator over an integer denominator and reduced
-    once, with the core's factor."""
+    Gaussian-integer numerator over an integer denominator, and so is the
+    product of the core's pivots; the two are reduced once, together."""
     n = len(x)
     # lines: row i is i, column j is n + j; adj lists the other side's lines
     adj = [[n + j for j, v in enumerate(row) if v.a or v.b] for row in x] + [[] for _ in x]
@@ -148,91 +134,62 @@ def det_exact(x) -> Scalar:
     cols = [j for j in range(n) if live[n + j]]
     for i, j in zip(rows, cols):
         sigma[i] = j
-    core = _bareiss([[x[i][j] for j in cols] for i in rows])
+    ca, cb, cd = _eliminate([[x[i][j] for j in cols] for i in rows])
     # times the sign of sigma, by its inversions in O(n^2) as for the pattern
     if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2:
         na, nb = -na, -nb
-    return _red(na * core.a - nb * core.b, na * core.b + nb * core.a, nd * core.d)
+    return _red(na * ca - nb * cb, na * cb + nb * ca, nd * cd)
 
 
-def _bareiss(x) -> Scalar:
-    """Determinant of a Scalar matrix, fraction-free over Z[i].
+def _eliminate(x):
+    """det of a square Scalar matrix as (a, b, d), the Gaussian-integer
+    numerator a + b*i over the integer denominator d, unreduced.
 
-    Bareiss's step k replaces each row i below the pivot p_k = m_kk by
-    (p_k m_ij - m_ik m_kj) / p_(k-1), which keeps every entry a minor of
-    the integer matrix.  Exact zeros make parts of it pointless: a zero
-    m_kj adds no cross term, a zero target without one stays zero, and a
-    zero m_ik leaves only the rescale by p_k / p_(k-1).  That rescale is
-    deferred: at step k a row whose last update was step t - 1 holds its
-    value times p_(t-1) / p_(k-1), the skipped rescales telescoping, so
-    its next update divides by p_(t-1) in place of p_(k-1), and a pivot
-    row is brought up to date before it is used.
-
-    Each row is first scaled by the lcm of its denominators, then each
-    column divided by the gcd of its real and imaginary parts (an
-    all-zero column is left as it is); the product of those gcds
-    multiplies the answer.  Every minor would otherwise carry that
-    content, so the elimination runs on far smaller integers.
+    Gaussian elimination over reduced (a, b, d) triples.  Step k pivots
+    on the nonzero entry of column k, from row k down, with the fewest
+    bits, max(|a|, |b|).bit_length() + d.bit_length(), the lowest row on
+    a tie; a row swap flips the sign.  Each row i below takes
+    m_ij + f m_kj, f = -m_ik / p, one fused update and one gcd per
+    nonzero m_kj, and the det is the signed product of the pivots.
     """
-    n = len(x)
-    if n == 0:
-        return ONE
-    denom = 1
-    m = []
-    for row in x:
-        d = 1
-        for v in row:
-            d = d * v.d // math.gcd(d, v.d)
-        denom *= d
-        m.append([(v.a * (d // v.d), v.b * (d // v.d)) for v in row])
-    content = 1
-    for j in range(n):
-        g = math.gcd(*(p for row in m for p in row[j]))
-        if g > 1:
-            content *= g
-            for row in m:
-                row[j] = (row[j][0] // g, row[j][1] // g)
-    sign = 1
-    div = [(1, 0)]  # div[k] = p_(k-1), the divisor of step k
-    since = [0] * n  # the last update of row i was step since[i] - 1
+    m = [[(v.a, v.b, v.d) for v in row] for row in x]
+    n = len(m)
+    gcd = math.gcd
+    da, db, dd = 1, 0, 1
     for k in range(n):
-        if m[k][k] == (0, 0):
-            piv = next((i for i in range(k + 1, n) if m[i][k] != (0, 0)), None)
-            if piv is None:
-                return ZERO
+        piv = best = None
+        for i in range(k, n):
+            a, b, d = m[i][k]
+            if a or b:
+                size = max(abs(a), abs(b)).bit_length() + d.bit_length()
+                if best is None or size < best:
+                    piv, best = i, size
+        if piv is None:
+            return 0, 0, 1
+        if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            since[k], since[piv] = since[piv], since[k]
-            sign = -sign
+            da, db = -da, -db
         mk = m[k]
-        if since[k] != k:
-            (ca, cb), (ea, eb) = div[k], div[since[k]]
-            for j in range(k, n):
-                ua, ub = mk[j]
-                if ua or ub:
-                    mk[j] = _gauss_div(ua * ca - ub * cb, ua * cb + ub * ca, ea, eb)
-        pa, pb = mk[k]
-        div.append((pa, pb))
+        pa, pb, pd = mk[k]
+        da, db, dd = da * pa - db * pb, da * pb + db * pa, dd * pd
+        # -1/p = pd (-pa + pb*i) / (pa^2 + pb^2)
+        qa, qb, qd = -pd * pa, pd * pb, pa * pa + pb * pb
+        vs = [(j, mk[j]) for j in range(k + 1, n) if mk[j][0] or mk[j][1]]
         for i in range(k + 1, n):
             mi = m[i]
-            ia, ib = mi[k]
+            ia, ib, id_ = mi[k]
             if not (ia or ib):
                 continue
-            mi[k] = (0, 0)
-            ea, eb = div[since[i]]
-            since[i] = k + 1
-            for j in range(k + 1, n):
-                ua, ub = mi[j]
-                ja, jb = mk[j]
-                if ja or jb:
-                    ta = ua * pa - ub * pb - (ia * ja - ib * jb)
-                    tb = ua * pb + ub * pa - (ia * jb + ib * ja)
-                elif ua or ub:
-                    ta, tb = ua * pa - ub * pb, ua * pb + ub * pa
-                else:
-                    continue
-                mi[j] = _gauss_div(ta, tb, ea, eb)
-    da, db = m[n - 1][n - 1]
-    return _red(sign * content * da, sign * content * db, denom)
+            fa, fb, fd = ia * qa - ib * qb, ia * qb + ib * qa, id_ * qd
+            g = gcd(fa, fb, fd)
+            fa, fb, fd = fa // g, fb // g, fd // g
+            for j, (va, vb, vd) in vs:
+                ta, tb, td = fa * va - fb * vb, fa * vb + fb * va, fd * vd
+                ua, ub, ud = mi[j]
+                ta, tb, td = ta * ud + ua * td, tb * ud + ub * td, td * ud
+                g = gcd(ta, tb, td)
+                mi[j] = ta // g, tb // g, td // g
+    return da, db, dd
 
 
 def ldu(g):

@@ -301,8 +301,9 @@ def power_product(terms) -> Scalar:
     Gaussian-integer numerator over one integer denominator, reduced once;
     s ** -1 is d(a - b*i)/(a^2 + b^2) for s = (a + b*i)/d.  The product of
     jacobian_det_formula, jacobian_det_double_product, haar_density,
-    unit_jacobian_check, the self-check's pullback closed form, and the
+    unit_jacobian_check, the self-check's pullback closed form, the
     suffix products prod_{j>k} s_j^(tau_k(h_tau_j)) of inverse_map and
+    transpose_dual, and each torus entry prod_j s_j^(h_tau_j) of
     transpose_dual."""
     a, b, d = 1, 0, 1
     for s, p in terms:

@@ -329,12 +329,13 @@ def printed_count_bc(rank: int):
 
     The printed formula is internally inconsistent for small ranks, so
     callers report its value next to the enumerated count instead of
-    asserting equality.  Returns an int when integral else a Fraction.
+    asserting equality.  It is an int at every rank up to MAX_RANK; a
+    remainder raises ArithmeticError rather than being floored.
     """
-    from fractions import Fraction
-
     n = rank
     den = math.prod((2 * i - 1) ** (n - i) for i in range(1, n + 1))
     den *= math.prod(2 * (j + 2 * k) for j in range(n - 2) for k in range(1, n - j - 1))
-    q = Fraction(math.factorial(n * n), den)
-    return int(q) if q.denominator == 1 else q
+    q, r = divmod(math.factorial(n * n), den)
+    if r:
+        raise ArithmeticError(f"the printed count is not an integer at rank {n}")
+    return q

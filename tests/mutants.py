@@ -17,7 +17,9 @@ The sites of the chosen modules are shuffled by ``random.Random(seed)``
 and the first ``count`` that still compile are run, one at a time, each
 by one ``python -m pytest -x -q`` child process in the copy, never in
 parallel.  A mutant is killed when the tests fail or time out, and
-survives when they pass; a run is cut after five minutes.  The
+survives when they pass; a run is cut after five minutes, and each
+child may map at most 512 MiB, so a mutant that makes the tests grow
+without bound fails on a MemoryError instead of filling the machine.  The
 unmutated copy runs first and must pass.  One line per mutant goes to
 standard output, then the kill rate per module, and apart for its
 operator sites and its boolean sites.  Pytest does not
@@ -30,6 +32,7 @@ import argparse
 import io
 import os
 import random
+import resource
 import shutil
 import signal
 import subprocess
@@ -42,6 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "rootfact")
 TIMEOUT_S = 300
+# an unmutated run of all of tests peaks at about 245 MB of address space
+MEMORY_LIMIT_B = 512 * 2**20
 SWAPS = {"+": "-", "-": "+", "*": "//", "//": "*", "<": "<=", "<=": "<",
          ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 BOOLEAN_SWAPS = {"and": "or", "or": "and"}
@@ -83,13 +88,18 @@ def sample(modules, count: int, seed: int):
     return out
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_B, MEMORY_LIMIT_B))
+
+
 def run_tests(copy: Path, tests) -> str:
     """'passed', 'failed' or 'timeout' for one pytest child in the copy."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)  # the copy's pyproject puts its own src first
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     child = subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.DEVNULL, start_new_session=True)
+                             stderr=subprocess.DEVNULL, start_new_session=True,
+                             preexec_fn=_limit_memory)
     try:
         return "passed" if child.wait(timeout=TIMEOUT_S) == 0 else "failed"
     except subprocess.TimeoutExpired:

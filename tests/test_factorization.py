@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import types
 
 import pytest
 
@@ -287,8 +288,8 @@ def test_det_exact_matches_elimination(density, monkeypatch):
     # the rows peeled before them take their columns away, the same for
     # columns, both chains around one dense core, 2 x 2 blocks with
     # nothing to peel, and a row or a column that peeling empties; the
-    # sizes _bareiss receives show what was peeled
-    sizes = bareiss_sizes(monkeypatch)
+    # sizes _eliminate receives show what was peeled
+    sizes = core_sizes(monkeypatch)
     for trial in range(40):
         k, case = 1 + trial % 4, trial % 5
         core = [[exact_scalar(rng) + Scalar(5) for _ in range(2 + trial % 3)]
@@ -314,11 +315,11 @@ def test_det_exact_matches_elimination(density, monkeypatch):
             assert det == ZERO
 
 
-def bareiss_sizes(monkeypatch) -> list:
-    """The sizes of the matrices ``_bareiss`` receives from now on."""
+def core_sizes(monkeypatch) -> list:
+    """The sizes of the cores ``_eliminate`` receives from now on."""
     sizes = []
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda x: sizes.append(len(x)) or bareiss(x))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda x: sizes.append(len(x)) or eliminate(x))
     return sizes
 
 
@@ -384,9 +385,9 @@ def test_det_exact_reduces_the_peeled_product_once(odd):
 @pytest.mark.parametrize(
     "family,rank,left", [("A", 8, [22]), ("D", 5, [15]), ("B", 4, [12])])
 def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left):
-    # of 36, 20 and 16 rows, _bareiss receives only those of the diagonal
+    # of 36, 20 and 16 rows, _eliminate receives only those of the diagonal
     # blocks larger than 1 x 1 in a block-triangular form, here one block
-    sizes = bareiss_sizes(monkeypatch)
+    sizes = core_sizes(monkeypatch)
     word = random_reduced_word(family, rank, 1)
     pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
     jacobian_det_ad(family, rank, word, pairs)
@@ -399,10 +400,9 @@ def integer_matrix(rng: random.Random, n: int):
 
 
 @pytest.mark.parametrize("case", ["zero", "imaginary", "negative", "whole", "rational"])
-def test_bareiss_takes_out_each_columns_content(case):
-    # _bareiss divides each column by the gcd of its integer parts and
-    # multiplies their product back: scaling column j by c_j scales the
-    # det by the product of the c_j, whatever the kind of content
+def test_det_exact_scales_with_each_columns_content(case):
+    # scaling column j by c_j scales the det by the product of the c_j,
+    # whatever the kind of content
     rng = random.Random(f"det/content/{case}")
     for trial in range(12):
         n = 1 + trial % 6
@@ -421,43 +421,59 @@ def test_bareiss_takes_out_each_columns_content(case):
         elif case == "whole":
             scales = [Scalar(12)] * n
         else:
-            # rational entries: the content is taken after the row scale
+            # rational entries times Gaussian-rational scales
             base = [[exact_scalar(rng) + Scalar(5) for _ in range(n)] for _ in range(n)]
             scales = [rng.choice([Scalar(4, 6), Scalar(1, 7, 3), Scalar(-21)]) for _ in range(n)]
         g = [[v * c for v, c in zip(row, scales)] for row in base]
-        det = linalg._bareiss(g)
-        assert det == det_exact(g) == elimination_det(g)
+        det = det_exact(g)
+        assert det == elimination_det(g)
         assert det == math.prod(scales, start=ONE) * elimination_det(base)
         if case == "zero":
             assert det == ZERO
-    # a 1 x 1 core is its own column: content 2, left (3, -2) over 5
-    assert linalg._bareiss([[Scalar(6, -4, 5)]]) == Scalar(6, -4, 5)
-    assert linalg._bareiss([[Scalar(0, -8)]]) == Scalar(0, -8)
+    # a 1 x 1 core is its own pivot, passed on as it is
+    assert linalg._eliminate([[Scalar(6, -4, 5)]]) == (6, -4, 5)
+    assert linalg._eliminate([[Scalar(0, -8)]]) == (0, -8, 1)
 
 
-@pytest.mark.parametrize("xa,xb", [(1, 0), (2, 1)], ids=["real-remainder", "imag-remainder"])
-def test_gauss_div_refuses_a_remainder_in_either_part(xa, xb):
-    # Bareiss divides exactly; a remainder in one part alone is a fault
-    assert linalg._gauss_div(4, -6, 2, 0) == (2, -3)
-    with pytest.raises(ArithmeticError, match="^inexact Gaussian division"):
-        linalg._gauss_div(xa, xb, 2, 0)
+@pytest.mark.parametrize("swaps", [1, 2], ids=["odd", "even"])
+def test_det_exact_pivots_on_the_smallest_entry(monkeypatch, swaps):
+    # dense 2 x 2 diagonal blocks leave nothing to peel, and each column
+    # pivots on its block's entry with fewer bits, a lower one by a row
+    # swap: `swaps` of the first four blocks swap rows, where the first
+    # nonzero as pivot would swap none, and the fifth block is a tie
+    small, big, tie = Scalar(2, -1, 3), Scalar(1000, 999, 7), Scalar(-3)
+    firsts = [(big, small)] * swaps + [(small, big)] * (4 - swaps) + [(tie, Scalar(3))]
+    g = [[ZERO] * 10 for _ in range(10)]
+    expected = ONE
+    for b, (upper, lower) in enumerate(firsts):
+        x, y = Scalar(b + 1, 1), Scalar(5, -b, 2)
+        g[2 * b][2 * b:2 * b + 2] = [upper, x]
+        g[2 * b + 1][2 * b:2 * b + 2] = [lower, y]
+        expected = expected * (upper * y - x * lower)
+    sizes = core_sizes(monkeypatch)
+    assert det_exact(g) == elimination_det(g) == expected
+    assert sizes == [10]
+
+
+def test_eliminate_breaks_a_pivot_tie_by_the_lowest_row():
+    # 3 and 1/2 both have 3 bits: the upper row's 3 is the pivot, then
+    # 1 - 1/6 = 5/6, an unreduced 15/6; the lower row's 1/2 would give 5/2
+    assert linalg._eliminate([[Scalar(3), ONE], [Scalar(1, 0, 2), ONE]]) == (15, 0, 6)
 
 
 @pytest.mark.parametrize(
-    "family,rank,bound", [("A", 8, 760), ("D", 5, 360), ("B", 4, 340)])
-def test_jacobian_det_ad_divides_small_integers(monkeypatch, family, rank, bound):
-    # the largest numerator an exact division in Bareiss receives: 578,
-    # 283 and 267 bits with each column's content taken out, 940, 435 and
-    # 415 bits without, and thousands if a row is scaled by more than the
-    # lcm of its denominators
+    "family,rank,bound", [("A", 8, 160), ("D", 5, 135), ("B", 4, 100)])
+def test_jacobian_det_ad_eliminates_small_integers(monkeypatch, family, rank, bound):
+    # the largest integer the elimination reduces: 108, 118 and 76 bits
+    # with the entry of fewest bits as pivot, 231, 151 and 136 with the
+    # first nonzero one
     largest = [0]
-    gauss_div = linalg._gauss_div
 
-    def spy(xa, xb, ya, yb):
-        largest[0] = max(largest[0], xa.bit_length(), xb.bit_length())
-        return gauss_div(xa, xb, ya, yb)
+    def gcd(*parts):
+        largest[0] = max(largest[0], *(p.bit_length() for p in parts))
+        return math.gcd(*parts)
 
-    monkeypatch.setattr(linalg, "_gauss_div", spy)
+    monkeypatch.setattr(linalg, "math", types.SimpleNamespace(gcd=gcd))
     word = random_reduced_word(family, rank, 1)
     pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
     jacobian_det_ad(family, rank, word, pairs)

@@ -9,6 +9,7 @@ ordering/validation round trip.
 from __future__ import annotations
 
 import math
+import types
 
 import pytest
 
@@ -38,6 +39,7 @@ from rootfact import (
     word_evaluate,
 )
 from rootfact import weyl
+from rootfact.rootsystem import MAX_RANK
 from rootfact.weyl import MAX_COUNTED_ELEMENTS
 
 from helpers import length
@@ -194,6 +196,19 @@ def test_printed_count_values():
     for rank, value in expected.items():
         out = printed_count_bc(rank)
         assert type(out) is int and out == value
+
+
+def test_printed_count_divides_exactly_up_to_max_rank(monkeypatch):
+    # (n^2)! is a multiple of the printed denominator at every rank the
+    # library takes; a remainder raises, never floors
+    for rank in range(1, MAX_RANK + 1):
+        out = printed_count_bc(rank)
+        assert type(out) is int and out > 0
+    factorial = math.factorial
+    monkeypatch.setattr(weyl, "math", types.SimpleNamespace(
+        prod=math.prod, factorial=lambda n: factorial(n) + 1))
+    with pytest.raises(ArithmeticError, match="^the printed count is not an integer at rank 3$"):
+        printed_count_bc(3)
 
 
 def group(family: str, rank: int) -> list[WeylElement]:
