@@ -27,10 +27,10 @@ at fixed l: jets in the n z^+ walked through the primal tail give it
 exactly, beside two closed product forms.
 
 Every map here and in the compact picture reads one cached WordPlan
-per (family, rank, word): the checked word and its taus, the pairing
-table tau_k(h_tau_j), the closed-form exponents delta(h_tau_j) and the
-coroot diagonals, with the shared pair and torus checks and the suffix
-products prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
+per (family, rank, word), its only source of root data: the checked
+word, its taus and their root triples, the pairing table tau_k(h_tau_j)
+and the exponents delta(h_tau_j), with the shared pair and torus checks
+and the suffix products prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
 """
 
 from __future__ import annotations
@@ -42,17 +42,16 @@ from .errors import ExceptionalSetError, InvalidInputError, InvalidWordError, St
 from .jets import Jet, jacobian_det
 from .linalg import identity, ldu, mul_right_i_plus, scale_cols
 from .matrices import (
+    _extract_checked,
+    _is_identity,
     anchor_coordinate,
     dim,
-    exp_e,
-    exp_f,
-    extract_lower,
-    extract_upper,
+    exp_terms,
     peel_left,
     root_triple,
     weyl_representative,
 )
-from .rootsystem import delta, norm2, positive_roots
+from .rootsystem import delta, positive_roots
 from .scalar import ONE, ZERO, Scalar, power_product, sc
 from .weyl import (
     WeylElement,
@@ -63,12 +62,13 @@ from .weyl import (
 )
 
 
-class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags")):
+class WordPlan(namedtuple("WordPlan", "family rank word taus triples table deltas")):
     """What every coordinate map reads off one reduced word.
 
-    ``taus`` is the ordering of the word, ``table[k][j]`` the pairing
-    tau_k(h_tau_j) for k < j (zero elsewhere), ``deltas`` the exponents
-    delta(h_tau_j) and ``diags`` the diagonals of the coroots h_tau_j.
+    ``taus`` is the ordering of the word, ``triples`` the RootTriple of
+    each tau (whose ``h`` is the diagonal of the coroot h_tau),
+    ``table[k][j]`` the pairing tau_k(h_tau_j) for k < j (zero elsewhere)
+    and ``deltas`` the exponents delta(h_tau_j).
     """
 
     __slots__ = ()
@@ -131,8 +131,8 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus table deltas diags"
         """The torus diagonal prod_j vals[j] ** h_tau_j, as a running product
         from ``one``: haar's radicals print by the order of their products."""
         out = [one] * dim(self.family, self.rank)
-        for v, diag in zip(vals, self.diags):
-            for a, p in enumerate(diag):
+        for v, t in zip(vals, self.triples):
+            for a, p in enumerate(t.h):
                 if p:
                     out[a] = out[a] * v ** p
         return out
@@ -147,28 +147,27 @@ def word_plan(family: str, rank: int, word) -> WordPlan:
 @lru_cache(maxsize=16)
 def _word_plan(family: str, rank: int, word: tuple) -> WordPlan:
     taus = ordering_from_word(family, rank, word)
-    # integer coroots 2 tau / (tau, tau), kept sparse
-    coroots = [[(i, 2 * c // norm2(t)) for i, c in enumerate(t) if c] for t in taus]
+    triples = tuple(root_triple(family, rank, t) for t in taus)
+    # e_tau_k's anchor (r, c) has weight tau_k, so tau_k(h_tau_j) = h_tau_j[r] - h_tau_j[c]
     table = tuple(
-        tuple(sum(tk[i] * c for i, c in cj) if j > k else 0 for j, cj in enumerate(coroots))
-        for k, tk in enumerate(taus)
+        tuple(tj.h[r] - tj.h[c] if j > k else 0 for j, tj in enumerate(triples))
+        for k, (r, c, _) in enumerate(t.e[0] for t in triples)
     )
     deltas = tuple(delta(family, rank, t) for t in taus)
-    diags = tuple(root_triple(family, rank, t).h for t in taus)
-    return WordPlan(family, rank, word, taus, table, deltas, diags)
+    return WordPlan(family, rank, word, taus, triples, table, deltas)
 
 
 # s lists s_j = 1 + z_j^- z_j^+
 ForwardResult = namedtuple("ForwardResult", "family rank word taus matrix l u h s")
 
 
-def _product_matrix(family: str, rank: int, taus, pairs, h, g=None):
-    """g (default I) times the pair product over taus, times the torus h."""
+def _product_matrix(triples, pairs, h, g=None):
+    """g (default I) times the pair product over the triples, times the torus h."""
     if g is None:
-        g = identity(dim(family, rank))
-    for tau, (zm, zp) in zip(reversed(taus), reversed(pairs)):
-        g = exp_f(family, rank, tau, zm, g)
-        g = exp_e(family, rank, tau, zp, g)
+        g = identity(len(h))
+    for t, (zm, zp) in zip(reversed(triples), reversed(pairs)):
+        g = mul_right_i_plus(g, exp_terms(t.xf, t.f2, zm))
+        g = mul_right_i_plus(g, exp_terms(t.xe, t.e2, zp))
     return [[v * h[j] for j, v in enumerate(row)] for row in g]
 
 
@@ -178,23 +177,17 @@ def forward_map(family: str, rank: int, word, pairs, h=None) -> ForwardResult:
 
 
 def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
-    family, rank, taus = plan.family, plan.rank, plan.taus
     pairs = plan.scalar_pairs(pairs)
     hd = plan.check_torus(h)
-    g = _product_matrix(family, rank, taus, pairs, hd)
+    g = _product_matrix(plan.triples, pairs, hd)
     lower, d, upper = ldu(g)
     if d != hd:
         raise ArithmeticError("middle factor differs from the torus input")
     return ForwardResult(
-        family=family,
-        rank=rank,
-        word=plan.word,
-        taus=taus,
-        matrix=g,
-        l=extract_lower(family, rank, taus, lower),
-        u=extract_upper(family, rank, taus, upper),
-        h=hd,
-        s=[ONE + zm * zp for zm, zp in pairs],
+        family=plan.family, rank=plan.rank, word=plan.word, taus=plan.taus, matrix=g,
+        l=_extract_checked([(t.f, t.f2) for t in plan.triples], lower),
+        u=_extract_checked([(t.e, t.e2) for t in plan.triples], upper),
+        h=hd, s=[ONE + zm * zp for zm, zp in pairs],
     )
 
 
@@ -208,17 +201,17 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     as (Q L, U), Q peeling off l_(k+1), ..., l_n, so Q L = exp(c_k f_k)
     *** exp(c_1 f_1) and c_k is one entry, read as in ``extract_lower``.
     Each tail then takes pair k by ``_take``, the join and the peel of
-    its l_k.  After pair 1 both Q L must be I, by full, checked
-    extractions, or a fault raises ArithmeticError.  The completed tail
-    is L U = G_n *** G_1, and forward(zeta, h) = L h (h^{-1} U h), so
-    the u of the answer are those of U, each times a torus character.
+    its l_k.  After pair 1 each Q L must be exactly I, or a fault raises
+    ArithmeticError.  The completed tail is L U = G_n *** G_1, and
+    forward(zeta, h) = L h (h^{-1} U h), so the u of the answer are those
+    of U, each times a torus character.
 
     Raises ExceptionalSetError when the point lies outside the open
     image of the forward map.
     """
     plan = word_plan(family, rank, word)
-    taus = plan.taus
-    n = len(taus)
+    triples = plan.triples
+    n = len(triples)
     lcoords = [sc(v) for v in lcoords]
     ucoords = [sc(v) for v in ucoords]
     if len(lcoords) != n or len(ucoords) != n:
@@ -229,13 +222,13 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     # dual element sigma(g_0^{-1}), g_0 = L h U, as the product it is:
     # exp(-l_n e_n) *** exp(-l_1 e_1) h^{-1} exp(-u_n f_n) *** exp(-u_1 f_1)
     ghat = identity(size)
-    for tau, c in zip(reversed(taus), reversed(lcoords)):
-        ghat = exp_e(family, rank, tau, -c, ghat)
+    for t, c in zip(reversed(triples), reversed(lcoords)):
+        ghat = mul_right_i_plus(ghat, exp_terms(t.xe, t.e2, -c))
     ghat = scale_cols(ghat, [ONE / v for v in hd])
-    for tau, c in zip(reversed(taus), reversed(ucoords)):
-        ghat = exp_f(family, rank, tau, -c, ghat)
+    for t, c in zip(reversed(triples), reversed(ucoords)):
+        ghat = mul_right_i_plus(ghat, exp_terms(t.xf, t.f2, -c))
     try:
-        lprime = extract_lower(family, rank, taus, ldu(ghat)[0])
+        lprime = _extract_checked([(t.f, t.f2) for t in triples], ldu(ghat)[0])
     except StratumError as err:
         raise ExceptionalSetError(
             f"dual element has no triangular factorization (pivot {err.index})",
@@ -245,9 +238,9 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
     svals: list = [None] * n
     tail, tail_dual = [(identity(size), identity(size)) for _ in range(2)]
     for k in range(n - 1, -1, -1):
-        f = root_triple(family, rank, taus[k]).f
-        zm = lcoords[k] - anchor_coordinate(f, tail[0])
-        em = lprime[k] - anchor_coordinate(f, tail_dual[0])
+        t = triples[k]
+        zm = lcoords[k] - anchor_coordinate(t.f, tail[0])
+        em = lprime[k] - anchor_coordinate(t.f, tail_dual[0])
         acc = plan.suffix_product(k, svals)
         den = ONE + em * zm * acc
         if den.is_zero():
@@ -256,34 +249,34 @@ def inverse_map(family: str, rank: int, word, lcoords, ucoords, h=None):
             )
         sk = ONE / den
         zeta[k] = (zm, -(em * acc * sk))
-        _take(family, rank, taus[k], tail, zeta[k], lcoords[k])
-        _take(family, rank, taus[k], tail_dual, (em, -(zm * sk * acc)), lprime[k])
+        _take(t, tail, zeta[k], lcoords[k])
+        _take(t, tail_dual, (em, -(zm * sk * acc)), lprime[k])
         svals[k] = sk
-    _check_closed(family, rank, taus, tail, tail_dual)
+    _check_closed(tail, tail_dual)
+    tail_u = _extract_checked([(t.e, t.e2) for t in triples], tail[1])
     # h^-1 e_tau h is e_tau times h[col] / h[row] at its anchor (row, col)
-    for k, (tau, v) in enumerate(zip(taus, extract_upper(family, rank, taus, tail[1]))):
-        row, col, _ = root_triple(family, rank, tau).e[0]
+    for k, (t, v) in enumerate(zip(triples, tail_u)):
+        row, col, _ = t.e[0]
         if v * (hd[col] / hd[row]) != ucoords[k]:
             raise ExceptionalSetError("coordinates are outside the image of the factorization "
                                       f"map (u_{k + 1} differs)", index=k + 1, value="image")
     return zeta
 
 
-def _take(family: str, rank: int, tau, tail, pair, lcoord):
-    """The tail (Q L, U) takes its pair by the join, and Q peels its l, in place."""
-    _join_pair(family, rank, tau, tail, pair)
-    t = root_triple(family, rank, tau)
+def _take(t, tail, pair, lcoord):
+    """The tail (Q L, U) takes its pair by the join on t, and Q peels its l, in place."""
+    _join_pair(t, tail, pair)
     peel_left(t.f, t.f2, lcoord, tail[0])
 
 
-def _check_closed(family: str, rank: int, taus, *tails):
-    """Each completed tail's Q L must extract to all zeros; else a read was wrong."""
-    for lower, _ in tails:
-        if not all(c.is_zero() for c in extract_lower(family, rank, taus, lower)):
-            raise ArithmeticError("a tail coordinate read differs from its extraction")
+def _check_closed(*tails):
+    """Each completed tail's Q L must be exactly I; else a read, join or peel was wrong."""
+    for i, (lower, _) in enumerate(tails, start=1):
+        if not _is_identity(lower):
+            raise ArithmeticError(f"completed tail {i} does not close: its Q L is not I")
 
 
-def _join_pair(family: str, rank: int, tau, factors, pair):
+def _join_pair(t, factors, pair):
     """(P L_M, U_M exp(z^+ e_tau)) from (P, U) of a tail T = L U, P = Q L, in place.
 
     M = U exp(z^- f_tau) = L_M U_M is factored in place of U (Bennett
@@ -299,9 +292,8 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
     diagonal of M stays that exact ONE, as the join tests pin.
     """
     (lower, upper), (zm, zp) = factors, pair
-    t = root_triple(family, rank, tau)
     rows = t.f_rows
-    m = exp_f(family, rank, tau, zm, upper[:rows[-1] + 1])
+    m = mul_right_i_plus(upper[:rows[-1] + 1], exp_terms(t.xf, t.f2, zm))
     terms = []
     for k in range(t.f_pivot, rows[-1] + 1):
         if m[k][k] != ONE:
@@ -314,7 +306,7 @@ def _join_pair(family: str, rank: int, tau, factors, pair):
                 mi[k:] = [ZERO] + [a if b.is_zero() else a.addmul(w, b)
                                    for a, b in zip(mi[k + 1:], m[k][k + 1:])]
     mul_right_i_plus(lower[rows[0]:], terms)
-    exp_e(family, rank, tau, zp, upper[:t.e_end])
+    mul_right_i_plus(upper[:t.e_end], exp_terms(t.xe, t.e2, zp))
     return lower, upper
 
 
@@ -338,7 +330,7 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
     for k, (zm, zp) in enumerate(pairs):
         acc = plan.suffix_product(k, svals)
         eta.append((-zp / (svals[k] * acc), -zm * svals[k] * acc))
-    hdual = (power_product((v, diag[a]) for v, diag in zip(svals, plan.diags) if diag[a])
+    hdual = (power_product((v, t.h[a]) for v, t in zip(svals, plan.triples) if t.h[a])
              for a in range(len(hd)))
     return eta, [hv / hh for hv, hh in zip(hdual, hd)]
 
@@ -376,15 +368,15 @@ def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
     z^-_k + c_k is peeled as a constant.  The word is empty (det 1) or one of
     w_0."""
     plan = word_plan(family, rank, word).check_longest()
-    taus, pairs = plan.taus, plan.scalar_pairs(pairs)
+    triples, pairs = plan.triples, plan.scalar_pairs(pairs)
     zplus = Jet.variables([zp for _, zp in pairs])
     tail = [identity(dim(family, rank)) for _ in range(2)]
-    for k in range(len(taus) - 1, -1, -1):
-        c = anchor_coordinate(root_triple(family, rank, taus[k]).f, tail[0])
+    for k in range(len(triples) - 1, -1, -1):
+        c = anchor_coordinate(triples[k].f, tail[0])
         lk = pairs[k][0] + c.val
-        _take(family, rank, taus[k], tail, (lk - c, zplus[k]), lk)
-    _check_closed(family, rank, taus, tail)
-    return jacobian_det(extract_upper(family, rank, taus, tail[1]), len(taus))
+        _take(triples[k], tail, (lk - c, zplus[k]), lk)
+    _check_closed(tail)
+    return jacobian_det(_extract_checked([(t.e, t.e2) for t in triples], tail[1]), len(triples))
 
 
 def delta_identity_check(family: str, rank: int, word) -> bool:
@@ -422,7 +414,7 @@ def forward_map_stratum(family: str, rank: int, w: WeylElement, pairs, h=None) -
     pairs = plan.scalar_pairs(pairs)
     hd = plan.check_torus(h)
     wmat = weyl_representative(family, rank, w)
-    g = _product_matrix(family, rank, plan.taus, pairs, hd, wmat)
+    g = _product_matrix(plan.triples, pairs, hd, wmat)
     return StratumResult(
         family=family, rank=rank, w=w, gammas=gammas, taus=plan.taus, matrix=g
     )

@@ -228,19 +228,14 @@ def inverse_dual(family: str, rank: int, g):
     return sigma(family, rank, mat_inverse(g))
 
 
-@lru_cache(maxsize=None, typed=True)
 def form_matrix(family: str, rank: int):
-    """Invariant bilinear form; None for family A."""
+    """Invariant bilinear form, a fresh matrix per call; None for family A."""
     if family == "A":
         return None
     n = dim(family, rank)
     out = [[ZERO] * n for _ in range(n)]
-    for u in range(n):
-        v = n - 1 - u
-        if family == "C":
-            out[u][v] = ONE if u < v else -ONE
-        else:
-            out[u][v] = ONE
+    for u in range(n):  # the antidiagonal, its lower half -1 in family C
+        out[u][n - 1 - u] = MINUS_ONE if family == "C" and u > n - 1 - u else ONE
     return out
 
 
@@ -283,30 +278,30 @@ def extract_lower(family: str, rank: int, taus, g):
     The final residue must be the identity; anything else means g is
     not such a product.
     """
-    return _extract_checked(family, rank, taus, g, use_f=True)
+    return _extract_checked([(t.f, t.f2) for t in (root_triple(family, rank, r) for r in taus)], g)
 
 
 def extract_upper(family: str, rank: int, taus, g):
-    return _extract_checked(family, rank, taus, g, use_f=False)
+    return _extract_checked([(t.e, t.e2) for t in (root_triple(family, rank, r) for r in taus)], g)
 
 
-def _extract_checked(family: str, rank: int, taus, g, use_f: bool):
+def _extract_checked(roots, g):
+    """c_1, ..., c_n of g = exp(c_n x_n) *** exp(c_1 x_1), each x_k as (entries, squares)."""
     g = g[:]  # the peels replace rows and change none
-    coeffs = [ZERO] * len(taus)
-    for k in range(len(taus) - 1, -1, -1):
-        t = root_triple(family, rank, taus[k])
-        entries, squares = (t.f, t.f2) if use_f else (t.e, t.e2)
+    coeffs = [ZERO] * len(roots)
+    for k in range(len(roots) - 1, -1, -1):
+        entries, squares = roots[k]
         coeffs[k] = anchor_coordinate(entries, g)
         peel_left(entries, squares, coeffs[k], g)
-    n = dim(family, rank)
-    for i in range(n):
-        for j in range(n):
-            v = g[i][j] - ONE if i == j else g[i][j]
-            if not v.is_zero():
-                raise InvalidInputError(
-                    "matrix is not an ordered product over the given roots"
-                )
+    if not _is_identity(g):
+        raise InvalidInputError("matrix is not an ordered product over the given roots")
     return coeffs
+
+
+def _is_identity(g) -> bool:
+    """Whether g is exactly I, entry by entry, over Scalars or jets."""
+    return all((v - ONE if i == j else v).is_zero() for i, row in enumerate(g)
+               for j, v in enumerate(row))
 
 
 def anchor_coordinate(entries, g):

@@ -73,8 +73,8 @@ def forward_coords_jets(plan, pairs):
     pairs n, ..., 1 by the join, and both extractions follow."""
     family, rank, taus = plan.family, plan.rank, plan.taus
     factors = [identity(dim(family, rank)) for _ in range(2)]
-    for tau, pair in zip(reversed(taus), reversed(pairs)):
-        factors = _join_pair(family, rank, tau, factors, pair)
+    for t, pair in zip(reversed(plan.triples), reversed(pairs)):
+        factors = _join_pair(t, factors, pair)
     return extract_lower(family, rank, taus, factors[0]), extract_upper(family, rank, taus, factors[1])
 
 

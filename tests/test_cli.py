@@ -29,6 +29,7 @@ from rootfact import (
     dim,
     enumerate_reduced_words,
     factorization,
+    forward_map,
     linalg,
     ordering_from_word,
     positive_roots,
@@ -378,16 +379,45 @@ def one_short(fn, part):
     return moved
 
 
+def doubled_torus(fn):
+    """fn with each entry of the torus of its answer doubled."""
+    def moved(*args):
+        eta, hdual = fn(*args)
+        return eta, [v * 2 for v in hdual]
+    return moved
+
+
+def constant_form(family, rank):
+    """I for the invariant form, which no root vector preserves."""
+    return None if family == "A" else linalg.identity(dim(family, rank))
+
+
 @pytest.mark.parametrize("name,broken,message", [
-    ("jacobian_det_ad", lambda family, rank, word, pairs: 0, "jacobian identities"),
-    ("delta_identity_check", lambda family, rank, word: False, "jacobian identities"),
-    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 0), "compact round trip"),
-    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 2), "compact round trip"),
-], ids=["determinants-differ", "delta-identity-fails", "pairs-differ", "squares-differ"])
+    ("h_matrix", lambda family, rank, root: linalg.identity(dim(family, rank)),
+     r"\[e, f\] != h for A2 root \(0, 1, -1\)"),
+    ("sigma", lambda family, rank, x: x, r"sigma\(e\) != f for A2 root \(0, 1, -1\)"),
+    ("form_matrix", constant_form, r"form invariance fails for B2 root \(-1, 1\)"),
+    ("inverse_map", lambda *args, h: [], "round trip failed for A2"),
+    ("transpose_dual", doubled_torus(selfcheck.transpose_dual), "dual identity failed for A2"),
+    ("jacobian_det_ad", lambda family, rank, word, pairs: 0, "jacobian identities failed for A2"),
+    ("delta_identity_check", lambda family, rank, word: False,
+     "jacobian identities failed for A2"),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 0), "compact round trip failed for A2"),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 2), "compact round trip failed for A2"),
+    ("haar_density", lambda family, rank, word, pairs: 0, "density mismatch for A2"),
+    ("unit_jacobian_check", lambda family, rank, word, pairs: 0,
+     "unit pullback ratio failed for A2"),
+    ("lebesgue_pullback_det", lambda family, rank, word, pairs: 0,
+     "pullback closed form failed for A2"),
+    ("count_reduced_words", lambda w: 0, "reduced word count mismatch for A3"),
+], ids=["bracket", "sigma", "form", "round-trip", "dual", "determinants-differ",
+        "delta-identity-fails", "pairs-differ", "squares-differ", "density", "unit-ratio",
+        "pullback-closed-form", "counts"])
 def test_self_check_fails_where_one_part_of_a_check_fails(monkeypatch, name, broken, message):
-    # each check joins its conditions with or: any one failing fails it
+    # each check joins its conditions with or: any one failing fails it,
+    # and its message names the check
     monkeypatch.setattr(selfcheck, name, broken)
-    with pytest.raises(LibError, match=f"^{message} failed for A2$"):
+    with pytest.raises(LibError, match=f"^{message}$"):
         selfcheck.run_self_check()
 
 
@@ -574,6 +604,38 @@ def test_a_wrong_middle_factor_is_an_internal_error(capsys, monkeypatch):
     assert payload["error"]["kind"] == "internal-error"
     assert payload["error"]["message"].startswith("ArithmeticError at factorization.py:")
     assert payload["error"]["message"].endswith(": middle factor differs from the torus input")
+
+
+def test_a_torus_of_the_wrong_length_is_refused(capsys, monkeypatch):
+    # the pairs are right, so only the torus check can refuse the request
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"pairs": [[1, 2]] * 3,
+                                                              "h": ["2", "1/2"]})))
+    code, payload, _ = run_cli(
+        capsys, ["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"])
+    assert code == 2
+    assert payload["error"] == {"kind": "invalid-input",
+                                "message": "torus diagonal needs 3 entries, got 2"}
+
+
+def test_a_tail_that_does_not_close_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # a join that leaves a wrong Q L is a fault of the library, caught by
+    # the closing check, never a refusal of the request
+    join = factorization._join_pair
+
+    def moved_join(t, factors, pair):
+        return join(t, factors, (pair[0] + 1, pair[1]))
+
+    flags = ["--family", "A", "--rank", "2", "--word", "1,2,1"]
+    fwd = forward_map("A", 2, (1, 2, 1), [(1, 2)] * 3)
+    src = write_json(tmp_path, "coords.json", {"l": [str(v) for v in fwd.l],
+                                               "u": [str(v) for v in fwd.u]})
+    monkeypatch.setattr(factorization, "_join_pair", moved_join)
+    code, payload, _ = run_cli(capsys, ["invert", *flags, "--input", src])
+    assert code == 4
+    assert payload["error"]["kind"] == "internal-error"
+    assert payload["error"]["message"].startswith("ArithmeticError at factorization.py:")
+    assert payload["error"]["message"].endswith(
+        ": completed tail 1 does not close: its Q L is not I")
 
 
 # -- the contract on random requests -------------------------------------

@@ -400,12 +400,12 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     join, jacobian_det = factorization._join_pair, factorization.jacobian_det
     joins, widths = [], []
 
-    def unit_seeds_only(family, rank, tau, factors, pair):
-        k = ordering_from_word(family, rank, word).index(tau)
+    def unit_seeds_only(t, factors, pair):
+        k = ordering_from_word("B", 3, word).index(t.root)
         assert (pair[1].nums, pair[1].den) == ({k: (1, 0)}, 1), f"z^+ {k} is not a unit seed"
         assert all(j > k for j in getattr(pair[0], "nums", {})), f"z^- {k} moves with z^+ {k}"
         joins.append(k)
-        return join(family, rank, tau, factors, pair)
+        return join(t, factors, pair)
 
     def n_columns(outputs, width):
         widths.append(width)
@@ -422,3 +422,21 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
         monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
         assert call("B", 3, word, eta) == expected
     assert widths == [len(word)] * 2 and joins == list(range(len(word) - 1, -1, -1)) * 2
+
+
+def test_sqrt_of_off_the_branch_and_the_inverse_of_zero_raise():
+    for value in (0, -4, Scalar(4, 1), Scalar(0, 4)):
+        with pytest.raises(BranchViolationError, match="needs a positive real"):
+            RadicalScalar.sqrt_of(value)
+    assert str(RadicalScalar.sqrt_of(Fraction(1, 2))) == "(1/2)*sqrt(2)"
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        RadicalScalar(0, 3).inverse()
+
+
+def test_radical_hands_an_operand_it_cannot_lift_to_the_other_side():
+    r = RadicalScalar(ONE, 2)
+    for method in (r.__sub__, r.__truediv__):
+        assert method("1") is NotImplemented and method(1.5) is NotImplemented
+    for op in (lambda: r - "1", lambda: r / "1", lambda: r ** 0.5, lambda: r ** Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()

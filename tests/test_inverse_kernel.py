@@ -6,7 +6,7 @@ inverse_map carries the tail G_n *** G_(k+1) = L U and its dual as
 k of each tail as one entry of Q L with the anchor read of
 extract_lower, then joins pair k and peels l_k with its left peel.  It
 checks its answer on its own tails: after pair 1 the Q L of the primal
-and of the dual tail must each extract to all zeros, and the u of the
+and of the dual tail must each be exactly I, and the u of the
 completed tail's U, each times a torus character, must be the given
 ones.  The 2n-variable jet forward of the tests joins all n pairs from
 (I, I) and extracts (l, u) from L and U; jacobian_det_ad walks the
@@ -17,7 +17,8 @@ Scalars and over jets, against the explicit product and its unit-pivot
 guard, check the jet forward against the dense product and LDU it
 replaced and the fixed-l Jacobian against its 2n x 2n determinant, check
 that the inverse runs no second forward map and one dense ldu, that the
-closing extractions still reject a faulty tail, read or peel, and that a
+closing checks reject a faulty join, read or peel as an internal
+ArithmeticError, and that a
 moved u names its first coordinate, and pin the exceptional-set payloads
 of non-generic integer points.
 """
@@ -30,7 +31,6 @@ import pytest
 
 from rootfact import (
     ExceptionalSetError,
-    InvalidInputError,
     Jet,
     StratumError,
     canonical_word,
@@ -118,16 +118,17 @@ def test_carried_factors_match_explicit_tails(monkeypatch, family, rank):
         assert d == [ONE] * len(h)
         return mat_mul(peel(family, rank, taus, given[len(joins) % 2], k), lower), upper
 
-    def checked_join(fam, rk, tau, factors, pair):
-        k = taus.index(tau)
+    def checked_join(t, factors, pair):
+        k = taus.index(t.root)
+        assert t == root_triple(family, rank, t.root)
         tail = explicit[len(joins) % 2]
         assert carried(tail, k) == factors
-        step = exp_f(fam, rk, tau, pair[0], identity(dim(fam, rk)))
-        step = exp_e(fam, rk, tau, pair[1], step)
+        step = exp_f(family, rank, t.root, pair[0], identity(len(h)))
+        step = exp_e(family, rank, t.root, pair[1], step)
         tail = explicit[len(joins) % 2] = mat_mul(tail, step)
-        out = join(fam, rk, tau, factors, pair)
+        out = join(t, factors, pair)
         assert carried(tail, k) == out
-        joins.append(tau)
+        joins.append(t.root)
         return out
 
     monkeypatch.setattr(factorization, "_join_pair", checked_join)
@@ -184,23 +185,24 @@ def test_tail_reads_match_full_extraction(monkeypatch, family, rank):
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["tail", "dual-tail"])
-def test_corrupted_tail_raises_from_closing_extraction(monkeypatch, side):
+def test_corrupted_tail_raises_from_closing_check(monkeypatch, side):
     # the first join of one tail leaves a Q L outside the group; the reads
-    # go on, and the one full extraction after the loop finds the residue
+    # go on, and that tail's check after the loop finds its Q L is not I:
+    # an internal fault, an ArithmeticError, never a refusal of the input
     word = random_reduced_word("D", 4, 11)
     res = forward_map("D", 4, word, generic_pairs(random.Random("kernel/corrupted"), len(word)))
     join = factorization._join_pair
     joins = []
 
-    def corrupting_join(fam, rk, tau, factors, pair):
-        lower, upper = join(fam, rk, tau, factors, pair)
+    def corrupting_join(t, factors, pair):
+        lower, upper = join(t, factors, pair)
         if len(joins) == side:
             lower[-1][0] = lower[-1][0] + 1  # weight -2 l_4, not a root of D4
-        joins.append(tau)
+        joins.append(t.root)
         return lower, upper
 
     monkeypatch.setattr(factorization, "_join_pair", corrupting_join)
-    with pytest.raises(InvalidInputError, match="not an ordered product over the given roots"):
+    with pytest.raises(ArithmeticError, match=f"^completed tail {side + 1} does not close"):
         inverse_map("D", 4, word, res.l, res.u)
 
 
@@ -213,31 +215,31 @@ def test_dual_tail_closes_on_its_own_check(monkeypatch, family, rank):
     word = random_reduced_word(family, rank, 11)
     pairs = generic_pairs(random.Random(f"kernel/dual-close/{family}{rank}"), len(word))
     res = forward_map(family, rank, word, pairs)
-    join, extract = factorization._join_pair, factorization.extract_lower
+    join, extract = factorization._join_pair, factorization._extract_checked
     joins, extractions = [], []
 
-    def moved_last_join(fam, rk, tau, factors, pair):
-        joins.append(tau)
+    def moved_last_join(t, factors, pair):
+        joins.append(t.root)
         if len(joins) == 2 * len(word):
             pair = (pair[0] + 1, pair[1])
-        return join(fam, rk, tau, factors, pair)
+        return join(t, factors, pair)
 
     def counted(*args):
         extractions.append(args)
         return extract(*args)
 
     monkeypatch.setattr(factorization, "_join_pair", moved_last_join)
-    monkeypatch.setattr(factorization, "extract_lower", counted)
-    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+    monkeypatch.setattr(factorization, "_extract_checked", counted)
+    with pytest.raises(ArithmeticError, match="^completed tail 2 does not close"):
         inverse_map(family, rank, word, res.l, res.u)
-    # the dual element's extraction, the primal tail's, then the dual tail's
-    assert joins[-1] == res.taus[0] and len(extractions) == 3
+    # only the dual element's extraction ran: the closing check reads no u
+    assert joins[-1] == res.taus[0] and len(extractions) == 1
     monkeypatch.undo()
     assert pairs_equal(inverse_map(family, rank, word, res.l, res.u), pairs)
 
 
 def test_read_that_misses_the_tail_raises(monkeypatch):
-    # the closing extraction must also give back the coordinate the last read assumed
+    # the closing check must also see a read that misses its tail
     word = random_reduced_word("B", 3, 11)
     res = forward_map("B", 3, word, generic_pairs(random.Random("kernel/missed"), len(word)))
     read = factorization.anchor_coordinate
@@ -248,7 +250,7 @@ def test_read_that_misses_the_tail_raises(monkeypatch):
         return c + 1 if entries == first else c
 
     monkeypatch.setattr(factorization, "anchor_coordinate", off_by_one)
-    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+    with pytest.raises(ArithmeticError, match="^completed tail 1 does not close"):
         inverse_map("B", 3, word, res.l, res.u)
 
 
@@ -257,7 +259,7 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
     # then exp(-f_2) exp(c f_1), whose anchor read is still c, so the pairs
     # come out right; after the join of pair 1 and the peel of l_1 the
     # primal Q L is exp(-l_1 f_1) exp(-f_2) exp(l_1 f_1), not I, and only
-    # the zeros of the closing extraction see it
+    # the closing check sees it
     word = random_reduced_word("B", 3, 11)
     pairs = generic_pairs(random.Random("kernel/missed-peel"), len(word))
     res = forward_map("B", 3, word, pairs)
@@ -270,7 +272,7 @@ def test_peel_that_misses_the_tail_raises(monkeypatch):
         return peel_left(entries, squares, c + 1 if entries == second else c, lower)
 
     monkeypatch.setattr(factorization, "peel_left", off_by_one)
-    with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+    with pytest.raises(ArithmeticError, match="^completed tail 1 does not close"):
         inverse_map("B", 3, word, res.l, res.u)
     # both tails peel tau_2, then both peel tau_1
     assert peels[-4:] == [second, second] + [root_triple("B", 3, res.taus[0]).f] * 2
@@ -306,7 +308,8 @@ def test_join_pair_on_general_factors(family, rank):
             tail = exp_e(family, rank, tau, pair[1], exp_f(family, rank, tau, pair[0], tail))
             lower_next, d_next, upper_next = ldu(tail)
             assert lifted(d) == lifted(d_next) == lifted([ONE] * n)
-            out = factorization._join_pair(family, rank, tau, (mat_mul(x, lower), upper), pair)
+            out = factorization._join_pair(root_triple(family, rank, tau),
+                                           (mat_mul(x, lower), upper), pair)
             assert lifted(out) == lifted((mat_mul(x, lower_next), upper_next))
             # the pivot guard compares with the Scalar ONE, which no Jet
             # equals; the join answers over jets only because the diagonal
@@ -348,7 +351,7 @@ def dense_jet_forward(plan, pairs):
     its dense ldu, whose middle factor is I, and the two extractions."""
     family, rank, taus = plan.family, plan.rank, plan.taus
     unit = [ONE] * dim(family, rank)
-    lower, d, upper = ldu(factorization._product_matrix(family, rank, taus, pairs, unit))
+    lower, d, upper = ldu(factorization._product_matrix(plan.triples, pairs, unit))
     assert lifted(d) == lifted(unit)
     return extract_lower(family, rank, taus, lower), extract_upper(family, rank, taus, upper)
 
@@ -419,8 +422,8 @@ def test_join_pair_raises_where_a_pivot_is_not_one(family, rank):
         for zm, u in ((exact_scalar(rng) + 5, exact_scalar(rng) + 5), (ONE, -ONE), (ONE, ONE)):
             upper = exp_e(family, rank, tau, u, identity(n))
             with pytest.raises(ArithmeticError, match=r"join pivot \d+ is .*, not 1"):
-                factorization._join_pair(family, rank, tau, (unit_lower(rng, n), upper),
-                                         (zm, exact_scalar(rng)))
+                factorization._join_pair(root_triple(family, rank, tau),
+                                         (unit_lower(rng, n), upper), (zm, exact_scalar(rng)))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 8), ("B", 4)])
@@ -501,32 +504,39 @@ def test_exceptional_payloads_pinned(family, rank):
 ], ids=["l-before-u", "u-only"])
 def test_image_rejection_names_first_coordinate(monkeypatch, moved, index, name):
     # no point found reaches the closing u comparison with a difference,
-    # so the closing extractions are moved at some coordinates: a moved
-    # u is outside the image, and names the first one; a moved l cannot
-    # come from a point, since each z^-_k is l_k minus its read, and is a
-    # fault, caught by the primal tail's extraction before any u is read
+    # so the primal tail's reads of l and the extraction of u are moved at
+    # some coordinates: a moved u is outside the image, and names the
+    # first one; a moved l cannot come from a point, since each z^-_k is
+    # l_k minus its read, and is a fault, caught by the primal tail's
+    # closing check before any u is read
     word = random_reduced_word("B", 3, 5)
     pairs = generic_pairs(random.Random("kernel/image"), len(word))
     res = forward_map("B", 3, word, pairs)
-    extractions = []
+    read, extract = factorization.anchor_coordinate, factorization._extract_checked
+    reads, extractions = [], []
 
-    def mover(side, extract):
-        def moved_extract(family, rank, taus, g):
-            out = extract(family, rank, taus, g)
-            extractions.append(side)
-            # the dual element's l comes first and stays
-            if side == "u" or extractions.count("l") == 2:
-                for k in moved.get(side, ()):
-                    out[k] += 1
-            return out
-        return moved_extract
+    def moved_read(entries, lower):
+        # the tail and the dual tail are read alternately, k = n, ..., 1
+        k, side = len(word) - 1 - len(reads) // 2, len(reads) % 2
+        reads.append(k)
+        c = read(entries, lower)
+        return c + 1 if side == 0 and k in moved.get("l", ()) else c
 
-    monkeypatch.setattr(factorization, "extract_lower", mover("l", extract_lower))
-    monkeypatch.setattr(factorization, "extract_upper", mover("u", extract_upper))
+    def moved_extract(roots, g):
+        out = extract(roots, g)
+        # the dual element's l comes first and stays
+        extractions.append("u" if extractions else "l")
+        if extractions[-1] == "u":
+            for k in moved.get("u", ()):
+                out[k] += 1
+        return out
+
+    monkeypatch.setattr(factorization, "anchor_coordinate", moved_read)
+    monkeypatch.setattr(factorization, "_extract_checked", moved_extract)
     if index is None:
-        with pytest.raises(ArithmeticError, match="read differs from its extraction"):
+        with pytest.raises(ArithmeticError, match="^completed tail 1 does not close"):
             inverse_map("B", 3, word, res.l, res.u)
-        assert extractions == ["l", "l"]
+        assert extractions == ["l"]
         return
     with pytest.raises(ExceptionalSetError) as err:
         inverse_map("B", 3, word, res.l, res.u)

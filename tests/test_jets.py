@@ -415,3 +415,12 @@ def test_three_term_combine_is_two_chained_merges():
         assert_reduced(Jet(ZERO, *out))
     assert _combine() == ({}, 1)
     assert _combine((ZERO, Jet.variables([1])[0]), (ONE, Jet(ONE, {}, 1))) == ({}, 1)
+
+
+def test_jet_hands_an_operand_it_cannot_lift_to_the_other_side():
+    x = Jet.variables([Scalar(1, 0, 2)])[0]
+    for method in (x.__sub__, x.__truediv__):
+        assert method("1") is NotImplemented and method(RadicalScalar(ONE, 2)) is NotImplemented
+    for op in (lambda: x - "1", lambda: x / "1", lambda: x ** 0.5):
+        with pytest.raises(TypeError):
+            op()

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from rootfact import (
+    InvalidInputError,
     Scalar,
     coroot_diag,
     dim,
@@ -34,6 +35,7 @@ from rootfact import (
 from rootfact.jets import Jet
 from rootfact.matrices import anchor_coordinate, exp_terms, peel_left, root_triple
 from rootfact.scalar import I, MINUS_ONE, ONE, ZERO, sc
+from rootfact.selfcheck import run_self_check
 
 from conftest import exact_scalar
 from helpers import mat_transpose
@@ -277,3 +279,24 @@ def test_unit_entries_pass_the_coefficient_through(family, rank):
                 g = [[c] * dim(family, rank) for _ in range(dim(family, rank))]
                 assert anchor_coordinate(entries, g) is c
     assert units
+
+
+def test_form_matrix_is_a_fresh_matrix_per_call():
+    # a caller that writes into its form changes no later caller's
+    form = form_matrix("C", 2)
+    expected = [row[:] for row in form]
+    form[0][3] = ZERO
+    assert form_matrix("C", 2) == expected and form_matrix("C", 2) is not form
+    assert run_self_check()["ok"] is True
+
+
+def test_root_triple_refuses_a_root_that_is_not_positive():
+    for family, rank, root in [("A", 2, (-1, 1, 0)), ("B", 2, (0, 0)), ("C", 2, (0, -2))]:
+        with pytest.raises(InvalidInputError, match=f"not a positive root of {family}{rank}"):
+            root_triple(family, rank, root)
+
+
+def test_mat_inverse_refuses_a_singular_matrix():
+    with pytest.raises(InvalidInputError, match="matrix is singular"):
+        mat_inverse([[ONE, sc(2)], [sc(2), sc(4)]])
+    assert mat_inverse([[ZERO, ONE], [ONE, ZERO]]) == [[ZERO, ONE], [ONE, ZERO]]

@@ -1,15 +1,18 @@
 """The word plan behind the coordinate maps, on random reduced words.
 
-Every map reads one WordPlan per (family, rank, word): the ordering,
-the pairing table tau_k(h_tau_j), the closed-form exponents delta and
-the coroot diagonals.  These tests pin the plan against the direct
-definitions and run the exact identities at B3, C3, D4 and D5 on
-seeded random reduced words rather than the canonical ones.
+Every map reads one WordPlan per (family, rank, word), and the maps
+take their root data from it alone: the ordering, the root triple of
+each tau, the pairing table tau_k(h_tau_j), read off the triples'
+coroot diagonals, and the closed-form exponents delta.  These tests pin
+the plan against the direct definitions, count that a cached plan's
+maps look up no triple, and run the exact identities at B3, C3, D4 and
+D5 on seeded random reduced words rather than the canonical ones.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,8 +53,10 @@ from rootfact import (
     word_plan,
     zeta_from_eta,
 )
+from rootfact import factorization, matrices
 from rootfact.factorization import _word_plan
-from rootfact.matrices import sigma_diag
+from rootfact.linalg import identity, mat_mul
+from rootfact.matrices import sigma, sigma_diag
 from rootfact.serialization import dumps_canonical
 from rootfact.scalar import ONE, Scalar, sc
 
@@ -75,10 +80,11 @@ def test_plan_matches_direct_definitions(family, rank):
         for j in range(n):
             expected = pairing(taus[k], taus[j]) if k < j else 0
             assert plan.table[k][j] == expected
-    for tau, d, diag in zip(taus, plan.deltas, plan.diags):
+    for tau, d, t in zip(taus, plan.deltas, plan.triples):
         assert d == delta(family, rank, tau) == sum(
             simple_coroot_coordinates(family, rank, tau))
-        assert list(diag) == coroot_diag(family, rank, tau)
+        assert t == root_triple(family, rank, tau) and t.root == tau
+        assert list(t.h) == coroot_diag(family, rank, tau)
 
 
 def test_plan_suffix_mul_and_torus_power():
@@ -182,6 +188,64 @@ def test_maps_on_random_reduced_words(family, rank):
     formula = jacobian_det_formula(family, rank, word, pairs)
     assert jacobian_det_double_product(family, rank, word, pairs) == formula
     assert jacobian_det_ad(family, rank, word, pairs) == formula
+
+
+@pytest.mark.parametrize("family,rank", [("A", 12), ("B", 8), ("C", 8), ("D", 8)])
+def test_canonical_ladder(family, rank):
+    # the maps at ranks the other tests leave out, one torus point each;
+    # the dual identity as sigma(g) forward(eta, h_dual) == I, as sigma
+    # inverts with g, so that no inverse of g is needed
+    word = canonical_word(family, rank)
+    rng = random.Random(1)
+    pairs = generic_pairs(rng, len(word))
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, pairs, h=h)
+    assert pairs_equal(inverse_map(family, rank, word, res.l, res.u, h=res.h), pairs)
+    eta, hdual = transpose_dual(family, rank, word, pairs, h=h)
+    dual = forward_map(family, rank, word, eta, h=hdual).matrix
+    assert mat_mul(sigma(family, rank, res.matrix), dual) == identity(len(h))
+    formula = jacobian_det_formula(family, rank, word, pairs)
+    assert jacobian_det_double_product(family, rank, word, pairs) == formula
+    assert jacobian_det_ad(family, rank, word, pairs) == formula
+
+
+def test_cached_plan_maps_look_up_no_triple(monkeypatch):
+    # the maps take every root triple from the plan, so once the plan is
+    # cached a forward, an inverse, a dual and a Jacobian look up none
+    family, rank = "A", 8
+    word = random_reduced_word(family, rank, 11)
+    rng = random.Random("plan/lookups")
+    pairs = generic_pairs(rng, len(word))
+    h = torus_diag(family, rank, rng)
+    res = forward_map(family, rank, word, pairs, h=h)
+    lookups = []
+
+    def counted(*args):
+        lookups.append(args)
+        return root_triple(*args)
+
+    for module in (factorization, matrices):
+        monkeypatch.setattr(module, "root_triple", counted)
+    assert forward_map(family, rank, word, pairs, h=h) == res
+    assert pairs_equal(inverse_map(family, rank, word, res.l, res.u, h=h), pairs)
+    transpose_dual(family, rank, word, pairs, h=h)
+    assert jacobian_det_ad(family, rank, word, pairs) == jacobian_det_formula(family, rank,
+                                                                              word, pairs)
+    assert lookups == []
+    # the wrapper does see lookups: the public extraction still makes one per tau
+    matrices.extract_lower(family, rank, res.taus, identity(len(h)))
+    assert len(lookups) == len(word)
+
+
+@pytest.mark.parametrize("family,rank,h,message", [
+    ("A", 2, [1, 1], "torus diagonal needs 3 entries, got 2"),
+    ("A", 2, [1, 0, 1], "torus entries must be nonzero"),
+    ("B", 2, [2, 1, -1, 1, Fraction(1, 2)], "the middle torus entry must be 1 in family B"),
+], ids=["length", "zero", "b-middle"])
+def test_check_torus_refuses_each_bad_diagonal(family, rank, h, message):
+    plan = word_plan(family, rank, canonical_word(family, rank))
+    with pytest.raises(InvalidInputError, match=message):
+        plan.check_torus(h)
 
 
 @pytest.mark.parametrize("family,rank", COMPACT)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rootfact import InvalidInputError, Scalar, forward_map
 from rootfact.haar import RadicalScalar
 from rootfact.jets import Jet
-from rootfact.scalar import I, ONE, ZERO, sc
+from rootfact.scalar import I, ONE, ZERO, power, sc
 
 from helpers import conjugate, is_real
 
@@ -200,6 +200,13 @@ def test_integer_powers(x, n):
     if n < 0:
         expected = expected.inverse()
     assert x ** n == expected
+
+
+def test_a_power_whose_exponent_is_no_int_is_not_implemented():
+    for n in (0.5, Fraction(1, 2), "2"):
+        assert power(Scalar(4), n, ONE) is NotImplemented
+        with pytest.raises(TypeError):
+            Scalar(4) ** n
 
 
 def triple(x):

@@ -357,3 +357,12 @@ def test_weyl_element_basics():
     assert s1 != identity_element("D", 3)
     assert s1 * s1 == identity_element("D", 3)  # involution
     assert s1.act_root(s1.act_root((0, 1, 1))) == (0, 1, 1)
+
+
+def test_composing_elements_of_different_groups_is_refused():
+    for left, right in [(simple_reflection("A", 2, 1), simple_reflection("A", 3, 1)),
+                        (simple_reflection("B", 2, 1), simple_reflection("C", 2, 1))]:
+        with pytest.raises(InvalidInputError, match="cannot compose elements of different groups"):
+            left * right
+    s1 = simple_reflection("B", 2, 1)
+    assert s1 * s1 == identity_element("B", 2)
