@@ -10,7 +10,9 @@ through serialization.dumps_canonical inside its error handling, so a
 value the encoder refuses is still answered with one error object.
 A handler imports the library modules it runs when it is dispatched,
 so a request loads only those: ordering, validate-ordering,
-canonical-word and count-words never load the matrix code.
+canonical-word and count-words never load the matrix code, nor the
+scalars and the fractions module behind them, and forward, invert and
+dual never load the jets.
 
 count-words counts the reduced words of the longest element without
 listing them; past weyl.MAX_COUNTED_ELEMENTS group elements it answers
@@ -34,8 +36,14 @@ import sys
 from itertools import accumulate
 from operator import mul
 
-from .errors import ExceptionalSetError, InvalidInputError, LibError, StratumError, echo
-from .scalar import digit_limit_error
+from .errors import (
+    ExceptionalSetError,
+    InvalidInputError,
+    LibError,
+    StratumError,
+    digit_limit_error,
+    echo,
+)
 from .serialization import (
     diag_from_json,
     dumps_canonical,

@@ -10,6 +10,8 @@ as kind internal-error with exit code 4.
 
 from __future__ import annotations
 
+import sys
+
 # the longest repr of an offending value that a message repeats whole
 _ECHO_CHARS = 60
 
@@ -49,6 +51,15 @@ class LibError(Exception):
 
 class InvalidInputError(LibError):
     kind = "invalid-input"
+
+
+def digit_limit_error() -> InvalidInputError:
+    """The refusal of an integer past the interpreter's digit limit for
+    int/str conversion, where a scalar is parsed or printed and where the
+    CLI reads its JSON input."""
+    limit = sys.get_int_max_str_digits()
+    return InvalidInputError(f"integer has more than {limit} digits, "
+                             "the interpreter's limit for integer string conversion")
 
 
 class InvalidWordError(LibError):

@@ -39,7 +39,6 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import ExceptionalSetError, InvalidInputError, InvalidWordError, StratumError
-from .jets import Jet, jacobian_det
 from .linalg import identity, ldu, mul_right_i_plus, scale_cols
 from .matrices import (
     _extract_checked,
@@ -92,6 +91,8 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus triples table delta
 
     def jet_pairs(self, pairs) -> list[tuple]:
         """One jet variable per coordinate, all z^- first, then all z^+."""
+        from .jets import Jet
+
         pairs = self.check_pairs(pairs)
         n = len(pairs)
         jets = Jet.variables([sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs])
@@ -367,6 +368,8 @@ def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
     pair k enters as (l_k - c_k, z^+_k), of value the given z^-_k, and l_k =
     z^-_k + c_k is peeled as a constant.  The word is empty (det 1) or one of
     w_0."""
+    from .jets import Jet, jacobian_det
+
     plan = word_plan(family, rank, word).check_longest()
     triples, pairs = plan.triples, plan.scalar_pairs(pairs)
     zplus = Jet.variables([zp for _, zp in pairs])

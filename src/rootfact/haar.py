@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import BranchViolationError, InvalidInputError, echo
 from .factorization import WordPlan, jacobian_det_ad, word_plan
-from .jets import jacobian_det
 from .scalar import ONE, Number, Scalar, _coerce, power, power_product, sc
 
 
@@ -251,6 +250,8 @@ def _jet_compact_chain(plan: WordPlan, pairs):
     perfect rational square so the square-root chain stays inside the
     Gaussian rationals.
     """
+    from .jets import jacobian_det
+
     asq = _y_side_asq(1 - em * ep for em, ep in pairs)
     zeta = _compact_chain(plan, pairs, asq, _jet_sqrt, 1)[0]
     return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))

@@ -14,12 +14,12 @@ coordinate for family A, the last nonzero coordinate for B, C, D.
 
 The exponent delta(root) = rho(h_root) has the closed form
 (2 rho, root) / (root, root), 2 rho being the sum of the positive roots,
-and the simple-root coefficients are closed forms too (see _coefficients).
+and the simple-root coefficients are closed forms too (see _coefficients),
+in ints: the halves that C and D take are exact on the root lattice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -109,7 +109,8 @@ def pairing(beta: Root, alpha: Root) -> int:
 
 
 def _coefficients(family: str, rank: int, vector: Root) -> list:
-    """Rational coefficients of ``vector`` over the simple roots.
+    """Coefficients of ``vector`` over the simple roots, ints on the root
+    lattice and a Fraction for an odd C or D half outside it.
 
     From the fundamental coweights (Bourbaki, Lie Groups and Lie
     Algebras, Ch. VI, Plates I-IV): for A the prefix sums of the
@@ -127,10 +128,19 @@ def _coefficients(family: str, rank: int, vector: Root) -> list:
         return sums
     sums = list(accumulate(reversed(vector)))[::-1]
     if family == "C":
-        sums[0] = Fraction(sums[0], 2)
+        sums[0] = _half(sums[0])
     elif family == "D":
-        sums[0], sums[1] = Fraction(sums[1] + vector[0], 2), Fraction(sums[1] - vector[0], 2)
+        sums[0], sums[1] = _half(sums[1] + vector[0]), _half(sums[1] - vector[0])
     return sums
+
+
+def _half(total: int):
+    """total / 2, an int when exact; ``_integral`` refuses an odd half."""
+    if total % 2:
+        from fractions import Fraction
+
+        return Fraction(total, 2)
+    return total // 2
 
 
 def _integral(coeffs, message: str) -> tuple[int, ...]:

@@ -21,21 +21,14 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 
-from .errors import InvalidInputError, echo
+from .errors import InvalidInputError, digit_limit_error, echo
 
 _PART = r"[+-]?\d+(?:/\d+)?"
 _RE_REAL = re.compile(rf"^({_PART})$")
 _RE_IMAG = re.compile(rf"^({_PART})\*i$")
 _RE_BOTH = re.compile(rf"^({_PART})([+-]\d+(?:/\d+)?)\*i$")
-
-
-def digit_limit_error() -> InvalidInputError:
-    limit = sys.get_int_max_str_digits()
-    return InvalidInputError(f"integer has more than {limit} digits, "
-                             "the interpreter's limit for integer string conversion")
 
 
 def _frac(text: str) -> Fraction:

@@ -8,6 +8,11 @@ equal bytes.  A Scalar prints as its canonical string ("p/q+r/s*i"), a
 tuple as a list; any other value is a TypeError.  Plain JSON integers
 are accepted on input.  Floats are rejected everywhere: this package
 has no inexact numbers.
+
+Scalar is imported where it is first needed, in the encoder's hook for
+non-JSON values and in the scalar readers, so a payload of plain JSON
+data is encoded and read without loading ``rootfact.scalar`` and the
+``fractions`` module behind it.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from __future__ import annotations
 import json
 
 from .errors import InvalidInputError, echo
-from .scalar import Scalar
 
 
 def _scalar(x) -> str:
+    from .scalar import Scalar
+
     if isinstance(x, Scalar):
         return str(x)
     raise TypeError(f"cannot encode {type(x).__name__} as canonical JSON")
@@ -28,7 +34,9 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_scalar) + "\n"
 
 
-def scalar_from_json(v) -> Scalar:
+def scalar_from_json(v):
+    from .scalar import Scalar
+
     if isinstance(v, bool):
         raise InvalidInputError(f"not a scalar: {v!r}")
     if isinstance(v, int):

@@ -34,7 +34,7 @@ from rootfact import (
     unit_jacobian_check,
     zeta_from_eta,
 )
-from rootfact import factorization, haar
+from rootfact import factorization, haar, jets
 from rootfact.scalar import ONE, sc
 
 from conftest import branch_pairs, exact_scalar, generic_pairs, pythagorean_pair
@@ -396,8 +396,9 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     # the pullback and the unit ratio reach the jet forward only through
     # jacobian_det_ad, whose n variables are the unit seeds z^+_1, ..., z^+_n:
     # pair k joins as (l_k - c_k, z^+_k), the partials of its z^- all in
-    # later variables, and the determinant has n columns
-    join, jacobian_det = factorization._join_pair, factorization.jacobian_det
+    # later variables, and the determinant has n columns; the compact jet
+    # chain before it, the other reader of jets.jacobian_det, has 2n
+    join, jacobian_det = factorization._join_pair, jets.jacobian_det
     joins, widths = [], []
 
     def unit_seeds_only(t, factors, pair):
@@ -412,7 +413,7 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
         return jacobian_det(outputs, width)
 
     monkeypatch.setattr(factorization, "_join_pair", unit_seeds_only)
-    monkeypatch.setattr(factorization, "jacobian_det", n_columns)
+    monkeypatch.setattr(jets, "jacobian_det", n_columns)
     word = random_reduced_word("B", 3, 4)
     eta = branch_pairs(random.Random("haar/unit-seeds"), len(word))
     det = ONE
@@ -421,7 +422,8 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     for call, expected in ((lebesgue_pullback_det, det), (unit_jacobian_check, ONE)):
         monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
         assert call("B", 3, word, eta) == expected
-    assert widths == [len(word)] * 2 and joins == list(range(len(word) - 1, -1, -1)) * 2
+    assert widths == [2 * len(word), len(word)] * 2
+    assert joins == list(range(len(word) - 1, -1, -1)) * 2
 
 
 def test_sqrt_of_off_the_branch_and_the_inverse_of_zero_raise():

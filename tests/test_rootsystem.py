@@ -21,7 +21,7 @@ from rootfact import (
     simple_root_coordinates,
     simple_roots,
 )
-from rootfact.rootsystem import MAX_RANK, check_family_rank
+from rootfact.rootsystem import MAX_RANK, _coefficients, check_family_rank
 
 from helpers import coroot, simple_coroot_coordinates
 
@@ -260,3 +260,34 @@ def test_pairing_with_zero_vector_has_no_coroot():
     with pytest.raises(InvalidInputError, match="the zero vector has no coroot"):
         pairing((1, 0), (0, 0))
     assert pairing((0, 0), (1, -1)) == 0
+
+
+# -- the C and D halves stay in the integers ----------------------------
+
+HALF_CONFIGS = ([("A", r) for r in range(2, 9)] + [("B", r) for r in range(2, 9)]
+                + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)])
+
+
+@pytest.mark.parametrize("family,rank", HALF_CONFIGS)
+def test_root_coefficients_are_plain_ints(family, rank):
+    for root in positive_roots(family, rank):
+        coeffs = simple_root_coordinates(family, rank, root)
+        assert all(type(c) is int for c in _coefficients(family, rank, root)), root
+        assert all(type(c) is int for c in coeffs), root
+        assert all(c >= 0 for c in coeffs) and any(coeffs), root
+        assert type(height(family, rank, root)) is int
+        assert height(family, rank, root) == sum(coeffs)
+
+
+@pytest.mark.parametrize("family,vector,halves", [
+    ("C", (1, 0, 2), [Fraction(3, 2), 2, 2]),
+    ("D", (1, 0, 2), [Fraction(3, 2), Fraction(1, 2), 2]),
+    ("D", (0, -1, 0), [Fraction(-1, 2), Fraction(-1, 2), 0]),
+], ids=["C", "D", "D-negative"])
+def test_an_odd_half_is_refused_with_the_lattice_message(family, vector, halves):
+    assert _coefficients(family, 3, vector) == halves
+    message = f"{vector!r} is not in the root lattice of {family}3"
+    for fn in (simple_root_coordinates, height):
+        with pytest.raises(InvalidInputError) as err:
+            fn(family, 3, vector)
+        assert str(err.value) == message

@@ -3,8 +3,10 @@
 ``import rootfact`` loads none of the package's modules; each exported
 name loads its defining module on first access, and a command-line
 handler imports the modules it runs when it is dispatched.  So the
-word requests never load the matrix code, and nothing on a start-up
-path loads ``dataclasses`` (with ``inspect`` and ``ast`` behind it):
+word requests never load the matrix code, nor ``rootfact.scalar`` and
+the ``fractions`` module behind it; the maps load ``rootfact.jets``
+only for a Jacobian; and nothing on a start-up path loads
+``dataclasses`` (with ``inspect`` and ``ast`` behind it):
 the five record classes are named tuples, which keep the dataclasses'
 fields, keyword construction, equality, hashing and immutability.
 """
@@ -46,6 +48,8 @@ print(json.dumps([rc, sorted(sys.modules)]))
 # modules no word request needs
 MATRIX_CODE = {"rootfact.factorization", "rootfact.linalg", "rootfact.matrices",
                "rootfact.jets", "rootfact.haar", "rootfact.selfcheck", "dataclasses"}
+# the exact numbers, which no word request needs either
+NUMBER_CODE = {"rootfact.scalar", "fractions", "decimal"}
 
 
 def loaded_modules(code: str, argv=(), stdin: str = "") -> tuple[int, set]:
@@ -74,6 +78,7 @@ def test_word_requests_load_no_matrix_code(argv, stdin):
     rc, modules = loaded_modules(PROBE, argv, stdin)
     assert rc == 0
     assert modules & MATRIX_CODE == set()
+    assert modules & NUMBER_CODE == set()
 
 
 def test_forward_loads_neither_haar_nor_selfcheck():
@@ -83,6 +88,31 @@ def test_forward_loads_neither_haar_nor_selfcheck():
     assert rc == 0
     assert "rootfact.factorization" in modules
     assert modules & {"rootfact.haar", "rootfact.selfcheck", "dataclasses"} == set()
+
+
+A2_PAIRS = '{"pairs": [[1, 2], [3, 1], [1, 5]]}'
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["forward", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"], A2_PAIRS),
+    (["invert", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"],
+     '{"l": [1, 0, 1], "u": [2, 1, -1]}'),
+    (["dual", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"], A2_PAIRS),
+], ids=["forward", "invert", "dual"])
+def test_map_requests_load_no_jets(argv, stdin):
+    rc, modules = loaded_modules(PROBE, argv, stdin)
+    assert rc == 0
+    assert {"rootfact.factorization", "rootfact.scalar"} <= modules
+    assert "rootfact.jets" not in modules
+
+
+def test_jacobian_loads_jets():
+    rc, modules = loaded_modules(
+        PROBE, ["jacobian", "--family", "A", "--rank", "2", "--word", "1,2,1", "--input", "-"],
+        A2_PAIRS)
+    assert rc == 0
+    assert "rootfact.jets" in modules
+    assert modules & {"rootfact.haar", "rootfact.selfcheck"} == set()
 
 
 # the names the package exported when it imported every module eagerly
