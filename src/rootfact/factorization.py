@@ -89,15 +89,6 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus triples table delta
             raise InvalidWordError(f"word {self.word!r} is not a word of the longest element")
         return self
 
-    def jet_pairs(self, pairs) -> list[tuple]:
-        """One jet variable per coordinate, all z^- first, then all z^+."""
-        from .jets import Jet
-
-        pairs = self.check_pairs(pairs)
-        n = len(pairs)
-        jets = Jet.variables([sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs])
-        return [(jets[k], jets[n + k]) for k in range(n)]
-
     def check_torus(self, h) -> list:
         """Validate diagonal torus entries for the family's realization."""
         n = dim(self.family, self.rank)

@@ -11,10 +11,13 @@ are square roots of rationals, so the conversions, one chain run both ways,
 go over RadicalScalar values c * sqrt(q), Gaussian-rational c, integer q > 0.
 
 The pullback section takes det d(l, u)/dy by the chain rule: det d(zeta)/dy
-from one jet run of the compact change (closed form prod a_j^4) times
-jacobian_det_ad at its zeta values (prod a_j^(2 delta_j - 2)), in all
-prod a_j^(2 delta_j + 2); the unit-ratio identity
-|det|^2 = prod (a_j^2)^(2 delta_j + 2) is the volume-preservation
+(closed form prod a_j^4) times jacobian_det_ad at its zeta values
+(prod a_j^(2 delta_j - 2)), in all prod a_j^(2 delta_j + 2).  Pair j of the
+compact change reads y_j and the a_k of k > j only, so d(zeta)/dy taken pair
+by pair is block upper triangular and its determinant is exactly the product
+of its 2 x 2 diagonal blocks, each from jets in that pair's two coordinates
+at Scalar values, the a_k taken as exact square roots.  The unit-ratio
+identity |det|^2 = prod (a_j^2)^(2 delta_j + 2) is the volume-preservation
 content of the compact picture.
 """
 
@@ -243,23 +246,36 @@ def _simplify(x: RadicalScalar):
 
 
 def _jet_compact_chain(plan: WordPlan, pairs):
-    """(zeta, det d(zeta)/d(y)) along the compact change of ``plan.jet_pairs``:
-    the jet-valued zeta pairs and the determinant of their partials.
+    """(zeta, det d(zeta)/d(y)) of the compact change at the Scalar pairs y:
+    the zeta pairs and the determinant of their partials.
 
-    Every 1 - y_j^- y_j^+ must be real positive, and its value must be a
-    perfect rational square so the square-root chain stays inside the
-    Gaussian rationals.
+    Pair j maps to (y_j^- / C_j, y_j^+ (1 - y_j^- y_j^+)^(-1) C_j) with
+    C_j = prod_{k>j} a_k^(tau_j(h_tau_k)), so it reads y_j and the a_k of
+    k > j only: taken pair by pair, d(zeta)/dy is block upper triangular and
+    its determinant is exactly the product of the 2 x 2 diagonal blocks.
+    Each block is the Jacobian of pair j over jets in y_j^- and y_j^+ alone,
+    with C_j held constant.  Every 1 - y_j^- y_j^+ must be real positive,
+    and its value must be a perfect rational square so each a_j is a
+    Gaussian rational.
     """
-    from .jets import jacobian_det
+    from .jets import Jet, jacobian_det
 
     asq = _y_side_asq(1 - em * ep for em, ep in pairs)
-    zeta = _compact_chain(plan, pairs, asq, _jet_sqrt, 1)[0]
-    return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
+    a = [_exact_sqrt(v) for v in asq]
+    zeta, blocks = [], []
+    for j, pair in enumerate(pairs):
+        c = plan.suffix_product(j, a)
+        ym, yp = Jet.variables(pair)
+        # y^+ C / (1 - y^- y^+) as (-C y^+) / (y^- y^+ - 1): one jet op fewer
+        zm, zp = ym * c.inverse(), yp * -c / (ym * yp - 1)
+        zeta.append((zm.val, zp.val))
+        blocks.append((jacobian_det([zm, zp], 2), 1))
+    return zeta, power_product(blocks)
 
 
-def _jet_sqrt(v):
+def _exact_sqrt(v: Scalar) -> Scalar:
     try:
-        return v.sqrt()
+        return v.sqrt_exact()
     except InvalidInputError as exc:
         raise InvalidInputError("the exact jet chain needs every 1 - y^- y^+ to be a perfect "
                                 "rational square") from exc
@@ -269,11 +285,12 @@ def eta_change_jacobian_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     """det of d(zeta)/d(y) for the compact coordinate change, by jets.
 
     Equals prod_j a_j^4 on the positive branch: pair j of the change only
-    feeds on pairs k >= j, so the matrix is block triangular with 2 x 2
-    diagonal blocks of determinant a_j^4.
+    feeds on pairs k >= j, so the matrix is block triangular and the
+    determinant is the product of its 2 x 2 diagonal blocks, each a_j^4,
+    each taken over jets in that pair's two coordinates.
     """
     plan = word_plan(family, rank, word)
-    return _jet_compact_chain(plan, plan.jet_pairs(eta_pairs))[1]
+    return _jet_compact_chain(plan, plan.scalar_pairs(eta_pairs))[1]
 
 
 # [((family, rank, word, point), det)] of the last pullback, one slot read and
@@ -290,12 +307,12 @@ def lebesgue_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     positive branch, as 1 + z^- z^+ = a^2, so prod_j a_j^(2 delta_j + 2).
     """
     plan = word_plan(family, rank, word).check_longest()
-    pairs = plan.jet_pairs(eta_pairs)
-    key = (plan.family, plan.rank, plan.word, [(a.val, b.val) for a, b in pairs])
+    pairs = plan.scalar_pairs(eta_pairs)
+    key = (plan.family, plan.rank, plan.word, pairs)
     last_key, det = _last_pullback[0]
     if last_key != key:
         zeta, change = _jet_compact_chain(plan, pairs)
-        det = change * jacobian_det_ad(family, rank, word, [(m.val, p.val) for m, p in zeta])
+        det = change * jacobian_det_ad(family, rank, word, zeta)
         _last_pullback[0] = key, det
     return det
 

@@ -1,10 +1,12 @@
 """Oracles that only the tests call: coroots and their coefficients over
 the simple coroots, the length of a Weyl element, the matrix transpose,
 the Scalar views of a jet's partials, constant jets, the real part
-test and conjugate of a Scalar, the jet forward (l, u) in all 2n
-coordinates, and the compact pullback as one determinant of the whole
-jet chain.  The library computes none of these on its own paths, so
-they live here, built on its closed forms and stored forms.
+test and conjugate of a Scalar, jets in all 2n coordinates of a word's
+pairs, the jet forward (l, u) in all of them, the compact change over
+those 2n-wide jets with its full 2n x 2n determinant, and the compact
+pullback as one determinant of the whole jet chain.  The library
+computes none of these on its own paths, so they live here, built on
+its closed forms and stored forms.
 """
 
 from __future__ import annotations
@@ -78,11 +80,29 @@ def forward_coords_jets(plan, pairs):
     return extract_lower(family, rank, taus, factors[0]), extract_upper(family, rank, taus, factors[1])
 
 
+def jet_pairs(plan, pairs) -> list[tuple]:
+    """One jet variable per coordinate, all z^- first, then all z^+."""
+    pairs = plan.check_pairs(pairs)
+    n = len(pairs)
+    jets = Jet.variables([sc(p[0]) for p in pairs] + [sc(p[1]) for p in pairs])
+    return [(jets[k], jets[n + k]) for k in range(n)]
+
+
+def wide_compact_chain(plan, eta_pairs):
+    """(zeta jets, det d(zeta)/dy) of the compact change y -> zeta run whole
+    over jets in all 2n coordinates, with the full 2n x 2n determinant: the
+    reference for the library's product of 2 x 2 diagonal blocks."""
+    pairs = jet_pairs(plan, eta_pairs)
+    asq = haar._y_side_asq(1 - em * ep for em, ep in pairs)
+    zeta = haar._compact_chain(plan, pairs, asq, Jet.sqrt, 1)[0]
+    return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
+
+
 def composite_pullback_det(family: str, rank: int, word, eta_pairs) -> Scalar:
     """det d(l, u)/dy of the composite y -> zeta -> (l, u) as one determinant:
-    the compact chain's zeta jets, whose seeds are not unit seeds, go
+    the wide compact chain's zeta jets, whose seeds are not unit seeds, go
     through the jet forward whole."""
     plan = word_plan(family, rank, word)
-    zeta = haar._jet_compact_chain(plan, plan.jet_pairs(eta_pairs))[0]
+    zeta = wide_compact_chain(plan, eta_pairs)[0]
     lcoords, ucoords = forward_coords_jets(plan, zeta)
     return jacobian_det(lcoords + ucoords, 2 * len(zeta))

@@ -20,7 +20,10 @@ parallel.  A mutant is killed when the tests fail or time out, and
 survives when they pass; a run is cut after five minutes, and each
 child may map at most 512 MiB, so a mutant that makes the tests grow
 without bound fails on a MemoryError instead of filling the machine.  The
-unmutated copy runs first and must pass.  One line per mutant goes to
+unmutated copy runs first and must pass.  Standard error first says how
+many mutants were drawn against how many were asked for, and how many
+compilable sites the chosen modules have, as a count above that number
+is cut to it.  One line per mutant goes to
 standard output, then the kill rate per module, and apart for its
 operator sites and its boolean sites.  Pytest does not
 collect this file; a sweep takes minutes.
@@ -70,11 +73,12 @@ def mutate(text: str, line: int, col: int, old: str, new: str) -> str:
 
 
 def sample(modules, count: int, seed: int):
-    """The first ``count`` shuffled sites whose mutant compiles, with it."""
+    """(the first ``count`` shuffled sites whose mutant compiles, each with
+    its text; how many of all the sites compile)."""
     pool = [s for m in modules for s in sites(m)]
     random.Random(seed).shuffle(pool)
     texts = {m: (ROOT / PACKAGE / f"{m}.py").read_text() for m in modules}
-    out = []
+    out, compilable = [], 0
     for site in pool:
         module, line, col, old, new = site
         text = mutate(texts[module], line, col, old, new)
@@ -82,10 +86,10 @@ def sample(modules, count: int, seed: int):
             compile(text, f"{module}.py", "exec")
         except SyntaxError:  # say, *args turned into //args
             continue
-        out.append((site, text))
-        if len(out) == count:
-            break
-    return out
+        compilable += 1
+        if len(out) < count:
+            out.append((site, text))
+    return out, compilable
 
 
 def _limit_memory() -> None:
@@ -118,7 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     modules = args.modules or sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py"))
-    mutants = sample(modules, args.count, args.seed)
+    mutants, compilable = sample(modules, args.count, args.seed)
+    print(f"drew {len(mutants)} of the {args.count} mutants asked for; the chosen modules "
+          f"({', '.join(modules)}) have {compilable} compilable sites", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="rootfact-mutants-") as tmp:
         copy = Path(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(

@@ -32,13 +32,14 @@ from rootfact import (
     ordering_from_word,
     random_reduced_word,
     unit_jacobian_check,
+    word_plan,
     zeta_from_eta,
 )
 from rootfact import factorization, haar, jets
 from rootfact.scalar import ONE, sc
 
 from conftest import branch_pairs, exact_scalar, generic_pairs, pythagorean_pair
-from helpers import composite_pullback_det, is_real
+from helpers import composite_pullback_det, is_real, wide_compact_chain
 
 A2 = ("A", 2, (1, 2, 1))
 B2 = ("B", 2, (1, 2, 1, 2))
@@ -373,6 +374,31 @@ def test_pullback_matches_the_composite_jet_chain(monkeypatch, family, rank):
             family, rank, word, eta)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_change_det_is_the_product_of_its_diagonal_blocks(family, rank):
+    # the library takes det d(zeta)/dy as a product of 2 x 2 blocks; the
+    # reference runs the whole change over jets in all 2n coordinates and
+    # takes the 2n x 2n determinant, at a real point and at one with an
+    # imaginary pair, on the canonical word and two random ones
+    rng = random.Random(f"haar/blocks/{family}{rank}")
+    for word in [canonical_word(family, rank)] + [random_reduced_word(family, rank, s) for s in (1, 2)]:
+        plan = word_plan(family, rank, word)
+        n = len(word)
+        imaginary = branch_pairs(rng, n)
+        imaginary[rng.randrange(n)] = (Scalar(0, 3, 5), Scalar(0, -3, 5))
+        for eta in (branch_pairs(rng, n), imaginary):
+            zeta, det = wide_compact_chain(plan, eta)
+            assert eta_change_jacobian_det(family, rank, word, eta) == det
+            assert haar._jet_compact_chain(plan, plan.scalar_pairs(eta))[0] == [
+                (zm.val, zp.val) for zm, zp in zeta]
+            # the premise: pair j of zeta moves with pair j and only with the
+            # pairs k >= j, variables k and n + k, and some pair moves with a
+            # later one, so the blocks above the diagonal are not all zero
+            reads = [{k % n for z in pair for k in z.nums} for pair in zeta]
+            assert all(min(r) == j for j, r in enumerate(reads))
+            assert any(len(r) > 1 for r in reads)
+
+
 @pytest.mark.parametrize("family,rank,word", [("A", 4, (1, 2)), ("A", 3, (1, 3)),
                                               ("D", 3, (1, 2, 3, 2))])
 def test_pullback_refuses_a_word_shorter_than_w0(monkeypatch, family, rank, word):
@@ -397,7 +423,8 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     # jacobian_det_ad, whose n variables are the unit seeds z^+_1, ..., z^+_n:
     # pair k joins as (l_k - c_k, z^+_k), the partials of its z^- all in
     # later variables, and the determinant has n columns; the compact jet
-    # chain before it, the other reader of jets.jacobian_det, has 2n
+    # chain before it, the other reader of jets.jacobian_det, takes one
+    # 2-column determinant per pair, its diagonal block
     join, jacobian_det = factorization._join_pair, jets.jacobian_det
     joins, widths = [], []
 
@@ -422,7 +449,7 @@ def test_jet_forward_runs_only_on_unit_seeds(monkeypatch):
     for call, expected in ((lebesgue_pullback_det, det), (unit_jacobian_check, ONE)):
         monkeypatch.setattr(haar, "_last_pullback", [(None, None)])
         assert call("B", 3, word, eta) == expected
-    assert widths == [2 * len(word), len(word)] * 2
+    assert widths == ([2] * len(word) + [len(word)]) * 2
     assert joins == list(range(len(word) - 1, -1, -1)) * 2
 
 
