@@ -160,7 +160,7 @@ def _product_matrix(triples, pairs, h, g=None):
     for t, (zm, zp) in zip(reversed(triples), reversed(pairs)):
         g = mul_right_i_plus(g, exp_terms(t.xf, t.f2, zm))
         g = mul_right_i_plus(g, exp_terms(t.xe, t.e2, zp))
-    return [[v * h[j] for j, v in enumerate(row)] for row in g]
+    return scale_cols(g, h)
 
 
 def forward_map(family: str, rank: int, word, pairs, h=None) -> ForwardResult:

@@ -232,8 +232,8 @@ def _on_branch(values, what: str) -> list:
     """The values in order, each required to be real positive."""
     out = []
     for k, v in enumerate(values, start=1):
-        if not v.val.is_positive_real():
-            raise BranchViolationError(f"{what} must be real positive at pair {k}, got {v.val}")
+        if not v.is_positive_real():
+            raise BranchViolationError(f"{what} must be real positive at pair {k}, got {v}")
         out.append(v)
     return out
 

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidInputError
 from .linalg import det_exact
 from .scalar import MINUS_ONE, ONE, ZERO, Number, Scalar, _coerce, _red, power, sc
-
-_HALF = Scalar(1, 0, 2)
 
 
 def _times(ca: int, cb: int, x: dict) -> dict:
@@ -150,13 +147,6 @@ class Jet(Number):
 
     def __hash__(self):
         return hash((self.val, self.den, frozenset(self.nums.items())))
-
-    def sqrt(self) -> "Jet":
-        """Exact square root; the value must be a perfect rational square."""
-        r = self.val.sqrt_exact()
-        if r.is_zero():
-            raise InvalidInputError("jet sqrt at zero is singular")
-        return Jet(r, *_combine((_HALF / r, self)))
 
     def __repr__(self):
         return f"Jet({self.val}; {self.nums}/{self.den})"

@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of numbers in the sense of
 ``scalar.Number``, so Scalar and Jet matrices share every routine here.
-The determinant takes Scalar matrices only: it peels singleton lines and
-eliminates the rest over reduced Gaussian-rational (a, b, d) triples.
+The determinant takes Scalar matrices only: it is one Gaussian elimination
+over reduced Gaussian-rational (a, b, d) triples.
 """
 
 from __future__ import annotations
@@ -65,17 +65,20 @@ def mul_right_i_plus(g, terms):
     return g
 
 
+def _check_square(x):
+    """InvalidInputError unless every row of x has as many entries as x has rows."""
+    if any(len(row) != len(x) for row in x):
+        raise InvalidInputError("matrix is not square")
+
+
 def mat_inverse(x):
-    """Exact inverse via Gauss-Jordan; InvalidInputError when singular."""
+    """Exact inverse via Gauss-Jordan; InvalidInputError when singular or not square."""
+    _check_square(x)
     n = len(x)
     a = mat_copy(x)
     inv = identity(n)
     for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not a[i][k].val.is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(k, n) if not a[i][k].val.is_zero()), None)
         if piv is None:
             raise InvalidInputError("matrix is singular")
         if piv != k:
@@ -96,49 +99,9 @@ def mat_inverse(x):
 
 
 def det_exact(x) -> Scalar:
-    """Determinant of a Scalar matrix, singleton lines peeled first.
-
-    A row or column with one nonzero left is a 1x1 diagonal block: the
-    entry joins the product and its row and column leave, which can leave
-    other lines with one entry, or none (det x is then an exact zero); a
-    worklist keeps this linear in the nonzeros.  The rest goes to
-    ``_eliminate`` with rows and columns in their original relative order,
-    times the sign of the permutation pairing peeled rows with their
-    columns and the rest in order.  The peeled product is carried as a
-    Gaussian-integer numerator over an integer denominator, and so is the
-    product of the core's pivots; the two are reduced once, together."""
-    n = len(x)
-    # lines: row i is i, column j is n + j; adj lists the other side's lines
-    adj = [[n + j for j, v in enumerate(row) if v.a or v.b] for row in x] + [[] for _ in x]
-    for i in range(n):
-        for j in adj[i]:
-            adj[j].append(i)
-    left, live = [len(a) for a in adj], [True] * (2 * n)
-    work = [k for k in range(2 * n) if left[k] == 1]
-    na, nb, nd, sigma = 1, 0, 1, [0] * n
-    while work:
-        k = work.pop()
-        if live[k]:
-            o = next(o for o in adj[k] if live[o])
-            i, j = min(k, o), max(k, o) - n
-            v, sigma[i], live[k], live[o] = x[i][j], j, False, False
-            na, nb, nd = na * v.a - nb * v.b, na * v.b + nb * v.a, nd * v.d
-            for p in adj[o]:
-                if live[p]:
-                    left[p] -= 1
-                    if not left[p]:
-                        return ZERO
-                    if left[p] == 1:
-                        work.append(p)
-    rows = [i for i in range(n) if live[i]]
-    cols = [j for j in range(n) if live[n + j]]
-    for i, j in zip(rows, cols):
-        sigma[i] = j
-    ca, cb, cd = _eliminate([[x[i][j] for j in cols] for i in rows])
-    # times the sign of sigma, by its inversions in O(n^2) as for the pattern
-    if sum(a > b for k, a in enumerate(sigma) for b in sigma[k + 1:]) % 2:
-        na, nb = -na, -nb
-    return _red(na * ca - nb * cb, na * cb + nb * ca, nd * cd)
+    """Determinant of a square Scalar matrix, by ``_eliminate``, reduced once."""
+    _check_square(x)
+    return _red(*_eliminate(x))
 
 
 def _eliminate(x):
@@ -195,10 +158,11 @@ def _eliminate(x):
 def ldu(g):
     """Factor g = L @ diag(d) @ U with unipotent triangular L, U.
 
-    Raises InvalidInputError when g is singular, StratumError with the
-    1-based pivot position when g is invertible but some leading
+    Raises InvalidInputError when g is singular or not square, StratumError
+    with the 1-based pivot position when g is invertible but some leading
     principal minor vanishes.
     """
+    _check_square(g)
     n = len(g)
     a = mat_copy(g)
     lower = identity(n)

@@ -2,11 +2,11 @@
 the simple coroots, the length of a Weyl element, the matrix transpose,
 the Scalar views of a jet's partials, constant jets, the real part
 test and conjugate of a Scalar, jets in all 2n coordinates of a word's
-pairs, the jet forward (l, u) in all of them, the compact change over
-those 2n-wide jets with its full 2n x 2n determinant, and the compact
-pullback as one determinant of the whole jet chain.  The library
-computes none of these on its own paths, so they live here, built on
-its closed forms and stored forms.
+pairs, the jet forward (l, u) in all of them, an exact jet square root,
+the compact change over those 2n-wide jets with its full 2n x 2n
+determinant, and the compact pullback as one determinant of the whole
+jet chain.  The library computes none of these on its own paths, so
+they live here, built on its closed forms and stored forms.
 """
 
 from __future__ import annotations
@@ -88,13 +88,20 @@ def jet_pairs(plan, pairs) -> list[tuple]:
     return [(jets[k], jets[n + k]) for k in range(n)]
 
 
+def jet_sqrt(x: Jet) -> Jet:
+    """The exact square root of a jet whose value is a perfect rational
+    square r^2: (x + r^2) / (2r) has the value r and the partials dx / (2r)."""
+    r = x.val.sqrt_exact()
+    return (x + r * r) / (2 * r)
+
+
 def wide_compact_chain(plan, eta_pairs):
     """(zeta jets, det d(zeta)/dy) of the compact change y -> zeta run whole
     over jets in all 2n coordinates, with the full 2n x 2n determinant: the
     reference for the library's product of 2 x 2 diagonal blocks."""
     pairs = jet_pairs(plan, eta_pairs)
-    asq = haar._y_side_asq(1 - em * ep for em, ep in pairs)
-    zeta = haar._compact_chain(plan, pairs, asq, Jet.sqrt, 1)[0]
+    asq = [1 / (1 - em * ep) for em, ep in pairs]
+    zeta = haar._compact_chain(plan, pairs, asq, jet_sqrt, 1)[0]
     return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
 
 

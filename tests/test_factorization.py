@@ -172,6 +172,20 @@ def test_ldu_stratum_failures():
         assert info.value.index == 2
 
 
+@pytest.mark.parametrize("fn", [det_exact, ldu, mat_inverse])
+@pytest.mark.parametrize("shape", ["wide", "tall", "ragged"])
+def test_a_matrix_that_is_not_square_is_refused(fn, shape):
+    # each of them would otherwise read the leading square block, or run
+    # off a short row, and answer for a matrix that has no determinant
+    g = {
+        "wide": [[ONE, Scalar(2), ONE], [Scalar(3), ONE, ZERO]],
+        "tall": [[ONE, Scalar(2)], [Scalar(3), ONE], [ONE, ZERO]],
+        "ragged": [[ONE, Scalar(2)], [Scalar(3)]],
+    }[shape]
+    with pytest.raises(InvalidInputError, match="matrix is not square"):
+        fn(g)
+
+
 def test_principal_minors_and_rank():
     g = [[Scalar(2), ONE, ZERO], [ONE, Scalar(2), ONE], [ZERO, ONE, Scalar(2)]]
     assert principal_minor(g, 1) == Scalar(2)
@@ -243,7 +257,7 @@ def block_triangular(rng: random.Random, sizes, density: float):
 
 
 @pytest.mark.parametrize("density", [0.15, 0.3, 0.6, 1.0])
-def test_det_exact_matches_elimination(density, monkeypatch):
+def test_det_exact_matches_elimination(density):
     # sparse matrices leave rows untouched for many steps and need row
     # swaps; one case in five has a zero leading pivot, two are singular
     rng = random.Random(f"det/{density}")
@@ -284,12 +298,10 @@ def test_det_exact_matches_elimination(density, monkeypatch):
         if case == 3 or (case == 2 and n > 2):
             assert det_exact(g) == ZERO
         assert det_exact(g) == elimination_det(g)
-    # patterns for the peel, shuffled: rows that reach one entry only as
-    # the rows peeled before them take their columns away, the same for
-    # columns, both chains around one dense core, 2 x 2 blocks with
-    # nothing to peel, and a row or a column that peeling empties; the
-    # sizes _eliminate receives show what was peeled
-    sizes = core_sizes(monkeypatch)
+    # triangular chains, shuffled: row i with one entry outside columns
+    # 0 .. i - 1, the same for columns, both chains around one dense
+    # core, dense 2 x 2 diagonal blocks, and a chain whose rows 0 .. k
+    # have their nonzeros in k columns, so the det is zero
     for trial in range(40):
         k, case = 1 + trial % 4, trial % 5
         core = [[exact_scalar(rng) + Scalar(5) for _ in range(2 + trial % 3)]
@@ -307,16 +319,14 @@ def test_det_exact_matches_elimination(density, monkeypatch):
             if trial % 2:
                 g = mat_transpose(g)
         g = permuted(rng, g, odd=trial % 2 == 1)
-        sizes.clear()
         det = det_exact(g)
         assert det == elimination_det(g)
-        assert sizes == ([[len(core)]] * 3 + [[2 * k], []])[case]
         if case == 4:
             assert det == ZERO
 
 
 def core_sizes(monkeypatch) -> list:
-    """The sizes of the cores ``_eliminate`` receives from now on."""
+    """The sizes of the matrices ``_eliminate`` receives from now on."""
     sizes = []
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda x: sizes.append(len(x)) or eliminate(x))
@@ -325,9 +335,8 @@ def core_sizes(monkeypatch) -> list:
 
 def row_chain(rng: random.Random, k: int, core):
     """Block lower-triangular: k 1 x 1 blocks, then core, with every entry
-    below the diagonal blocks nonzero, so that row 0 has one entry and
-    row i only once rows 0 .. i - 1 are peeled, and no column outside the
-    core has fewer than two."""
+    below the diagonal blocks nonzero, so that row i has one entry outside
+    columns 0 .. i - 1, and no column outside the core fewer than two."""
     n = k + len(core)
     g = [[exact_scalar(rng) + Scalar(5) if j <= i else ZERO for j in range(n)]
          for i in range(n)]
@@ -346,8 +355,9 @@ def block_diagonal_pairs(rng: random.Random, k: int):
 
 
 def test_det_exact_of_a_deep_shuffled_bidiagonal():
-    # a chain of 1500 one-by-one blocks: the peel's worklist frees one
-    # line per step, and finds each in time linear in the nonzeros
+    # a chain of 1500 one-by-one blocks, shuffled: a large sparse matrix
+    # whose det, the product of its diagonal, elimination reaches by row
+    # swaps
     rng = random.Random("det/deep")
     n = 1500
     g = [[ZERO] * n for _ in range(n)]
@@ -363,10 +373,11 @@ def test_det_exact_of_a_deep_shuffled_bidiagonal():
 
 @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
 def test_det_exact_reduces_the_peeled_product_once(odd):
-    # peeled entries whose numerators and denominators cancel across
+    # diagonal entries whose numerators and denominators cancel across
     # entries, 2/3 against 3/2 and (1+i)/5 against 5(1-i)/2, and 6/5
-    # against a 2 x 2 core of det -5/6: the product is carried unreduced,
-    # so only its one reduction at the end gives the canonical -1 or 1
+    # against a 2 x 2 block of det -5/6: the product of the pivots is
+    # carried unreduced, so only its one reduction at the end gives the
+    # canonical -1 or 1
     rng = random.Random(f"det/cancel/{odd}")
     core = [[Scalar(1, 0, 3), ONE], [ONE, Scalar(1, 0, 2)]]
     peeled = [Scalar(2, 0, 3), Scalar(3, 0, 2), Scalar(1, 1, 5), Scalar(5, -5, 2), Scalar(6, 0, 5)]
@@ -380,18 +391,6 @@ def test_det_exact_reduces_the_peeled_product_once(odd):
     det = det_exact(g)
     assert (det.a, det.b, det.d) == (1 if odd else -1, 0, 1)
     assert det == elimination_det(g)
-
-
-@pytest.mark.parametrize(
-    "family,rank,left", [("A", 8, [22]), ("D", 5, [15]), ("B", 4, [12])])
-def test_jacobian_det_ad_peels_down_to_its_core(monkeypatch, family, rank, left):
-    # of 36, 20 and 16 rows, _eliminate receives only those of the diagonal
-    # blocks larger than 1 x 1 in a block-triangular form, here one block
-    sizes = core_sizes(monkeypatch)
-    word = random_reduced_word(family, rank, 1)
-    pairs = generic_pairs(random.Random(f"peel/{family}{rank}/1"), len(word))
-    jacobian_det_ad(family, rank, word, pairs)
-    assert sizes == left
 
 
 def integer_matrix(rng: random.Random, n: int):
@@ -430,7 +429,7 @@ def test_det_exact_scales_with_each_columns_content(case):
         assert det == math.prod(scales, start=ONE) * elimination_det(base)
         if case == "zero":
             assert det == ZERO
-    # a 1 x 1 core is its own pivot, passed on as it is
+    # a 1 x 1 matrix is its own pivot, passed on as it is
     assert linalg._eliminate([[Scalar(6, -4, 5)]]) == (6, -4, 5)
     assert linalg._eliminate([[Scalar(0, -8)]]) == (0, -8, 1)
 

@@ -1,8 +1,9 @@
 """Import hygiene: every name a rootfact module imports from a sibling
 module is used in that module, every module-level private function or
 class is used somewhere in the package besides its own definition, and
-every public one, and every public method or property of a class,
-somewhere in the sources, the benchmark or the acceptance battery.
+every public one, and every public method or property of a class (read
+as an attribute), somewhere in the sources, the benchmark or the
+acceptance battery.
 The matrix and coordinate modules also rely on the number protocol
 alone: they test no entry for its number type.
 
@@ -53,6 +54,14 @@ def names_used(node) -> collections.Counter:
     )
 
 
+def attributes_read(node) -> collections.Counter:
+    """Occurrences of each name read as an attribute, as in ``x.name``."""
+    return collections.Counter(
+        sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
 def test_private_helpers_are_used():
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
     used = sum((names_used(tree) for tree in trees), collections.Counter())
@@ -69,15 +78,16 @@ def test_private_helpers_are_used():
     assert dead == []
 
 
-def callers() -> tuple[dict, collections.Counter]:
+def callers(count=names_used) -> tuple[dict, collections.Counter]:
     """The trees of the files whose reads count as uses of a public name,
-    and the names they read: only the sources, the benchmark and the
-    acceptance battery, since a name that only the other tests call
-    belongs in the tests, and a re-export from __init__ is no use either."""
+    and the names they read, by ``count``: only the sources, the benchmark
+    and the acceptance battery, since a name that only the other tests
+    call belongs in the tests, and a re-export from __init__ is no use
+    either."""
     files = [p for top in ("src", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))
              if p != SRC / "__init__.py"] + [ROOT / "tests" / "test_acceptance.py"]
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
-    return trees, sum((names_used(tree) for tree in trees.values()), collections.Counter())
+    return trees, sum((count(tree) for tree in trees.values()), collections.Counter())
 
 
 def test_public_names_are_used():
@@ -95,9 +105,11 @@ def test_public_names_are_used():
 
 def test_public_members_are_used():
     # the public methods, classmethods and properties of every public
-    # class, counted by attribute name: a use inside the member's own body
-    # does not count, and a private class overrides what its base calls
-    trees, used = callers()
+    # class, counted only where an attribute of that name is read, so a
+    # bare name such as a parameter is no use: a use inside the member's
+    # own body does not count, and a private class overrides what its base
+    # calls
+    trees, used = callers(attributes_read)
     members = [
         (cls.name, node)
         for p, tree in trees.items() if p.parent == SRC
@@ -107,7 +119,7 @@ def test_public_members_are_used():
     ]
     assert members
     orphans = [f"{owner}.{node.name}" for owner, node in members
-               if used[node.name] <= names_used(node)[node.name]]
+               if used[node.name] <= attributes_read(node)[node.name]]
     assert orphans == []
 
 

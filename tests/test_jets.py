@@ -1,8 +1,8 @@
-"""Forward-mode jets: seeded variables, exact derivatives, square roots.
+"""Forward-mode jets: seeded variables and exact derivatives.
 
 A Jet carries an exact value and an exact gradient row; arithmetic
-implements the usual rules, and sqrt demands a perfect rational square
-so results never leave the Gaussian rationals.
+implements the usual rules, so results never leave the Gaussian
+rationals.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from rootfact import (InvalidInputError, Jet, RadicalScalar, Scalar, jacobian_det_ad,
-                      jacobian_det_formula, lebesgue_pullback_det, random_reduced_word,
-                      zeta_from_eta)
+from rootfact import (Jet, RadicalScalar, Scalar, jacobian_det_ad, jacobian_det_formula,
+                      lebesgue_pullback_det, random_reduced_word, zeta_from_eta)
 from rootfact import haar, jets
 from rootfact.factorization import word_plan
 from rootfact.jets import _combine, jacobian_det
@@ -23,7 +22,7 @@ from rootfact.linalg import det_exact
 from rootfact.scalar import ONE, ZERO, sc
 
 from conftest import branch_pairs, generic_pairs
-from helpers import constant, grad, is_real, partials
+from helpers import constant, grad, partials
 
 
 def test_variable_seeding():
@@ -50,20 +49,6 @@ def test_quotient_derivatives():
     r = b / a
     assert r.val == Scalar(5, 0, 3)
     assert list(grad(r, 2)) == [Scalar(-5, 0, 9), Scalar(1, 0, 3)]
-
-
-def test_sqrt_jet():
-    x = Jet.variables([sc(9)])[0]
-    s = x.sqrt()
-    assert s.val == sc(3)
-    assert list(grad(s, 1)) == [Scalar(1, 0, 6)]  # 1 / (2 sqrt(x))
-    assert (s * s).val == x.val
-    assert list(grad(s * s, 1)) == [ONE]
-
-
-def test_sqrt_requires_perfect_square():
-    with pytest.raises(InvalidInputError):
-        Jet.variables([sc(2)])[0].sqrt()
 
 
 def test_negative_powers():
@@ -172,18 +157,12 @@ class DenseJet:
             out = out * self
         return out if n >= 0 else 1 / out
 
-    def sqrt(self):
-        r = self.val.sqrt_exact()
-        if r.is_zero():
-            raise InvalidInputError("jet sqrt at zero is singular")
-        return DenseJet(r, [g / (2 * r) for g in self.grad])
-
 
 def outcome(f, *args):
     """The jet f returns, or the type of the exception it raises."""
     try:
         return f(*args)
-    except (ArithmeticError, InvalidInputError) as err:
+    except ArithmeticError as err:
         return type(err)
 
 
@@ -203,8 +182,6 @@ OPS = [
     ("neg", lambda x, y, c, n: -x),
     ("inverse", lambda x, y, c, n: x.inverse()),
     ("pow", lambda x, y, c, n: x ** n),
-    # a real value squared is a perfect rational square
-    ("sqrt", lambda x, y, c, n: (x * x).sqrt() if is_real(x.val) else x.sqrt()),
     # zero value, nonzero derivatives
     ("zero-value", lambda x, y, c, n: x - x.val),
     # exact cancellations of whole gradients and of single partials
