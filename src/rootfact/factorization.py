@@ -28,9 +28,10 @@ exactly, beside two closed product forms.
 
 Every map here and in the compact picture reads one cached WordPlan
 per (family, rank, word), its only source of root data: the checked
-word, its taus and their root triples, the pairing table tau_k(h_tau_j)
-and the exponents delta(h_tau_j), with the shared pair and torus checks
-and the suffix products prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
+word, its taus and their root triples, the nonzero exponents of its
+products, tau_k(h_tau_j) for j > k and h_tau_j[a], and delta(h_tau_j),
+with the shared pair and torus checks and the suffix products
+prod_{j>k} s_j^(tau_k(h_tau_j)) as its methods.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from .weyl import (
 )
 
 
-class WordPlan(namedtuple("WordPlan", "family rank word taus triples table deltas")):
+class WordPlan(namedtuple("WordPlan", "family rank word taus triples suffix torus deltas")):
     """What every coordinate map reads off one reduced word.
 
     ``taus`` is the ordering of the word, ``triples`` the RootTriple of
-    each tau (whose ``h`` is the diagonal of the coroot h_tau),
-    ``table[k][j]`` the pairing tau_k(h_tau_j) for k < j (zero elsewhere)
-    and ``deltas`` the exponents delta(h_tau_j).
+    each tau (whose ``h`` is the diagonal of the coroot h_tau), ``suffix[k]``
+    the (j, tau_k(h_tau_j)) of j > k and ``torus[a]`` the (j, h_tau_j[a]),
+    each nonzero and ascending in j, and ``deltas`` the exponents delta(h_tau_j).
     """
 
     __slots__ = ()
@@ -106,28 +107,9 @@ class WordPlan(namedtuple("WordPlan", "family rank word taus triples table delta
                 raise InvalidInputError("the middle torus entry must be 1 in family B")
         return entries
 
-    def suffix_mul(self, k: int, x, vals, sign: int = 1):
-        """x * prod_{j > k} vals[j] ** (sign * tau_k(h_tau_j)), factor by factor:
-        the compact chain's radicals print by the order of their products."""
-        row = self.table[k]
-        for j in range(k + 1, len(row)):
-            if row[j]:
-                x = x * vals[j] ** (sign * row[j])
-        return x
-
     def suffix_product(self, k: int, vals) -> Scalar:
         """prod_{j > k} vals[j] ** tau_k(h_tau_j) over Scalars, one power_product."""
-        return power_product((vals[j], p) for j, p in enumerate(self.table[k]) if p)
-
-    def torus_power(self, vals, one) -> list:
-        """The torus diagonal prod_j vals[j] ** h_tau_j, as a running product
-        from ``one``: haar's radicals print by the order of their products."""
-        out = [one] * dim(self.family, self.rank)
-        for v, t in zip(vals, self.triples):
-            for a, p in enumerate(t.h):
-                if p:
-                    out[a] = out[a] * v ** p
-        return out
+        return power_product((vals[j], p) for j, p in self.suffix[k])
 
 
 def word_plan(family: str, rank: int, word) -> WordPlan:
@@ -135,18 +117,19 @@ def word_plan(family: str, rank: int, word) -> WordPlan:
     return _word_plan(family, rank, check_word(family, rank, word))
 
 
-# an A8 plan is about 16 KB and callers draw fresh words, so keep few
+# an A8 plan is about 50 KB and callers draw fresh words, so keep few
 @lru_cache(maxsize=16)
 def _word_plan(family: str, rank: int, word: tuple) -> WordPlan:
     taus = ordering_from_word(family, rank, word)
     triples = tuple(root_triple(family, rank, t) for t in taus)
+    hs = [t.h for t in triples]
     # e_tau_k's anchor (r, c) has weight tau_k, so tau_k(h_tau_j) = h_tau_j[r] - h_tau_j[c]
-    table = tuple(
-        tuple(tj.h[r] - tj.h[c] if j > k else 0 for j, tj in enumerate(triples))
-        for k, (r, c, _) in enumerate(t.e[0] for t in triples)
-    )
+    suffix = tuple(tuple((j, p) for j in range(k + 1, len(hs)) if (p := hs[j][r] - hs[j][c]))
+                   for k, (r, c, _) in enumerate(t.e[0] for t in triples))
+    torus = tuple(tuple((j, p) for j, h in enumerate(hs) if (p := h[a]))
+                  for a in range(dim(family, rank)))
     deltas = tuple(delta(family, rank, t) for t in taus)
-    return WordPlan(family, rank, word, taus, triples, table, deltas)
+    return WordPlan(family, rank, word, taus, triples, suffix, torus, deltas)
 
 
 # s lists s_j = 1 + z_j^- z_j^+
@@ -322,8 +305,7 @@ def transpose_dual(family: str, rank: int, word, pairs, h=None):
     for k, (zm, zp) in enumerate(pairs):
         acc = plan.suffix_product(k, svals)
         eta.append((-zp / (svals[k] * acc), -zm * svals[k] * acc))
-    hdual = (power_product((v, t.h[a]) for v, t in zip(svals, plan.triples) if t.h[a])
-             for a in range(len(hd)))
+    hdual = (power_product((svals[j], p) for j, p in col) for col in plan.torus)
     return eta, [hv / hh for hv, hh in zip(hdual, hd)]
 
 
@@ -341,15 +323,9 @@ def jacobian_det_double_product(family: str, rank: int, word, pairs) -> Scalar:
     """prod_{k<j} s_j^(tau_k(h_tau_j)), termwise."""
     plan = word_plan(family, rank, word)
     svals = [ONE + zm * zp for zm, zp in plan.scalar_pairs(pairs)]
-    terms = []
-    for j, s in enumerate(svals):
-        for k in range(j):
-            p = plan.table[k][j]
-            if p < 0 and s.is_zero():
-                raise InvalidInputError(
-                    "double product undefined: zero base with negative exponent"
-                )
-            terms.append((s, p))
+    terms = [(svals[j], p) for row in plan.suffix for j, p in row]
+    if any(p < 0 and s.is_zero() for s, p in terms):
+        raise InvalidInputError("double product undefined: zero base with negative exponent")
     return power_product(terms)
 
 
@@ -376,9 +352,11 @@ def jacobian_det_ad(family: str, rank: int, word, pairs) -> Scalar:
 def delta_identity_check(family: str, rank: int, word) -> bool:
     """delta(h_tau_j) - 1 == sum_{k<j} tau_k(h_tau_j) for every j."""
     plan = word_plan(family, rank, word)
-    return all(
-        d - 1 == sum(row[j] for row in plan.table[:j]) for j, d in enumerate(plan.deltas)
-    )
+    sums = [0] * len(plan.deltas)
+    for row in plan.suffix:
+        for j, p in row:
+            sums[j] += p
+    return all(d - 1 == s for d, s in zip(plan.deltas, sums))
 
 
 # -- Bruhat strata ------------------------------------------------------

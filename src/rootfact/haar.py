@@ -193,8 +193,7 @@ def eta_from_zeta(family: str, rank: int, word, pairs):
     pairs = plan.check_pairs(pairs)
     asq = _on_branch(((ONE + _radical(zm) * _radical(zp)).to_scalar() for zm, zp in pairs),
                      "1 + z^- z^+")
-    eta = _compact_chain(plan, [(_radical(zm), _radical(zp)) for zm, zp in pairs], asq,
-                         RadicalScalar.sqrt_of, -1)[0]
+    eta = _compact_chain(plan, [(_radical(zm), _radical(zp)) for zm, zp in pairs], asq, -1)[0]
     return [(_simplify(em), _simplify(ep)) for em, ep in eta], asq
 
 
@@ -207,20 +206,27 @@ def zeta_from_eta(family: str, rank: int, word, eta_pairs):
     plan = word_plan(family, rank, word)
     pairs = plan.check_pairs(eta_pairs)
     asq = _y_side_asq((ONE - _radical(em) * _radical(ep)).to_scalar() for em, ep in pairs)
-    zeta, avals = _compact_chain(plan, [(_radical(em), _radical(ep)) for em, ep in pairs], asq,
-                                 RadicalScalar.sqrt_of, 1)
-    hshift = plan.torus_power(avals, _make(ONE, 1))
+    zeta, avals = _compact_chain(plan, [(_radical(em), _radical(ep)) for em, ep in pairs], asq, 1)
+    hshift = [_running(_make(ONE, 1), col, avals) for col in plan.torus]
     return [(_simplify(zm), _simplify(zp)) for zm, zp in zeta], [_simplify(v) for v in hshift], asq
 
 
-def _compact_chain(plan: WordPlan, pairs, asq, sqrt, sign: int):
+def _compact_chain(plan: WordPlan, pairs, asq, sign: int):
     """(image pairs, a_j) of the compact change, y to zeta for sign 1 and zeta
     back to y for sign -1: with a_j = sqrt(asq[j]), asq[j] = 1 + z_j^- z_j^+,
     pair (m, p) at j goes to (m prod_{k>j} a_k^(-sign tau_j(h_tau_k)),
     p a_j^(2 sign) prod_{k>j} a_k^(sign tau_j(h_tau_k)))."""
-    a = [sqrt(v) for v in asq]
-    return [(plan.suffix_mul(j, m, a, -sign), plan.suffix_mul(j, p * asq[j] ** sign, a, sign))
-            for j, (m, p) in enumerate(pairs)], a
+    a = [RadicalScalar.sqrt_of(v) for v in asq]
+    return [(_running(m, row, a, -sign), _running(p * asq[j] ** sign, row, a, sign))
+            for j, ((m, p), row) in enumerate(zip(pairs, plan.suffix))], a
+
+
+def _running(x, terms, vals, sign: int = 1):
+    """x * prod vals[j] ** (sign * p) over the (j, p) of terms, factor by factor:
+    a radical prints by the order of its products."""
+    for j, p in terms:
+        x = x * vals[j] ** (sign * p)
+    return x
 
 
 def _y_side_asq(ys) -> list:

@@ -115,7 +115,8 @@ def _eliminate(x):
     m_ij + f m_kj, f = -m_ik / p, one fused update and one gcd per
     nonzero m_kj, and the det is the signed product of the pivots.
     """
-    m = [[(v.a, v.b, v.d) for v in row] for row in x]
+    zero = 0, 0, 1  # shared by every zero entry, as no triple is ever mutated
+    m = [[(v.a, v.b, v.d) if v.a or v.b else zero for v in row] for row in x]
     n = len(m)
     gcd = math.gcd
     da, db, dd = 1, 0, 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from rootfact import haar
 from rootfact.factorization import _join_pair, word_plan
 from rootfact.jets import Jet, jacobian_det
 from rootfact.linalg import identity
@@ -98,10 +97,17 @@ def jet_sqrt(x: Jet) -> Jet:
 def wide_compact_chain(plan, eta_pairs):
     """(zeta jets, det d(zeta)/dy) of the compact change y -> zeta run whole
     over jets in all 2n coordinates, with the full 2n x 2n determinant: the
-    reference for the library's product of 2 x 2 diagonal blocks."""
+    reference for the library's product of 2 x 2 diagonal blocks.  Pair j
+    goes to (y_j^- / C_j, y_j^+ a_j^2 C_j), C_j = prod_{k>j} a_k^(tau_j(h_tau_k)),
+    a_k = sqrt(1 / (1 - y_k^- y_k^+))."""
     pairs = jet_pairs(plan, eta_pairs)
     asq = [1 / (1 - em * ep) for em, ep in pairs]
-    zeta = haar._compact_chain(plan, pairs, asq, jet_sqrt, 1)[0]
+    a = [jet_sqrt(v) for v in asq]
+    zeta = []
+    for (m, p), v, row in zip(pairs, asq, plan.suffix):
+        for k, e in row:
+            m, p = m * a[k] ** -e, p * a[k] ** e
+        zeta.append((m, p * v))
     return zeta, jacobian_det([z[0] for z in zeta] + [z[1] for z in zeta], 2 * len(zeta))
 
 

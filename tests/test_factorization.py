@@ -53,7 +53,7 @@ from rootfact import (
 from rootfact import linalg
 from rootfact.matrices import assemble_lower, assemble_upper, extract_lower, extract_upper
 from rootfact.factorization import word_plan
-from rootfact.scalar import ONE, ZERO, power_product, sc
+from rootfact.scalar import ONE, ZERO, power_product
 
 from conftest import exact_scalar, generic_pairs, pairs_equal
 from helpers import mat_transpose
@@ -436,10 +436,10 @@ def test_det_exact_scales_with_each_columns_content(case):
 
 @pytest.mark.parametrize("swaps", [1, 2], ids=["odd", "even"])
 def test_det_exact_pivots_on_the_smallest_entry(monkeypatch, swaps):
-    # dense 2 x 2 diagonal blocks leave nothing to peel, and each column
-    # pivots on its block's entry with fewer bits, a lower one by a row
-    # swap: `swaps` of the first four blocks swap rows, where the first
-    # nonzero as pivot would swap none, and the fifth block is a tie
+    # five dense 2 x 2 diagonal blocks: each column pivots on its block's
+    # entry with fewer bits, a lower one by a row swap: `swaps` of the
+    # first four blocks swap rows, where the first nonzero as pivot would
+    # swap none, and the fifth block is a tie
     small, big, tie = Scalar(2, -1, 3), Scalar(1000, 999, 7), Scalar(-3)
     firsts = [(big, small)] * swaps + [(small, big)] * (4 - swaps) + [(tie, Scalar(3))]
     g = [[ZERO] * 10 for _ in range(10)]
@@ -615,7 +615,7 @@ def test_closed_form_products_reduce_once():
     word = canonical_word("A", 3)
     point = [(2, 3), (1, Scalar(-1, 0, 3)), (Scalar(1, 1, 2), Scalar(2, -1, 5)), (0, 7),
              (1, Scalar(1, 0, 2)), (Scalar(0, 1, 3), Scalar(3, 2, 7))]
-    assert [plan_row[2] for plan_row in word_plan("A", 3, word).table[:2]] == [-1, 1]
+    assert [dict(row)[2] for row in word_plan("A", 3, word).suffix[:2]] == [-1, 1]
     for f in (jacobian_det_double_product, jacobian_det_formula, jacobian_det_ad):
         det = f("A", 3, word, point)
         assert (det.a, det.b, det.d) == (1, 0, 1), f.__name__

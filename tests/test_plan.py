@@ -2,8 +2,9 @@
 
 Every map reads one WordPlan per (family, rank, word), and the maps
 take their root data from it alone: the ordering, the root triple of
-each tau, the pairing table tau_k(h_tau_j), read off the triples'
-coroot diagonals, and the closed-form exponents delta.  These tests pin
+each tau, the nonzero pairings tau_k(h_tau_j) and coroot entries
+h_tau_j[a], read off the triples' coroot diagonals, and the closed-form
+exponents delta.  These tests pin
 the plan against the direct definitions, count that a cached plan's
 maps look up no triple, and run the exact identities at B3, C3, D4 and
 D5 on seeded random reduced words rather than the canonical ones.
@@ -55,10 +56,11 @@ from rootfact import (
 )
 from rootfact import factorization, matrices
 from rootfact.factorization import _word_plan
+from rootfact.haar import _running
 from rootfact.linalg import identity, mat_mul
-from rootfact.matrices import sigma, sigma_diag
+from rootfact.matrices import dim, sigma, sigma_diag
 from rootfact.serialization import dumps_canonical
-from rootfact.scalar import ONE, Scalar, sc
+from rootfact.scalar import ONE, Scalar, power_product, sc
 
 from conftest import branch_pairs, generic_pairs, pairs_equal, torus_diag
 from helpers import length, simple_coroot_coordinates
@@ -76,10 +78,16 @@ def test_plan_matches_direct_definitions(family, rank):
     taus = ordering_from_word(family, rank, word)
     assert plan.word == word and plan.taus == taus
     n = len(taus)
-    for k in range(n):
-        for j in range(n):
-            expected = pairing(taus[k], taus[j]) if k < j else 0
-            assert plan.table[k][j] == expected
+    # every nonzero exponent once, ascending in j, and no zero stored
+    assert len(plan.suffix) == n
+    for k, row in enumerate(plan.suffix):
+        pairings = [(j, pairing(taus[k], taus[j])) for j in range(k + 1, n)]
+        assert row == tuple((j, p) for j, p in pairings if p)
+    coroots = [coroot_diag(family, rank, tau) for tau in taus]
+    assert len(plan.torus) == dim(family, rank)
+    for a, col in enumerate(plan.torus):
+        assert col == tuple((j, h[a]) for j, h in enumerate(coroots) if h[a])
+    assert all(p for rows in (plan.suffix, plan.torus) for row in rows for _, p in row)
     for tau, d, t in zip(taus, plan.deltas, plan.triples):
         assert d == delta(family, rank, tau) == sum(
             simple_coroot_coordinates(family, rank, tau))
@@ -88,6 +96,8 @@ def test_plan_matches_direct_definitions(family, rank):
 
 
 def test_plan_suffix_mul_and_torus_power():
+    # haar's factor-by-factor product over plan.suffix and plan.torus, and
+    # suffix_product, against the pairings and coroot diagonals
     family, rank = "B", 3
     plan = word_plan(family, rank, random_reduced_word(family, rank, seed=3))
     rng = random.Random(8)
@@ -97,10 +107,11 @@ def test_plan_suffix_mul_and_torus_power():
             expected = Scalar(3)
             for j in range(k + 1, len(plan.taus)):
                 expected = expected * vals[j] ** (sign * pairing(plan.taus[k], plan.taus[j]))
-            assert plan.suffix_mul(k, Scalar(3), vals, sign) == expected
+            assert _running(Scalar(3), plan.suffix[k], vals, sign) == expected
         # the one power_product of inverse_map and transpose_dual
-        assert plan.suffix_product(k, vals) * 3 == plan.suffix_mul(k, Scalar(3), vals)
-    torus = plan.torus_power(vals, ONE)
+        assert plan.suffix_product(k, vals) * 3 == _running(Scalar(3), plan.suffix[k], vals)
+    torus = [_running(ONE, col, vals) for col in plan.torus]
+    assert len(torus) == dim(family, rank)
     for a in range(len(torus)):
         expected = ONE
         for tau, v in zip(plan.taus, vals):
@@ -130,14 +141,14 @@ def test_suffix_mul_skips_zero_exponents(family, rank):
     n = len(plan.taus)
     skipped = 0
     for k in range(n):
-        row = plan.table[k]
+        row = [pairing(plan.taus[k], plan.taus[j]) if j > k else 0 for j in range(n)]
         vals = [sc(rng.randint(2, 9)) if row[j] else Unused() for j in range(n)]
         skipped += sum(1 for j in range(k + 1, n) if not row[j])
         expected = Scalar(3)
         for j in range(k + 1, n):
             if row[j]:
                 expected = expected * vals[j] ** -row[j]
-        assert plan.suffix_mul(k, Scalar(3), vals, -1) == expected
+        assert _running(Scalar(3), plan.suffix[k], vals, -1) == expected
         vals = [Scalar(gaussian.randint(1, 9), gaussian.randint(-9, 9), gaussian.randint(1, 9))
                 if row[j] else Unused() for j in range(n)]
         expected = ONE
@@ -147,8 +158,24 @@ def test_suffix_mul_skips_zero_exponents(family, rank):
         assert plan.suffix_product(k, vals) == expected
     assert skipped
     # B and C pair a short root against a long one to +-2
-    assert {p for row in plan.table for p in row} == (
-        {-2, -1, 0, 1, 2} if family in "BC" else {-1, 0, 1})
+    assert {p for row in plan.suffix for _, p in row} == (
+        {-2, -1, 1, 2} if family in "BC" else {-1, 1})
+
+
+@pytest.mark.parametrize("family,rank", [("B", 10), ("A", 16)])
+def test_sparse_products_match_the_dense_pairings(family, rank):
+    # the double product and the delta identity against every k < j of
+    # the pairings, zeros included, at canonical words where most are 0
+    word = canonical_word(family, rank)
+    taus = ordering_from_word(family, rank, word)
+    n = len(taus)
+    pairs = generic_pairs(random.Random(f"dense/{family}{rank}"), n)
+    svals = [ONE + sc(zm) * sc(zp) for zm, zp in pairs]
+    dense = [[pairing(taus[k], taus[j]) for k in range(j)] for j in range(n)]
+    assert jacobian_det_double_product(family, rank, word, pairs) == power_product(
+        (s, p) for s, col in zip(svals, dense) for p in col)
+    assert delta_identity_check(family, rank, word) is all(
+        delta(family, rank, tau) - 1 == sum(col) for tau, col in zip(taus, dense))
 
 
 def test_plan_cache_is_bounded():

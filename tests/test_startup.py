@@ -182,8 +182,8 @@ def test_weyl_elements_hash_and_compare_by_value():
 @pytest.mark.parametrize("record,fields", [
     (simple_reflection("B", 2, 1), ("family", "rank", "images")),
     (root_triple("A", 2, (1, -1, 0)), ("root", "e", "f", "h", "e2", "f2")),
-    (word_plan("A", 2, (1, 2, 1)), ("family", "rank", "word", "taus", "triples", "table",
-                                    "deltas")),
+    (word_plan("A", 2, (1, 2, 1)), ("family", "rank", "word", "taus", "triples", "suffix",
+                                    "torus", "deltas")),
 ], ids=["WeylElement", "RootTriple", "WordPlan"])
 def test_frozen_records_refuse_assignment(record, fields):
     before = [getattr(record, field) for field in fields]
