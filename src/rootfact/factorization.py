@@ -123,10 +123,12 @@ def _word_plan(family: str, rank: int, word: tuple) -> WordPlan:
     taus = ordering_from_word(family, rank, word)
     triples = tuple(root_triple(family, rank, t) for t in taus)
     hs = [t.h for t in triples]
+    share = {}.setdefault  # one tuple per distinct (j, p), held by every list with it
     # e_tau_k's anchor (r, c) has weight tau_k, so tau_k(h_tau_j) = h_tau_j[r] - h_tau_j[c]
-    suffix = tuple(tuple((j, p) for j in range(k + 1, len(hs)) if (p := hs[j][r] - hs[j][c]))
+    suffix = tuple(tuple(share((j, p), (j, p)) for j in range(k + 1, len(hs))
+                         if (p := hs[j][r] - hs[j][c]))
                    for k, (r, c, _) in enumerate(t.e[0] for t in triples))
-    torus = tuple(tuple((j, p) for j, h in enumerate(hs) if (p := h[a]))
+    torus = tuple(tuple(share((j, p), (j, p)) for j, h in enumerate(hs) if (p := h[a]))
                   for a in range(dim(family, rank)))
     deltas = tuple(delta(family, rank, t) for t in taus)
     return WordPlan(family, rank, word, taus, triples, suffix, torus, deltas)
@@ -148,10 +150,7 @@ def _product_matrix(triples, pairs, h, g=None):
 
 def forward_map(family: str, rank: int, word, pairs, h=None) -> ForwardResult:
     """Evaluate the factorization product and its (l, u, h) coordinates."""
-    return _forward(word_plan(family, rank, word), pairs, h)
-
-
-def _forward(plan: WordPlan, pairs, h) -> ForwardResult:
+    plan = word_plan(family, rank, word)
     pairs = plan.scalar_pairs(pairs)
     hd = plan.check_torus(h)
     g = _product_matrix(plan.triples, pairs, hd)
@@ -257,7 +256,7 @@ def _join_pair(t, factors, pair):
     M = U exp(z^- f_tau) = L_M U_M is factored in place of U (Bennett
     1965) with every pivot 1: T exp(z^- f_tau) is the forward product of
     a reduced word (one of w < w_0 extends to one of w_0) at a point
-    whose other pairs are zero, and ``_forward`` checks that its middle
+    whose other pairs are zero, and ``forward_map`` checks that its middle
     factor is that torus, I.  M is upper triangular but in the rows c+1,
     ..., r an entry (r, c) of f_tau reaches (f_tau^2 lies inside them),
     so only those are eliminated, at the pivots min c, ..., max r, and

@@ -1,9 +1,8 @@
-"""Exact dense linear algebra over Gaussian rationals and jets.
+"""Exact dense linear algebra over Gaussian rationals.
 
-Matrices are lists of lists of numbers in the sense of
-``scalar.Number``, so Scalar and Jet matrices share every routine here.
-The determinant takes Scalar matrices only: it is one Gaussian elimination
-over reduced Gaussian-rational (a, b, d) triples.
+Matrices are lists of rows of Scalars; jets reach only ``identity`` and
+``mul_right_i_plus``.  The determinant is one Gaussian elimination over
+reduced Gaussian-rational (a, b, d) triples.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import math
 
 from .errors import InvalidInputError, StratumError
 from .scalar import ONE, ZERO, Scalar, _red
-
-Matrix = list
 
 
 def identity(n: int):
@@ -78,7 +75,7 @@ def mat_inverse(x):
     a = mat_copy(x)
     inv = identity(n)
     for k in range(n):
-        piv = next((i for i in range(k, n) if not a[i][k].val.is_zero()), None)
+        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
         if piv is None:
             raise InvalidInputError("matrix is singular")
         if piv != k:
@@ -171,14 +168,13 @@ def ldu(g):
     d = []
     for k in range(n):
         p = a[k][k]
-        if p.val.is_zero():
-            if det_exact([[v.val for v in row] for row in g]).is_zero():
+        if p.is_zero():
+            if det_exact(g).is_zero():
                 raise InvalidInputError("matrix is singular")
             raise StratumError(f"vanishing leading minor at position {k + 1}", index=k + 1)
         d.append(p)
         ak = a[k]
-        # an exact zero stays as it is, undivided, and its row needs no
-        # update (the library hands ldu Scalars; a Jet of value 0 may carry partials)
+        # an exact zero stays as it is, undivided, and its row needs no update
         for j in range(k + 1, n):
             upper[k][j] = ak[j] if ak[j].is_zero() else ak[j] / p
         for i in range(k + 1, n):

@@ -67,15 +67,16 @@ def coroot_diag(family: str, rank: int, root: tuple) -> list[int]:
 
 # Sparse canonical (e, f, h) data for one positive root: e and f are
 # ((row, col, Scalar), ...) sorted by (row, col), whose first entry is the
-# anchor that coordinate extraction reads; h is the diagonal as ints, and
-# e2 and f2 are the sparse squares of e and f.  xe and xf are e and f in the
-# order exp_e and exp_f hand to mul_right_i_plus, e by descending column and
-# f by ascending column, so that no entry reads a column an earlier one
-# wrote; their squares read only columns no entry writes, as X^3 = 0 and the
-# rows carry distinct weights.  Every entry 1 or -1 is ONE or MINUS_ONE.
-# A join by the root reads f_rows, the rows c + 1, ..., r an entry (r, c) of
-# f reaches, ascending; f_pivot = min c, its first pivot; and e_end = max c
-# + 1: exp(z e) moves an upper triangular factor's rows before it.
+# anchor that coordinate extraction reads; h is the diagonal as ints; e2 and
+# f2 are e^2 and f^2, empty but for a short root of B: e^2 = -E(a, N-1-a).
+# xe and xf order e by descending and f by ascending column, as exp_e and
+# exp_f hand them to mul_right_i_plus, so that no entry reads a column an
+# earlier one wrote; the squares read only columns no entry writes, as
+# X^3 = 0 and the rows carry distinct weights.  Every entry 1 or -1 is ONE
+# or MINUS_ONE.  A join by the root reads f_rows, the rows c + 1, ..., r an
+# entry (r, c) of f reaches, ascending; f_pivot = min c, its first pivot; and
+# e_end = max c + 1: exp(z e) moves an upper triangular factor's rows before
+# it.
 RootTriple = namedtuple("RootTriple", "root e f h e2 f2 xe xf f_rows f_pivot e_end")
 
 
@@ -83,16 +84,6 @@ def _entries(entries):
     """The (row, col, v) sorted, zeros left out and each unit v the shared one."""
     return tuple(sorted((r, c, ONE if v == ONE else MINUS_ONE if v == MINUS_ONE else v)
                         for r, c, v in entries if not v.is_zero()))
-
-
-def _sparse_square(entries):
-    acc = {}
-    for (r1, c1, v1) in entries:
-        for (r2, c2, v2) in entries:
-            if c1 == r2:
-                key = (r1, c2)
-                acc[key] = acc.get(key, ZERO) + v1 * v2
-    return _entries((r, c, v) for (r, c), v in acc.items())
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -105,6 +96,7 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
     def mir(x: int) -> int:
         return n - 1 - x
 
+    e2 = ()  # e^2, nonzero only for a short root of B
     if family == "A":
         i = root.index(1)
         j = root.index(-1)
@@ -121,6 +113,7 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
             if c == 1:  # short root of B
                 z = r
                 e = ((a, z, ONE), (z, mir(a), -ONE))
+                e2 = ((a, mir(a), MINUS_ONE),)
             else:  # long root of C
                 e = ((a, mir(a), ONE),)
         else:
@@ -136,9 +129,10 @@ def root_triple(family: str, rank: int, root: tuple) -> RootTriple:
                 e = ((ak, mir(am), ONE), (am, mir(ak), -ONE))
     s = sigma_diag(family, rank)
     e = _entries(e)
-    f = _entries((y, x, s[y] * v / s[x]) for x, y, v in e)  # f = sigma(e) = S e^T S^{-1}
+    # f = sigma(e) = S e^T S^{-1}, and f^2 = sigma(e^2)
+    f, f2 = (_entries((y, x, s[y] * v / s[x]) for x, y, v in xs) for xs in (e, e2))
     h = tuple(coroot_diag(family, rank, root))
-    return RootTriple(root, e, f, h, _sparse_square(e), _sparse_square(f),
+    return RootTriple(root, e, f, h, e2, f2,
                       xe=tuple(sorted(e, key=lambda t: -t[1])),
                       xf=tuple(sorted(f, key=lambda t: t[1])),
                       f_rows=tuple(sorted({i for r, c, _ in f for i in range(c + 1, r + 1)})),

@@ -65,10 +65,9 @@ class Number:
     """The protocol of Scalar, jets.Jet and haar.RadicalScalar: ``is_zero()``
     (an exact zero), ``inverse()``, negation, ``==``, and ``+``, ``-`` and
     ``*`` with the type itself, ints, Fractions and Scalars, NotImplemented
-    for an operand it cannot lift; the matrix entries, Scalar and Jet, also
-    have ``val``, the Scalar value a pivot is judged by.  ``other - x``,
-    ``other / x`` and ``addmul`` follow from these, here, for all three;
-    Scalar and Jet override ``addmul``."""
+    for an operand it cannot lift; Scalar and Jet also have ``val``, their
+    Scalar value.  ``other - x``, ``other / x`` and ``addmul`` follow from
+    these, here, for all three; Scalar and Jet override ``addmul``."""
 
     __slots__ = ()
 
@@ -220,13 +219,8 @@ class Scalar(Number):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if other.b == 0:
-            if other.a == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            if other.a == 1 and other.d == 1:
-                return self
-            num = self * (other.d if other.a > 0 else -other.d)
-            return _red(num.a, num.b, num.d * abs(other.a))
+        if other.a == 1 and other.b == 0 and other.d == 1:
+            return self
         return self * other.inverse()
 
     def __pow__(self, n: int):

@@ -35,7 +35,6 @@ from .rootsystem import (
     ambient_dim,
     check_family_rank,
     is_positive_root,
-    pairing,
     simple_roots,
     root_vector,
 )
@@ -74,26 +73,24 @@ def identity_element(family: str, rank: int) -> WeylElement:
 
 @lru_cache(maxsize=None, typed=True)
 def simple_reflection(family: str, rank: int, i: int) -> WeylElement:
-    """s_i from a = a_i by s_a(l_k) = l_k - (2 (l_k, a) / (a, a)) a, which
-    moves only the l_k with a_k nonzero."""
+    """s_i, the identity stepped by i."""
     check_family_rank(family, rank)
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= rank:
         raise InvalidWordError(f"letter {i!r} outside 1..{rank}", index=None)
-    a = simple_roots(family, rank)[i - 1]
-    images = list(range(1, len(a) + 1))
-    for k in (k for k, c in enumerate(a) if c):
-        p = pairing(root_vector(len(a), (k, 1)), a)
-        image = [int(j == k) - p * c for j, c in enumerate(a)]
-        j = next(j for j, v in enumerate(image) if v)
-        images[k] = (j + 1) * image[j]
-    return WeylElement(family, rank, tuple(images))
+    return WeylElement(family, rank, _step(family, rank, identity_element(family, rank).images, i))
 
 
 @lru_cache(maxsize=None)
 def _moves(family: str, rank: int, i: int) -> tuple:
-    """(k, u) for each l_k that s_i moves, u its signed image."""
-    return tuple((k, u) for k, u in enumerate(simple_reflection(family, rank, i).images)
-                 if u != k + 1)
+    """(k, u) for each l_(k+1) that s_i moves, u its signed image, in closed
+    form (Bourbaki, Plates I-IV): s_i swaps l_i and l_(i+1) in A, and
+    l_(i-1) and l_i in B, C and D for i >= 2; s_1 sends l_1 to -l_1 in B
+    and C, and l_1, l_2 to -l_2, -l_1 in D."""
+    if family == "A":
+        return (i - 1, i + 1), (i, i)
+    if i > 1:
+        return (i - 2, i), (i - 1, i - 1)
+    return ((0, -2), (1, -1)) if family == "D" else ((0, -1),)
 
 
 def _step(family: str, rank: int, x: tuple, i: int) -> tuple:

@@ -392,33 +392,77 @@ def constant_form(family, rank):
     return None if family == "A" else linalg.identity(dim(family, rank))
 
 
-@pytest.mark.parametrize("name,broken,message", [
+# the first root of each group that _check_triples walks
+FIRST_ROOT = {"A2": (0, 1, -1), "B2": (-1, 1), "C2": (-1, 1), "D3": (-1, 1, 0)}
+
+
+def failures(check, message, groups):
+    """The failure of ``check`` at each group, as run_self_check names it:
+    ``message`` formatted with the group and its first root."""
+    return [f"{check}-{g}: {message.format(g, FIRST_ROOT.get(g))}" for g in groups.split()]
+
+
+def self_check_error(expected):
+    """The one message of a self-check run in which the ``expected`` failures happen."""
+    return f"{len(expected)} of {len(selfcheck._CHECKS)} self-checks failed: " + "; ".join(expected)
+
+
+@pytest.mark.parametrize("name,broken,expected", [
     ("h_matrix", lambda family, rank, root: linalg.identity(dim(family, rank)),
-     r"\[e, f\] != h for A2 root \(0, 1, -1\)"),
-    ("sigma", lambda family, rank, x: x, r"sigma\(e\) != f for A2 root \(0, 1, -1\)"),
-    ("form_matrix", constant_form, r"form invariance fails for B2 root \(-1, 1\)"),
-    ("inverse_map", lambda *args, h: [], "round trip failed for A2"),
-    ("transpose_dual", doubled_torus(selfcheck.transpose_dual), "dual identity failed for A2"),
-    ("jacobian_det_ad", lambda family, rank, word, pairs: 0, "jacobian identities failed for A2"),
+     failures("triples", "[e, f] != h for {} root {}", "A2 B2 C2 D3")),
+    ("sigma", lambda family, rank, x: x,
+     failures("triples", "sigma(e) != f for {} root {}", "A2 B2 C2 D3")),
+    ("form_matrix", constant_form,
+     failures("triples", "form invariance fails for {} root {}", "B2 C2 D3")),
+    ("inverse_map", lambda *args, h: [], failures("round-trip", "round trip failed for {}", "A2 B2")),
+    ("transpose_dual", doubled_torus(selfcheck.transpose_dual),
+     failures("dual", "dual identity failed for {}", "A2 C2")),
+    ("jacobian_det_ad", lambda family, rank, word, pairs: 0,
+     failures("jacobian", "jacobian identities failed for {}", "A2 B2")),
     ("delta_identity_check", lambda family, rank, word: False,
-     "jacobian identities failed for A2"),
-    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 0), "compact round trip failed for A2"),
-    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 2), "compact round trip failed for A2"),
-    ("haar_density", lambda family, rank, word, pairs: 0, "density mismatch for A2"),
+     failures("jacobian", "jacobian identities failed for {}", "A2 B2")),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 0),
+     failures("compact", "compact round trip failed for {}", "A2 C2")),
+    ("zeta_from_eta", one_short(selfcheck.zeta_from_eta, 2),
+     failures("compact", "compact round trip failed for {}", "A2 C2")),
+    ("haar_density", lambda family, rank, word, pairs: 0,
+     failures("compact", "density mismatch for {}", "A2 C2")),
     ("unit_jacobian_check", lambda family, rank, word, pairs: 0,
-     "unit pullback ratio failed for A2"),
+     failures("pullback", "unit pullback ratio failed for {}", "A2 C2")),
     ("lebesgue_pullback_det", lambda family, rank, word, pairs: 0,
-     "pullback closed form failed for A2"),
-    ("count_reduced_words", lambda w: 0, "reduced word count mismatch for A3"),
+     failures("pullback", "pullback closed form failed for {}", "A2 C2")),
+    ("count_reduced_words", lambda w: 0,
+     failures("counts", "reduced word count mismatch for {}", "A3 A4")),
 ], ids=["bracket", "sigma", "form", "round-trip", "dual", "determinants-differ",
         "delta-identity-fails", "pairs-differ", "squares-differ", "density", "unit-ratio",
         "pullback-closed-form", "counts"])
-def test_self_check_fails_where_one_part_of_a_check_fails(monkeypatch, name, broken, message):
-    # each check joins its conditions with or: any one failing fails it,
-    # and its message names the check
+def test_self_check_fails_where_one_part_of_a_check_fails(monkeypatch, name, broken, expected):
+    # each check joins its conditions with or: any one failing fails it;
+    # every check runs, and the one ArithmeticError names each that failed
     monkeypatch.setattr(selfcheck, name, broken)
-    with pytest.raises(LibError, match=f"^{message}$"):
+    with pytest.raises(ArithmeticError) as err:
         selfcheck.run_self_check()
+    assert str(err.value) == self_check_error(expected)
+
+
+def test_self_check_names_every_broken_check(monkeypatch):
+    monkeypatch.setattr(selfcheck, "inverse_map", lambda *args, h: [])
+    monkeypatch.setattr(selfcheck, "count_reduced_words", lambda w: 0)
+    with pytest.raises(ArithmeticError) as err:
+        selfcheck.run_self_check()
+    assert str(err.value) == self_check_error(
+        failures("round-trip", "round trip failed for {}", "A2 B2")
+        + failures("counts", "reduced word count mismatch for {}", "A3 A4"))
+
+
+def test_failed_self_check_is_an_internal_error(monkeypatch, capsys):
+    # a broken identity is a fault of the program, not of the request
+    monkeypatch.setattr(selfcheck, "transpose_dual", doubled_torus(selfcheck.transpose_dual))
+    code, payload, _ = run_cli(capsys, ["self-check"])
+    assert code == 4
+    assert payload["error"]["kind"] == "internal-error"
+    assert re.fullmatch(r"ArithmeticError at selfcheck\.py:\d+: " + re.escape(self_check_error(
+        failures("dual", "dual identity failed for {}", "A2 C2"))), payload["error"]["message"])
 
 
 def test_self_check_point():

@@ -1,14 +1,14 @@
 """Import hygiene: every name a rootfact module imports from a sibling
 module is used in that module, every module-level private function or
 class is used somewhere in the package besides its own definition, and
-every public one, and every public method or property of a class (read
-as an attribute), somewhere in the sources, the benchmark or the
-acceptance battery.
+every public one, every public method or property of a class (read
+as an attribute), and every name an assignment binds at module level,
+somewhere in the sources, the benchmark or the acceptance battery.
 The matrix and coordinate modules also rely on the number protocol
 alone: they test no entry for its number type.
 
 The package ``__init__`` imports names only to export them, so it is
-left out of the first and the last of these checks.
+left out of every check but the one on private helpers.
 """
 
 from __future__ import annotations
@@ -101,6 +101,31 @@ def test_public_names_are_used():
     assert public
     orphans = [node.name for node in public if used[node.name] <= names_used(node)[node.name]]
     assert orphans == []
+
+
+def module_bindings(tree) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each non-dunder name an assignment at module level binds."""
+    return [
+        (target.id, node)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for bound in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in (bound.elts if isinstance(bound, ast.Tuple) else [bound])
+        if isinstance(target, ast.Name) and not target.id.startswith("__")
+    ]
+
+
+def test_module_level_names_are_read():
+    # a constant, alias or record type bound at module level is read
+    # somewhere in the sources, the benchmark or the acceptance battery,
+    # its own assignment left out
+    trees, used = callers()
+    bindings = [(p.stem, name, node) for p, tree in trees.items() if p.parent == SRC
+                for name, node in module_bindings(tree)]
+    assert bindings
+    dead = [f"{module}.{name}" for module, name, node in bindings
+            if used[name] <= names_used(node)[name]]
+    assert dead == []
 
 
 def test_public_members_are_used():

@@ -447,7 +447,7 @@ def test_inverse_runs_one_dense_ldu(monkeypatch, family, rank):
         raise AssertionError("a second forward map ran")
 
     monkeypatch.setattr(factorization, "ldu", counting_ldu)
-    monkeypatch.setattr(factorization, "_forward", refused)
+    monkeypatch.setattr(factorization, "forward_map", refused)
     monkeypatch.setattr(factorization, "_product_matrix", refused)
     assert pairs_equal(inverse_map(family, rank, word, res.l, res.u, h=h), pairs)
     g0 = mat_mul(scale_cols(assemble_lower(family, rank, res.taus, res.l), h),

@@ -88,6 +88,10 @@ def test_plan_matches_direct_definitions(family, rank):
     for a, col in enumerate(plan.torus):
         assert col == tuple((j, h[a]) for j, h in enumerate(coroots) if h[a])
     assert all(p for rows in (plan.suffix, plan.torus) for row in rows for _, p in row)
+    # equal pairs, in suffix and torus alike, are one object
+    stored = [jp for rows in (plan.suffix, plan.torus) for row in rows for jp in row]
+    first = {}
+    assert all(first.setdefault(jp, jp) is jp for jp in stored)
     for tau, d, t in zip(taus, plan.deltas, plan.triples):
         assert d == delta(family, rank, tau) == sum(
             simple_coroot_coordinates(family, rank, tau))
